@@ -6,18 +6,20 @@
 record, stamped with the run date and the checkout's short git SHA
 (omitted outside a git checkout), as one JSON line to
 ``BENCH_history.jsonl``.  Committing the history file accumulates a
-machine-readable perf trajectory across PRs — the batch-vs-scalar sweep
+machine-readable perf trajectory across PRs — the solver batch sweep
 (``test_bench_simulator_solve_batch[*]``) and the serve replan-policy
 comparison (``test_bench_serve_replan[*]``) are the rows to watch.
 
-Before appending, the serve-path rows are compared against the previous
-history entry: any ``test_bench_serve_replan[*]``,
-``test_bench_serve_preempt[*]``, ``test_bench_serve_scale[*]`` or
-``test_bench_estimator_predict[*]``
-mean that got more than 25% slower is
-flagged loudly (the hot serving path must not regress silently behind an
-unrelated PR).  Flags are warnings, not
-failures — machine noise is real — but they belong in the PR discussion.
+Before appending, the hot-path rows are compared against the previous
+history entry: any row under one of the nine ``GUARDED_PREFIXES`` — the
+``test_bench_serve_replan``, ``test_bench_serve_preempt``,
+``test_bench_serve_scale``, ``test_bench_serve_obs``,
+``test_bench_estimator_predict``, ``test_bench_finetune``,
+``test_bench_fleet_feedback``, ``test_bench_fleet_energy`` and
+``test_bench_simulator_solve_batch`` families — whose mean got more than
+25% slower is flagged loudly (a hot path must not regress silently
+behind an unrelated change).  Flags are warnings, not failures — machine
+noise is real — but they belong in the change's review discussion.
 
 Usage:
     PYTHONPATH=src python benchmarks/record_bench.py [history.jsonl]

@@ -274,7 +274,7 @@ def execute_scenario(scenario: Scenario) -> ScenarioResult:
             f"unknown platform {scenario.platform!r}; "
             f"choose from {sorted(PLATFORM_SPECS)}") from None
     workload = [get_model(n) for n in scenario.workload]
-    cache = EvaluationCache(platform, backend=scenario.backend)
+    cache = EvaluationCache(platform)
     manager = build_manager(scenario, platform, cache)
     priorities = (np.asarray(scenario.priorities, dtype=np.float64)
                   if scenario.priorities is not None else None)
@@ -330,8 +330,7 @@ def _serve_requests(spec: DynamicScenario,
     cache = None
     if spec.cache_path is not None and Path(spec.cache_path).exists():
         try:
-            cache = EvaluationCache.load(spec.cache_path, platform,
-                                         backend=spec.backend)
+            cache = EvaluationCache.load(spec.cache_path, platform)
             preloaded = len(cache)
         except (ValueError, KeyError, AttributeError, EOFError,
                 pickle.UnpicklingError) as exc:
@@ -350,7 +349,7 @@ def _serve_requests(spec: DynamicScenario,
             if recorder.enabled:
                 recorder.count(EVAL_CACHE_DOWNGRADES)
     if cache is None:
-        cache = EvaluationCache(platform, backend=spec.backend)
+        cache = EvaluationCache(platform)
     manager = build_manager(spec, platform, cache, recorder=recorder)
     policy = build_replan_policy(spec.policy, manager)
 

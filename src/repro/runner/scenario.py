@@ -30,7 +30,6 @@ from ..obs import TelemetrySnapshot
 from ..serve.fleet.report import FleetReport
 from ..serve.preempt import PREEMPTION_POLICIES
 from ..serve.report import ServeReport
-from ..sim.backend import normalize_backend
 from ..workloads import sample_mix
 
 __all__ = [
@@ -90,7 +89,6 @@ class Scenario:
     seed: int = 0
     search_iterations: int = 40         # MCTS budget for search-based managers
     search_rollouts: int = 2
-    backend: str = "numpy"              # solver backend, see repro.sim.BACKENDS
 
     def __post_init__(self):
         if not self.workload:
@@ -98,7 +96,6 @@ class Scenario:
         if self.priorities is not None \
                 and len(self.priorities) != len(self.workload):
             raise ValueError("priorities must match workload size")
-        normalize_backend(self.backend)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
@@ -177,13 +174,6 @@ class DynamicScenario:
     :class:`~repro.obs.TelemetrySnapshot` on ``DynamicResult.telemetry``.
     Telemetry is a pure side channel — the report is bit-identical with
     ``observe`` on or off.
-
-    ``backend`` selects the contention-solver implementation the node's
-    evaluation cache solves misses on (``"numpy"`` or ``"compiled"``,
-    see :mod:`repro.sim.backend`).  The compiled path agrees with numpy
-    within the documented tolerance, so reports may differ across
-    backends at that order; each backend remains a pure function of the
-    spec, bit-identical across worker counts.
     """
 
     name: str
@@ -206,10 +196,8 @@ class DynamicScenario:
     predictor: str = "oracle"           # "oracle" | "estimator"
     estimator_path: str | None = None   # trained-estimator artifact to load
     observe: bool = False               # collect repro.obs telemetry
-    backend: str = "numpy"              # solver backend, see repro.sim.BACKENDS
 
     def __post_init__(self):
-        normalize_backend(self.backend)
         if self.horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
         if self.arrival_rate_per_s <= 0:
@@ -471,7 +459,6 @@ def dynamic_sweep_scenarios(policies: tuple[str, ...] = ("full", "warm",
                             cache_path: str | None = None,
                             predictor: str = "oracle",
                             estimator_path: str | None = None,
-                            backend: str = "numpy",
                             ) -> list[DynamicScenario]:
     """A (policy x manager x trace) grid of dynamic-traffic studies.
 
@@ -481,8 +468,7 @@ def dynamic_sweep_scenarios(policies: tuple[str, ...] = ("full", "warm",
     ``preemption`` keys the node-side preemption policy
     (:data:`repro.serve.PREEMPTION_POLICIES`) applied in every cell;
     ``predictor``/``estimator_path`` select the candidate-scoring path
-    (oracle measurement vs the trained estimator artifact) in every cell;
-    ``backend`` sets every cell's contention-solver backend.
+    (oracle measurement vs the trained estimator artifact) in every cell.
     """
     scenarios: list[DynamicScenario] = []
     for trace_index in range(traces_per_cell):
@@ -501,7 +487,6 @@ def dynamic_sweep_scenarios(policies: tuple[str, ...] = ("full", "warm",
                     search_rollouts=search_rollouts,
                     cache_path=cache_path,
                     predictor=predictor, estimator_path=estimator_path,
-                    backend=backend,
                 ))
     return scenarios
 
@@ -534,7 +519,6 @@ def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
                           rate_shift: tuple[float, float] | None = None,
                           power_cap_w: float | None = None,
                           power_cap_shift: tuple[float, float] | None = None,
-                          backend: str = "numpy",
                           ) -> list[FleetScenario]:
     """A (routing x trace) grid of fleet studies over heterogeneous nodes.
 
@@ -558,9 +542,7 @@ def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
     :class:`FleetScenario` cell (pressure-fed re-dispatch and mid-run
     demand drift), as are ``power_cap_w``/``power_cap_shift`` (the
     energy budget and its brownout drop) so a sweep can compare routing
-    policies under the same power envelope.  ``backend`` sets every
-    *node's* contention-solver backend (the fleet spec itself carries
-    none — only nodes solve fixed points).
+    policies under the same power envelope.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be at least 1")
@@ -573,7 +555,7 @@ def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
             search_iterations=search_iterations,
             search_rollouts=search_rollouts, cache_path=cache_path,
             predictor=predictor, estimator_path=estimator_path,
-            observe=observe, backend=backend)
+            observe=observe)
         for i in range(num_nodes))
     scenarios: list[FleetScenario] = []
     for trace_index in range(traces_per_cell):

@@ -1,11 +1,5 @@
 """Execution simulator (the paper's board-measurement substitute)."""
 
-from .backend import (
-    BACKENDS,
-    compiled_provider,
-    normalize_backend,
-    solve_batch_compiled,
-)
 from .cache import EvaluationCache, platform_fingerprint
 from .contention import (
     ContentionSolution,
@@ -29,10 +23,6 @@ from .dynamic import (
 from .engine import SimResult, simulate, simulate_batch
 
 __all__ = [
-    "BACKENDS",
-    "normalize_backend",
-    "compiled_provider",
-    "solve_batch_compiled",
     "ContentionSolution",
     "solve_steady_state",
     "solve_steady_state_batch",

@@ -1,11 +1,11 @@
-"""On-demand cc-compiled provider for the contention-solver kernel.
+"""On-demand cc build and ctypes loader for the contention-solver kernel.
 
-Compiles ``_csolver.c`` (the C twin of :func:`repro.sim._kernel
-.solve_packed`) with the host C compiler into a shared object cached
-next to the source, and exposes it through ctypes.  This is the
-compiled-backend provider of last resort before the numpy fallback: on
-hosts without numba but with a working ``cc``, the compiled backend is
-still a real native kernel rather than a silent alias of numpy.
+Compiles ``_csolver.c`` with the host C compiler into a shared object
+cached next to the source, and exposes it through ctypes.  This kernel
+is the production contention solver
+(:func:`repro.sim.contention.solve_steady_state_batch`); on a host where
+it cannot be built or loaded, :func:`repro.sim.engine.simulate_batch`
+answers with the scalar numpy oracle instead.
 
 The build is hermetic and failure-tolerant:
 
@@ -16,11 +16,11 @@ The build is hermetic and failure-tolerant:
   read-only;
 * compilation happens at most once per process and never raises out of
   :func:`load_solver` — any failure (no compiler, sandboxed exec,
-  unwritable disk) returns ``None`` and the backend layer falls through
-  to the next provider.
+  unwritable disk) returns ``None`` and the simulator falls back to the
+  scalar oracle.
 
 Optimisation flags deliberately exclude ``-ffast-math``: the kernel's
-contract is bit-compatibility with the scalar solver, which fast-math's
+contract is bit identity with the scalar oracle, which fast-math's
 reassociation would break.
 """
 
@@ -41,7 +41,7 @@ __all__ = ["load_solver", "solve_packed_c"]
 _SRC = Path(__file__).with_name("_csolver.c")
 # -ffp-contract=off: compilers default to contracting a*b+c into FMA at
 # -O2 on targets that have it, which changes rounding; the kernel's
-# contract is bit-compatibility with the scalar solver.
+# contract is bit identity with the scalar oracle.
 _CFLAGS = ["-O2", "-shared", "-fPIC", "-fno-fast-math",
            "-ffp-contract=off"]
 
@@ -145,11 +145,11 @@ def solve_packed_c(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
                    cycle_window, cycle_tol, cycle_burn_in,
                    out_rates, out_alloc, out_eff, out_util, out_iters,
                    out_conv) -> None:
-    """Call the C kernel with the same signature as the python kernel.
+    """Solve a packed batch in place into the ``out_*`` arrays.
 
-    ``out_conv`` must be ``uint8`` (ctypes has no bool pointer); the
-    backend layer converts.  Raises ``RuntimeError`` if the library is
-    unavailable or the kernel reports an allocation failure.
+    ``out_conv`` must be ``uint8`` (ctypes has no bool pointer).  Raises
+    ``RuntimeError`` if the library is unavailable or the kernel reports
+    an allocation failure.
     """
     lib = load_solver()
     if lib is None:

@@ -1,14 +1,15 @@
-/* Scalar-trajectory contention solver, C twin of repro/sim/_kernel.py.
+/* Contention solver kernel: the production twin of the scalar oracle
+ * repro.sim.contention.solve_steady_state.
  *
  * Compiled on demand by repro.sim._cext (cc -O2 -shared -fPIC, never
  * -ffast-math: the kernel must stay IEEE-exact) and loaded via ctypes.
  * One call solves a packed batch: element b's stages live in
  * offsets[b]..offsets[b+1] of the flat per-stage arrays.  Every loop
- * accumulates in the same order as the scalar python solver
- * (solve_steady_state) — segment sums walk stages in index order, the
- * limit-cycle window averages chronologically, damping groups as
- * d*x + (1-d)*y — so the float trajectory is bit-compatible with the
- * scalar oracle, which tests/property/test_backend_equivalence.py locks.
+ * accumulates in the same order as the scalar oracle — segment sums
+ * walk stages in index order, the limit-cycle window averages
+ * chronologically, damping groups as d*x + (1-d)*y — so the float
+ * trajectory is bit-identical to it, which
+ * tests/property/test_solver_equivalence.py locks.
  *
  * Returns 0 on success, 1 on scratch-allocation failure.
  */

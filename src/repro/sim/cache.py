@@ -10,17 +10,11 @@ Cache-key canonicalization
 --------------------------
 
 A cache instance is bound to one :class:`~repro.hw.platform.Platform`
-(platform parameters are part of neither key nor value) and one solver
-backend, and a cached entry is keyed by::
+(platform parameters are part of neither key nor value), and a cached
+entry is keyed by::
 
-    key = (backend, tuple of model names, mapping.assignments)
+    key = (tuple of model names, mapping.assignments)
 
-* **Backend** is the solver implementation name (``"numpy"`` or
-  ``"compiled"``, see :mod:`repro.sim.backend`).  The two backends agree
-  only within a documented tolerance, so an entry solved on one must
-  never answer a request made on the other — the backend is part of the
-  key, not just an instance attribute, so the isolation survives
-  :meth:`~EvaluationCache.save`/:meth:`~EvaluationCache.load` too.
 * **Model names** stand in for the full :class:`ModelSpec`: the zoo
   registry guarantees one spec per name, and stage demands depend only on
   the spec and the platform.  Workload *order* is significant — the same
@@ -58,15 +52,14 @@ from pathlib import Path
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .backend import normalize_backend
 from .engine import SimResult, simulate_batch
 
 __all__ = ["EvaluationCache", "platform_fingerprint"]
 
 #: On-disk format version; bump when the payload layout changes.
-#: v2: the solver backend joined the entry key (v1 files, whose keys
-#: lack it, refuse to load rather than alias backends together).
-_CACHE_FORMAT_VERSION = 2
+#: v3: keys are ``(model names, assignments)``; v2 keys also named the
+#: solver implementation.  v1 and v2 files refuse to load.
+_CACHE_FORMAT_VERSION = 3
 
 
 def platform_fingerprint(platform: Platform) -> str:
@@ -95,24 +88,20 @@ class EvaluationCache:
     """LRU memo of :func:`simulate` results for one platform."""
 
     def __init__(self, platform: Platform,
-                 maxsize: int = _DEFAULT_MAXSIZE,
-                 backend: str = "numpy"):
+                 maxsize: int = _DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.platform = platform
         self.maxsize = maxsize
-        self.backend = normalize_backend(backend)
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple, SimResult] = OrderedDict()
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key(workload: list[ModelSpec], mapping: Mapping,
-            backend: str = "numpy") -> tuple:
+    def key(workload: list[ModelSpec], mapping: Mapping) -> tuple:
         """Canonical cache key (see module docstring)."""
-        return (backend, tuple(m.name for m in workload),
-                mapping.assignments)
+        return (tuple(m.name for m in workload), mapping.assignments)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -139,7 +128,7 @@ class EvaluationCache:
         miss_mappings: list[Mapping] = []
         miss_slots: dict[tuple, list[int]] = {}
         for i, mapping in enumerate(mappings):
-            k = self.key(workload, mapping, self.backend)
+            k = self.key(workload, mapping)
             cached = self._store.get(k)
             if cached is not None:
                 self._store.move_to_end(k)
@@ -154,8 +143,7 @@ class EvaluationCache:
             miss_slots[k].append(i)
 
         if miss_mappings:
-            solved = simulate_batch(workload, miss_mappings, self.platform,
-                                    backend=self.backend)
+            solved = simulate_batch(workload, miss_mappings, self.platform)
             for k, result in zip(miss_keys, solved):
                 self._insert(k, result)
                 for i in miss_slots[k]:
@@ -199,18 +187,14 @@ class EvaluationCache:
 
     @classmethod
     def load(cls, path: str | Path, platform: Platform,
-             maxsize: int = _DEFAULT_MAXSIZE,
-             backend: str = "numpy") -> "EvaluationCache":
+             maxsize: int = _DEFAULT_MAXSIZE) -> "EvaluationCache":
         """Rebuild a cache from :meth:`save` output, bound to ``platform``.
 
         Refuses (``ValueError``) a file whose format version is unknown or
         whose platform fingerprint does not match ``platform`` — entries
         solved on one board model must never answer for another.  When the
         file holds more than ``maxsize`` entries the most recently used
-        ones survive.  ``backend`` sets the rebuilt cache's solver backend
-        for future misses; loaded entries keep their own backend-tagged
-        keys, so entries solved on the other backend stay dormant rather
-        than answering for this one.
+        ones survive.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -226,7 +210,7 @@ class EvaluationCache:
                 f"{payload.get('platform_name')!r} (fingerprint "
                 f"{payload.get('fingerprint')!r}); refusing to load it for "
                 f"{platform.name!r} (fingerprint {fingerprint!r})")
-        cache = cls(platform, maxsize=maxsize, backend=backend)
+        cache = cls(platform, maxsize=maxsize)
         entries = payload["entries"]
         for key, result in entries[-maxsize:]:
             cache._store[key] = result

@@ -26,16 +26,18 @@ The resulting allocation is the fixed point of a damped iteration:
 water-filling of allocations.  Every DNN's steady-state throughput is its
 bottleneck stage's rate, the classic pipeline result.
 
-Two entry points share the same arithmetic:
+Two entry points compute the same fixed point:
 
-* :func:`solve_steady_state` — one mapping, the paper-faithful reference.
-* :func:`solve_steady_state_batch` — B mappings solved simultaneously on
-  stacked arrays with per-mapping convergence masking.  Every per-element
-  operation (segment sums, water-filling, damping, cycle averaging) is
-  performed in the same order as the scalar path, so for each element the
-  batch solver follows the *identical* float trajectory and the two paths
-  agree to machine precision (the regression harness in
-  ``tests/property/test_batch_equivalence.py`` locks this in at 1e-9).
+* :func:`solve_steady_state` — one mapping in numpy, the paper-faithful
+  reference.  It is the test oracle, and the production path on hosts
+  with no C compiler.
+* :func:`solve_steady_state_batch` — B mappings packed into flat arrays
+  and solved by the C kernel ``_csolver.c`` (built on demand by
+  :mod:`repro.sim._cext`).  The kernel repeats the oracle's operations in
+  the oracle's order, so the contract is bit identity: rates, stage
+  allocations, stage demands, utilisation, iteration counts and
+  convergence flags all equal the oracle's exactly
+  (``tests/property/test_solver_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hw.platform import Platform
+from . import _cext
 from .demands import StageDemand
 
 __all__ = [
@@ -79,9 +82,9 @@ class ContentionSolution:
 def _segment_sum(values: np.ndarray, segments: np.ndarray,
                  num_segments: int) -> np.ndarray:
     """Sum ``values`` into ``num_segments`` buckets, sequentially in index
-    order.  Shared by the scalar and batch paths so both accumulate with the
-    same rounding (``bincount`` walks the input in order, like ``add.at``,
-    but in a single C pass)."""
+    order, with the rounding the C kernel's stage-order loops reproduce
+    (``bincount`` walks the input in order, like ``add.at``, but in a
+    single C pass)."""
     return np.bincount(segments, weights=values, minlength=num_segments)
 
 
@@ -234,227 +237,110 @@ def solve_steady_state(demands: list[StageDemand], num_dnns: int,
     )
 
 
+def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
+          platform: Platform) -> tuple:
+    """Flatten non-empty demand sets into the C kernel's CSR-packed inputs.
+
+    Performs the iteration-independent precomputation of
+    :func:`solve_steady_state` (interference inflation, kernel times,
+    head-of-line coefficients times launch counts, entitlement weights)
+    per element with the same numpy expressions, so the packed quantities
+    are bitwise identical to what the oracle derives.  Returns
+    ``(packed_rows, offsets, comp_of, dnn_of, inflated, kernel_time,
+    hol_k, weights)`` where ``packed_rows[i]`` is the batch index of
+    packed element ``i``; empty demand sets are left out.
+    """
+    num_comp = platform.num_components
+    gamma_table = _interference_table(platform, num_dnns)
+    kappa = np.array([platform.component(c).sharing_bias
+                      for c in range(num_comp)])
+    hol_by_comp = np.array([platform.component(c).hol_blocking
+                            for c in range(num_comp)])
+
+    packed_rows: list[int] = []
+    offsets = [0]
+    comp_parts, dnn_parts = [], []
+    infl_parts, ktime_parts, holk_parts, weight_parts = [], [], [], []
+    for b, demands in enumerate(demand_sets):
+        if not demands:
+            continue
+        comp = np.array([d.component for d in demands], dtype=np.int64)
+        dnn = np.array([d.dnn_index for d in demands], dtype=np.int64)
+        base = np.array([d.seconds_per_inference for d in demands])
+        if np.any(base <= 0):
+            raise ValueError("stage demands must be positive")
+        contexts = _context_counts(comp, dnn, num_comp, num_dnns)
+        inflated = base * gamma_table[comp, contexts[comp]]
+        kernels = np.array([max(1, d.num_kernels) for d in demands],
+                           dtype=np.float64)
+        packed_rows.append(b)
+        offsets.append(offsets[-1] + len(demands))
+        comp_parts.append(comp)
+        dnn_parts.append(dnn)
+        infl_parts.append(inflated)
+        ktime_parts.append(base / kernels)
+        holk_parts.append(hol_by_comp[comp] * kernels)
+        weight_parts.append(inflated ** kappa[comp])
+
+    comp_of = np.concatenate(comp_parts)
+    dnn_of = np.concatenate(dnn_parts)
+    # The kernel indexes its scratch arrays with these unchecked.  An index
+    # past the end already failed _context_counts; numpy wraps a negative.
+    if comp_of.min() < 0 or dnn_of.min() < 0:
+        raise ValueError("stage component or DNN index out of range")
+    return (packed_rows,
+            np.array(offsets, dtype=np.int64),
+            comp_of,
+            dnn_of,
+            np.concatenate(infl_parts),
+            np.concatenate(ktime_parts),
+            np.concatenate(holk_parts),
+            np.concatenate(weight_parts))
+
+
 def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
                              num_dnns: int, platform: Platform,
                              max_iter: int = _MAX_ITER,
-                             backend: str = "numpy",
                              ) -> list[ContentionSolution]:
-    """Solve B mappings' fixed points simultaneously.
+    """Solve B mappings' fixed points in one call to the C kernel.
 
     All mappings must cover the same workload (``num_dnns`` DNNs on
-    ``platform``); they may have different stage counts — shorter elements
-    are padded and masked.  Each element's trajectory is arithmetically
-    identical to :func:`solve_steady_state` on its demands alone: padded
-    lanes contribute exact zeros to every segment sum and ``+inf`` to every
-    min-reduction, convergence and the limit-cycle resolution are tracked
-    per element, and elements that converge are *compacted out* of the
-    stacked arrays so stragglers keep iterating on ever-smaller batches.
+    ``platform``); they may have different stage counts, and empty demand
+    sets answer with an empty solution.  Each element's result is bit
+    for bit what :func:`solve_steady_state` returns on its demands alone.
 
-    ``backend`` selects the implementation (:mod:`repro.sim.backend`):
-    ``"numpy"`` runs this vectorized path, ``"compiled"`` dispatches to
-    the native kernel (numba or the cc-built C twin, numpy fallback with
-    a one-time warning when neither is available).  Unknown names raise
-    :class:`ValueError`.
+    Raises :class:`RuntimeError` when the kernel cannot be built or
+    loaded on this host; :func:`repro.sim.engine.simulate_batch` checks
+    :func:`repro.sim._cext.load_solver` first and falls back to the
+    scalar oracle instead.
     """
-    if backend != "numpy":
-        from .backend import normalize_backend, solve_batch_compiled
-        if normalize_backend(backend) == "compiled":
-            return solve_batch_compiled(demand_sets, num_dnns, platform,
-                                        max_iter)
-    n_total = len(demand_sets)
-    if n_total == 0:
-        return []
+    solutions = [_empty_solution(num_dnns, platform) for _ in demand_sets]
+    if not any(demand_sets):
+        return solutions
+    (packed_rows, offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
+     weights) = _pack(demand_sets, num_dnns, platform)
 
-    num_comp = platform.num_components
-    stage_counts = [len(d) for d in demand_sets]
-    s_max = max(stage_counts)
-    if s_max == 0:
-        return [_empty_solution(num_dnns, platform) for _ in demand_sets]
+    n_packed = len(packed_rows)
+    out_rates = np.zeros((n_packed, num_dnns))
+    out_alloc = np.zeros(offsets[-1])
+    out_eff = np.zeros_like(out_alloc)
+    out_util = np.zeros((n_packed, platform.num_components))
+    out_iters = np.zeros(n_packed, dtype=np.int64)
+    out_conv = np.zeros(n_packed, dtype=np.uint8)
+    _cext.solve_packed_c(
+        offsets, comp_of, dnn_of, inflated, kernel_time, hol_k, weights,
+        num_dnns, platform.num_components, max_iter, _DAMPING, _TOL,
+        _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
+        out_rates, out_alloc, out_eff, out_util, out_iters, out_conv)
 
-    # ---- stacked, padded per-stage arrays (non-empty elements only) ---
-    live = np.array([b for b, d in enumerate(demand_sets) if d])
-    n_live = len(live)
-    widths = np.array([stage_counts[b] for b in live])
-    valid = np.arange(s_max)[None, :] < widths[:, None]
-    comp_of = np.zeros((n_live, s_max), dtype=np.int64)
-    dnn_of = np.zeros((n_live, s_max), dtype=np.int64)
-    base_demand = np.ones((n_live, s_max))
-    kernels = np.ones((n_live, s_max))
-    for row, b in enumerate(live):
-        for s, d in enumerate(demand_sets[b]):
-            comp_of[row, s] = d.component
-            dnn_of[row, s] = d.dnn_index
-            base_demand[row, s] = d.seconds_per_inference
-            kernels[row, s] = max(1, d.num_kernels)
-    if np.any(base_demand[valid] <= 0):
-        raise ValueError("stage demands must be positive")
-
-    # ---- interference, entitlements, HoL parameters -------------------
-    gamma_table = _interference_table(platform, num_dnns)
-    b_idx, s_idx = np.nonzero(valid)
-    present = np.zeros((n_live, num_comp, num_dnns), dtype=bool)
-    present[b_idx, comp_of[b_idx, s_idx], dnn_of[b_idx, s_idx]] = True
-    contexts = present.sum(axis=2)                       # (B, C)
-    row2d = np.arange(n_live)[:, None]
-    gamma = gamma_table[comp_of, contexts[row2d, comp_of]]
-    inflated = base_demand * gamma
-
-    # Padded lanes: kernel_time 0 so they contribute exact zeros to the
-    # HoL segment sums; hol_coeff/weights 0 likewise.
-    kernel_time = np.where(valid, base_demand / kernels, 0.0)
-    hol_by_comp = np.array([platform.component(c).hol_blocking
-                            for c in range(num_comp)])
-    hol_k = np.where(valid, hol_by_comp[comp_of], 0.0) * kernels
-    kappa = np.array([platform.component(c).sharing_bias
-                      for c in range(num_comp)])
-    weights = np.where(valid, inflated ** kappa[comp_of], 0.0)
-
-    def per_component_sum(values: np.ndarray, seg: np.ndarray,
-                          n_rows: int) -> np.ndarray:
-        return _segment_sum(values.ravel(), seg,
-                            n_rows * num_comp).reshape(n_rows, num_comp)
-
-    # Flattened segment ids: bucket (b, c) -> b * C + c, bucket (b, n) ->
-    # b * N + n.  ``bincount``/``minimum.at`` walk the flattened arrays in
-    # b-major order, so each element accumulates its own buckets in the
-    # same stage order as the scalar path.
-    def rebuild_index(n_rows: int) -> tuple:
-        rows = np.arange(n_rows)[:, None]
-        return (rows,
-                (rows * num_comp + comp_of).ravel(),
-                (rows * num_dnns + dnn_of).ravel(),
-                np.empty(n_rows * num_dnns))
-
-    row2d, comp_seg, dnn_seg, nr_flat = rebuild_index(n_live)
-    weight_sum = per_component_sum(weights, comp_seg, n_live)
-    ws_stage = weight_sum[row2d, comp_of]
-    alloc = np.where(valid, weights / np.where(ws_stage > 0.0, ws_stage, 1.0),
-                     0.0)
-
-    # ---- outputs (indexed by original batch position) -----------------
-    out_rates = np.zeros((n_total, num_dnns))
-    out_alloc: list = [None] * n_total
-    out_eff: list = [None] * n_total
-    out_util = np.zeros((n_total, num_comp))
-    out_iters = np.zeros(n_total, dtype=int)
-    out_conv = np.zeros(n_total, dtype=bool)
-
-    def finalize(mask: np.ndarray, rates: np.ndarray, iteration: int,
-                 conv: bool) -> None:
-        """Record final state of the masked rows into the output buffers."""
-        for row in np.nonzero(mask)[0]:
-            b = live[row]
-            count = stage_counts[b]
-            out_rates[b] = rates[row]
-            out_alloc[b] = alloc[row, :count].copy()
-            eff = inflated[row, :count] + hol_wait[row, :count]
-            out_eff[b] = eff
-            used = rates[row][dnn_of[row, :count]] * inflated[row, :count]
-            out_util[b] = _segment_sum(used, comp_of[row, :count], num_comp)
-            out_iters[b] = iteration
-            out_conv[b] = conv
-
-    # ---- damped fixed point with per-element freeze-and-compact -------
-    rates = np.zeros((n_live, num_dnns))
-    hol_wait = np.zeros((n_live, s_max))
-    ring: np.ndarray | None = None       # (W, B, N) rolling iterate window
-    append_from = _CYCLE_BURN_IN - _CYCLE_WINDOW
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        # Head-of-line waiting (exact zeros wherever hol_coeff is zero,
-        # matching the scalar path's skipped update).
-        blocked = rates[row2d, dnn_of] * inflated * kernel_time
-        totals = per_component_sum(blocked, comp_seg, len(live))
-        new_wait = hol_k * (totals[row2d, comp_of] - blocked)
-        hol_wait *= _DAMPING
-        hol_wait += (1.0 - _DAMPING) * new_wait
-
-        cap_rate = alloc / inflated
-        ceiling_rate = 1.0 / (inflated + hol_wait)
-        stage_rate = np.where(valid, np.minimum(cap_rate, ceiling_rate),
-                              np.inf)
-        nr_flat.fill(np.inf)
-        np.minimum.at(nr_flat, dnn_seg, stage_rate.ravel())
-        new_rates = nr_flat.reshape(len(live), num_dnns).copy()
-        new_rates[np.isinf(new_rates)] = 0.0
-
-        # Water-filling, per (element, component).
-        rate_of_stage = new_rates[row2d, dnn_of]
-        need = rate_of_stage * inflated
-        limiting = stage_rate <= rate_of_stage * (1 + 1e-9)
-        wants_more = valid & limiting & (cap_rate <= ceiling_rate)
-        sat_need = per_component_sum(
-            np.where(valid & ~wants_more, need, 0.0), comp_seg, len(live))
-        hot_weight = per_component_sum(
-            np.where(wants_more, weights, 0.0), comp_seg, len(live))
-        hot_w_stage = hot_weight[row2d, comp_of]
-        has_hot = hot_w_stage > 0.0
-        free = np.maximum(1.0 - sat_need, 0.0)
-        target = np.where(
-            has_hot,
-            np.where(wants_more,
-                     free[row2d, comp_of] * weights
-                     / np.where(has_hot, hot_w_stage, 1.0),
-                     need),
-            alloc,
+    for i, b in enumerate(packed_rows):
+        s0, s1 = offsets[i], offsets[i + 1]
+        solutions[b] = ContentionSolution(
+            rates=out_rates[i],
+            stage_allocations=out_alloc[s0:s1].copy(),
+            stage_demands=out_eff[s0:s1].copy(),
+            component_utilisation=out_util[i],
+            iterations=int(out_iters[i]),
+            converged=bool(out_conv[i]),
         )
-
-        # Per-element convergence (same test as the scalar break).
-        max_rate = np.maximum(new_rates.max(axis=1), 1e-12)
-        diff = np.abs(new_rates - rates).max(axis=1)
-        conv_now = diff <= _TOL * max_rate
-        rates = new_rates
-
-        if iteration > append_from:
-            if ring is None:
-                ring = np.empty((_CYCLE_WINDOW, len(live), num_dnns))
-            ring[(iteration - 1) % _CYCLE_WINDOW] = new_rates
-        if iteration >= _CYCLE_BURN_IN:
-            order = np.arange(iteration - _CYCLE_WINDOW, iteration) \
-                % _CYCLE_WINDOW
-            window = ring[order]                         # chronological
-            span = window.max(axis=0) - window.min(axis=0)
-            floor = np.maximum(window.mean(axis=0), 1e-12)
-            cyclic = ~conv_now & ((span / floor).max(axis=1) <= _CYCLE_TOL)
-            if cyclic.any():
-                rates = np.where(cyclic[:, None], window.mean(axis=0), rates)
-                conv_now = conv_now | cyclic
-
-        if conv_now.any():
-            finalize(conv_now, rates, iteration, True)
-            keep = ~conv_now
-            live = live[keep]
-            if live.size == 0:
-                break
-            valid = valid[keep]
-            comp_of = comp_of[keep]
-            dnn_of = dnn_of[keep]
-            inflated = inflated[keep]
-            kernel_time = kernel_time[keep]
-            hol_k = hol_k[keep]
-            weights = weights[keep]
-            alloc = alloc[keep]
-            hol_wait = hol_wait[keep]
-            rates = rates[keep]
-            target = target[keep]
-            if ring is not None:
-                ring = ring[:, keep, :]
-            row2d, comp_seg, dnn_seg, nr_flat = rebuild_index(len(live))
-
-        alloc *= _DAMPING
-        alloc += (1.0 - _DAMPING) * target
-
-    if live.size:
-        finalize(np.ones(len(live), dtype=bool), rates, iteration, False)
-
-    solutions: list[ContentionSolution] = []
-    for b, count in enumerate(stage_counts):
-        if count == 0:
-            solutions.append(_empty_solution(num_dnns, platform))
-            continue
-        solutions.append(ContentionSolution(
-            rates=out_rates[b], stage_allocations=out_alloc[b],
-            stage_demands=out_eff[b], component_utilisation=out_util[b],
-            iterations=int(out_iters[b]), converged=bool(out_conv[b]),
-        ))
     return solutions

@@ -3,11 +3,13 @@
 This is the drop-in substitute for "run the workload on the Orange Pi 5 and
 record inferences/s" (see DESIGN.md).  All managers, the estimator-training
 dataset and every experiment observe the platform exclusively through
-:func:`simulate`.
+:func:`simulate` and :func:`simulate_batch`, and every solve they trigger
+takes one path: the C kernel when it loads, the scalar oracle otherwise.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
+from . import _cext
 from .contention import (
     ContentionSolution,
     solve_steady_state,
@@ -23,6 +26,8 @@ from .contention import (
 from .demands import compute_stage_demands
 
 __all__ = ["SimResult", "simulate", "simulate_batch"]
+
+_fallback_warned = False
 
 
 @dataclass(frozen=True)
@@ -54,35 +59,42 @@ class SimResult:
 def simulate(workload: list[ModelSpec], mapping: Mapping,
              platform: Platform) -> SimResult:
     """Steady-state per-DNN throughput of ``mapping`` on ``platform``."""
-    demands = compute_stage_demands(workload, mapping, platform)
-    solution = solve_steady_state(demands, len(workload), platform)
-    ideal = np.array([platform.ideal_throughput(m) for m in workload])
-    return SimResult(
-        workload_names=tuple(m.name for m in workload),
-        rates=solution.rates,
-        ideal_rates=ideal,
-        solution=solution,
-    )
+    return simulate_batch(workload, [mapping], platform)[0]
+
+
+def _warn_scalar_fallback() -> None:
+    global _fallback_warned
+    if not _fallback_warned:
+        _fallback_warned = True
+        warnings.warn(
+            "C contention-solver kernel unavailable (no C compiler, or the "
+            "build or load failed); solving with the scalar numpy oracle",
+            RuntimeWarning, stacklevel=3)
 
 
 def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
-                   platform: Platform,
-                   backend: str = "numpy") -> list[SimResult]:
+                   platform: Platform) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
-    Equivalent to ``[simulate(workload, m, platform) for m in mappings]``
-    but solves all fixed points simultaneously on stacked arrays (see
-    :func:`repro.sim.contention.solve_steady_state_batch`), which is what
-    makes MCTS rollout batches and scenario sweeps cheap.  ``backend``
-    selects the solver implementation (``"numpy"`` or ``"compiled"``, see
-    :mod:`repro.sim.backend`).
+    Solves all fixed points in one call to the C kernel
+    (:func:`repro.sim.contention.solve_steady_state_batch`), which is what
+    makes MCTS rollout batches and scenario sweeps cheap.  On a host where
+    the kernel cannot be built or loaded, each mapping is solved by the
+    scalar oracle :func:`repro.sim.contention.solve_steady_state` instead,
+    after a :class:`RuntimeWarning` issued once per process; the results
+    are the same bits either way.
     """
     if not mappings:
         return []
     demand_sets = [compute_stage_demands(workload, m, platform)
                    for m in mappings]
-    solutions = solve_steady_state_batch(demand_sets, len(workload), platform,
-                                         backend=backend)
+    num_dnns = len(workload)
+    if _cext.load_solver() is not None:
+        solutions = solve_steady_state_batch(demand_sets, num_dnns, platform)
+    else:
+        _warn_scalar_fallback()
+        solutions = [solve_steady_state(d, num_dnns, platform)
+                     for d in demand_sets]
     ideal = np.array([platform.ideal_throughput(m) for m in workload])
     names = tuple(m.name for m in workload)
     return [

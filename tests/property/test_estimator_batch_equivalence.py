@@ -1,7 +1,7 @@
 """Property tests: fused estimator-path batching is equivalent to the
 scalar reference over arbitrary workloads and mapping batches.
 
-The learned-path analogue of ``test_batch_equivalence.py``: the fast path
+The learned-path analogue of ``test_solver_equivalence.py``: the fast path
 (:func:`repro.mapping.build_q_tensor_batch` feeding
 :meth:`EstimatorPredictor.predict_batch`) must *bit*-match per-mapping
 Q-tensor assembly — same scatter, same bucket means, same float32 cast —

@@ -131,17 +131,16 @@ class TestGitSha:
         assert len(flags) == 1 and "cap_on" in flags[0]
 
     def test_solver_backend_benches_guarded(self):
-        """The per-backend solve-batch sweep is a guarded hot path: a
-        silent slowdown of the compiled rows would erase the backend's
-        whole reason to exist."""
+        """The solver batch sweep (the C kernel at batch 1, 4 and 16) is
+        a guarded hot path."""
         rb = _load_record_bench()
         assert "test_bench_simulator_solve_batch[" in rb.GUARDED_PREFIXES
         flags = rb.flag_regressions(
-            {"test_bench_simulator_solve_batch[16]": row(0.010),
-             "test_bench_simulator_solve_batch[compiled-16]": row(0.001)},
-            {"test_bench_simulator_solve_batch[16]": row(0.010),
-             "test_bench_simulator_solve_batch[compiled-16]": row(0.002)})
-        assert len(flags) == 1 and "compiled-16" in flags[0]
+            {"test_bench_simulator_solve_batch[1]": row(0.001),
+             "test_bench_simulator_solve_batch[16]": row(0.004)},
+            {"test_bench_simulator_solve_batch[1]": row(0.001),
+             "test_bench_simulator_solve_batch[16]": row(0.008)})
+        assert len(flags) == 1 and "[16]" in flags[0]
 
 
 class TestLastHistoryEntry:

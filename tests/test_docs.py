@@ -54,7 +54,7 @@ API_MODULES = (
     "repro.obs.registry",
     "repro.obs.recorder",
     "repro.obs.export",
-    "repro.sim.backend",
+    "repro.sim.contention",
 )
 
 

@@ -5,8 +5,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim import compiled_provider
-
 from repro.runner import (
     MANAGER_SPECS,
     PLATFORM_SPECS,
@@ -531,145 +529,21 @@ class TestStrictScenarioDicts:
         with pytest.raises(TypeError, match="must be a dict"):
             Scenario.from_dict(["not", "a", "dict"])
 
-
-_BACKEND_PARAMS = [
-    "numpy",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        compiled_provider() is None,
-        reason="no compiled provider available on this host")),
-]
-
-
-class TestBackendPlumbing:
-    """Satellite: the solver-backend switch threads spec -> cache -> worker
-    without aliasing backends together anywhere along the way."""
-
-    def test_dynamic_from_dict_roundtrip_with_backend(self):
-        d = DynamicScenario.from_dict({"name": "d", "backend": "compiled"})
-        assert d.backend == "compiled"
-        assert DynamicScenario.from_dict({"name": "d"}).backend == "numpy"
-
-    def test_scenario_from_dict_roundtrip_with_backend(self):
-        s = Scenario.from_dict({"name": "s", "workload": ["alexnet"],
-                                "backend": "compiled"})
-        assert s.backend == "compiled"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            DynamicScenario(name="x", backend="fortran", **DYNAMIC_FAST)
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            Scenario.from_dict({"name": "s", "workload": ["alexnet"],
-                                "backend": "fortran"})
-
-    def test_fleet_spec_has_no_backend_field(self):
-        """Backends belong to nodes (which solve fixed points), never the
-        fleet spec — a fleet-level key must be rejected, not absorbed."""
-        with pytest.raises(ValueError, match="unexpected FleetScenario"):
-            FleetScenario.from_dict({
-                "name": "f", "nodes": [{"name": "n0"}],
-                "backend": "compiled"})
-        fleet = FleetScenario.from_dict({
-            "name": "f",
-            "nodes": [{"name": "n0", "backend": "compiled"}]})
-        assert fleet.nodes[0].backend == "compiled"
-
-    def test_sweep_builders_apply_backend(self):
-        dyn = dynamic_sweep_scenarios(policies=("full",),
-                                      managers=("baseline",),
-                                      traces_per_cell=1,
-                                      backend="compiled")
-        assert all(s.backend == "compiled" for s in dyn)
-        fleets = fleet_sweep_scenarios(routings=("round_robin",),
-                                       traces_per_cell=1, num_nodes=2,
-                                       backend="compiled")
-        assert all(n.backend == "compiled"
-                   for f in fleets for n in f.nodes)
-
-    def test_cache_isolates_backends(self, tmp_path):
-        """A numpy-keyed entry must never answer a compiled request (and
-        vice versa), in memory and through save/load."""
-        from repro.hw import orange_pi_5
-        from repro.mapping import uniform_block_mapping
-        from repro.sim import EvaluationCache
-        from repro.zoo import get_model
-
-        platform = orange_pi_5()
-        workload = [get_model("alexnet"), get_model("mobilenet")]
-        mapping = uniform_block_mapping(workload, platform.num_components,
-                                        np.random.default_rng(0))
-        numpy_cache = EvaluationCache(platform, backend="numpy")
-        numpy_cache.simulate_one(workload, mapping)
-        assert numpy_cache.misses == 1
-
-        path = tmp_path / "cache.pkl"
-        numpy_cache.save(path)
-        compiled_cache = EvaluationCache.load(path, platform,
-                                              backend="compiled")
-        assert compiled_cache.backend == "compiled"
-        compiled_cache.simulate_one(workload, mapping)
-        assert compiled_cache.misses == 1      # loaded entry stayed dormant
-        compiled_cache.simulate_one(workload, mapping)
-        assert compiled_cache.hits == 1        # its own entry does serve
-
-        reloaded = EvaluationCache.load(path, platform, backend="numpy")
-        reloaded.simulate_one(workload, mapping)
-        assert reloaded.hits == 1 and reloaded.misses == 0
-
-    @pytest.mark.parametrize("backend", _BACKEND_PARAMS)
-    def test_parallel_equals_serial_per_backend(self, backend):
-        """1-vs-2-worker reports stay bit-identical on either backend."""
-        specs = dynamic_sweep_scenarios(
-            policies=("full",), managers=("rankmap_d",),
-            traces_per_cell=1, horizon_s=240.0,
-            arrival_rate_per_s=1 / 30, pool=SMALL_POOL, capacity=2,
-            search_iterations=6, backend=backend)
-        serial = ScenarioRunner(max_workers=1).run_dynamic(specs)
-        parallel = ScenarioRunner(max_workers=2).run_dynamic(specs)
-        assert [r.report for r in serial] == [r.report for r in parallel]
-
-    @pytest.mark.skipif(compiled_provider() is None,
-                        reason="no compiled provider available")
-    def test_reports_agree_across_backends(self):
-        """End-to-end ServeReports on the two backends agree within the
-        documented tolerance on a randomized trace."""
-        results = {}
-        for backend in ("numpy", "compiled"):
-            spec = DynamicScenario(name="xb", manager="rankmap_d",
-                                   policy="full", backend=backend,
-                                   **DYNAMIC_FAST)
-            results[backend] = execute_dynamic_scenario(spec).report
-        a, b = results["numpy"], results["compiled"]
-        assert (a.arrivals, a.admitted, a.rejected, a.replans) \
-            == (b.arrivals, b.admitted, b.rejected, b.replans)
-        assert a.sla_violation_fraction \
-            == pytest.approx(b.sla_violation_fraction, rel=1e-9, abs=1e-12)
-        assert a.mean_session_rate \
-            == pytest.approx(b.mean_session_rate, rel=1e-9, abs=1e-12)
-        assert a.total_decision_seconds \
-            == pytest.approx(b.total_decision_seconds, rel=1e-9, abs=1e-12)
-
-    @pytest.mark.skipif(compiled_provider() is None,
-                        reason="no compiled provider available")
-    def test_fleet_reports_agree_across_backends(self):
-        """FleetReports with all nodes on the compiled backend agree with
-        the all-numpy fleet within tolerance, 1-vs-2-worker each."""
-        reports = {}
-        for backend in ("numpy", "compiled"):
-            specs = fleet_sweep_scenarios(
-                routings=("round_robin",), traces_per_cell=1, num_nodes=2,
-                manager="baseline", policy="full", horizon_s=240.0,
-                arrival_rate_per_s=1 / 20, pool=SMALL_POOL, capacity=2,
-                search_iterations=6, backend=backend)
-            serial = ScenarioRunner(max_workers=1).run_fleet(specs)
-            parallel = ScenarioRunner(max_workers=2).run_fleet(specs)
-            assert [r.report for r in serial] \
-                == [r.report for r in parallel]
-            reports[backend] = serial[0].report
-        a, b = reports["numpy"], reports["compiled"]
-        assert (a.arrivals, a.admitted, a.rejected, a.lost) \
-            == (b.arrivals, b.admitted, b.rejected, b.lost)
-        assert a.mean_session_rate \
-            == pytest.approx(b.mean_session_rate, rel=1e-9, abs=1e-12)
+    @pytest.mark.parametrize("cls, spec, name", [
+        (Scenario, {"name": "s", "workload": ["alexnet"],
+                    "backend": "numpy"}, "Scenario"),
+        (DynamicScenario, {"name": "d", "backend": "compiled"},
+         "DynamicScenario"),
+        (FleetScenario, {"name": "f", "nodes": [{"name": "n0",
+                                                  "backend": "numpy"}]},
+         "DynamicScenario"),
+    ], ids=["scenario", "dynamic", "fleet_node"])
+    def test_legacy_backend_key_rejected(self, cls, spec, name):
+        """Specs written when the solver was selectable carry a
+        ``backend`` key; it is an unknown field like any other."""
+        pattern = rf"unexpected {name} field\(s\) \['backend'\]"
+        with pytest.raises(ValueError, match=pattern):
+            cls.from_dict(spec)
 
 
 class TestMixScenariosAndSummarise:

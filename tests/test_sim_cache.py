@@ -86,27 +86,11 @@ class TestEvaluationCache:
         with pytest.raises(ValueError):
             EvaluationCache(PLATFORM, maxsize=0)
 
-    def test_backend_validated_and_in_key(self):
-        """The solver backend is part of the canonical key, so entries
-        solved on one backend can never answer for the other."""
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            EvaluationCache(PLATFORM, backend="fortran")
+    def test_key_is_model_names_and_assignments(self):
         workload = wl("alexnet", "mobilenet")
         mapping = gpu_only_mapping(workload)
-        numpy_key = EvaluationCache.key(workload, mapping)
-        assert numpy_key == EvaluationCache.key(workload, mapping, "numpy")
-        assert numpy_key != EvaluationCache.key(workload, mapping,
-                                                "compiled")
-
-    def test_backend_instances_do_not_share_entries(self):
-        workload = wl("alexnet", "mobilenet")
-        mapping = gpu_only_mapping(workload)
-        cache = EvaluationCache(PLATFORM, backend="numpy")
-        cache.simulate_one(workload, mapping)
-        assert EvaluationCache.key(workload, mapping, "numpy") \
-            in cache._store
-        assert EvaluationCache.key(workload, mapping, "compiled") \
-            not in cache._store
+        assert EvaluationCache.key(workload, mapping) \
+            == (("alexnet", "mobilenet"), mapping.assignments)
 
     def test_clear(self):
         workload = wl("alexnet",)
@@ -160,10 +144,11 @@ class TestCachePersistence:
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
 
-    def test_load_refuses_pre_backend_v1_files(self, tmp_path):
-        """v1 caches predate backend-tagged keys; loading one would alias
-        numpy and compiled entries together, so it must refuse (the
-        runner then downgrades to a cold start)."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_refuses_pre_backend_v1_files(self, tmp_path, version):
+        """Files older than format v3 refuse to load (the runner then
+        downgrades to a cold start); v2 keys carry a solver tag that no
+        v3 lookup can match."""
         import pickle
 
         workload = wl("alexnet",)
@@ -171,7 +156,7 @@ class TestCachePersistence:
         path = tmp_path / "cache.pkl"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
-        payload["version"] = 1
+        payload["version"] = version
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
