@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-prop bench serve-demo obs-demo docs-check
+.PHONY: test test-prop bench perfbench serve-demo obs-demo docs-check
 
 ## Tier-1 verification: the full test suite in benchmark smoke mode.
 test:
@@ -19,6 +19,13 @@ test-prop:
 ## dated entry to BENCH_history.jsonl (the cross-PR perf trajectory).
 bench:
 	$(PY) benchmarks/record_bench.py
+
+## The repository benchmark (BENCHMARK.json): every end-to-end workload
+## on seed 1, then the self-test of its per-layer tracing boundaries.
+## perfbench/run.py puts src/ on the path itself.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 14
+	python3 perfbench/selftest.py
 
 ## Online-serving demo: 600 s Poisson trace through the three replan
 ## policies, with evaluation-cache persistence between runs.

@@ -601,7 +601,11 @@ def test_bench_fleet_energy(benchmark, cap):
     routing).  The governed row pays per-event draw integration, DVFS
     renegotiation and departure events the blind walk never schedules —
     the pair bounds what the cap ledger costs on top of
-    ``test_bench_fleet_dispatch``.
+    ``test_bench_fleet_dispatch``.  Pricing itself is one
+    ``levels x (capacity + 1)`` watts table per node, built when the
+    governor is (90 ``node_watts`` calls for this fleet), and lookups
+    after that.  History entries before the table timed ~72k per-query
+    ``node_watts`` calls and read 20-40x higher.
     """
     from repro.hw import dvfs_ladder, jetson_class_power, orange_pi_5_power
     from repro.serve.fleet import FleetPowerConfig, NodeSpec, plan_dispatch

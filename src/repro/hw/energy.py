@@ -21,6 +21,7 @@ comparisons need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -58,8 +59,8 @@ class ComponentPower:
             raise ValueError(f"{self.name}: util_exponent must be positive")
 
     def watts(self, utilisation: float) -> float:
-        """Instantaneous draw at a utilisation in [0, 1]."""
-        u = float(np.clip(utilisation, 0.0, 1.0))
+        """Instantaneous draw at a utilisation, clamped to [0, 1]."""
+        u = min(max(float(utilisation), 0.0), 1.0)
         return self.idle_w + self.dynamic_w * u ** self.util_exponent
 
 
@@ -84,8 +85,9 @@ class PlatformPower:
         return all(p.name == platform.component(i).name
                    for i, p in enumerate(self.components))
 
-    def system_watts(self, utilisations: np.ndarray) -> float:
-        """Total board draw for per-component utilisations."""
+    def system_watts(self, utilisations: Sequence[float]) -> float:
+        """Total board draw for per-component utilisations (any sized
+        sequence of scalars, e.g. a 1-D array or a tuple)."""
         if len(utilisations) != len(self.components):
             raise ValueError("utilisation vector must match components")
         return self.board_overhead_w + sum(
@@ -121,9 +123,8 @@ class DvfsState:
         one occupancy fraction uniformly across the envelope's
         components.
         """
-        u = float(np.clip(utilisation, 0.0, 1.0))
-        return self.power.system_watts(
-            np.full(len(self.power.components), u))
+        u = min(max(float(utilisation), 0.0), 1.0)
+        return self.power.system_watts((u,) * len(self.power.components))
 
 
 def dvfs_ladder(power: PlatformPower,

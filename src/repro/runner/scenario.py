@@ -204,8 +204,10 @@ class DynamicScenario:
             raise ValueError("arrival_rate_per_s must be positive")
         if self.mean_session_s <= 0:
             raise ValueError("mean_session_s must be positive")
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        if isinstance(self.capacity, bool) \
+                or not isinstance(self.capacity, int) or self.capacity < 1:
+            raise ValueError(
+                f"capacity must be an int >= 1, got {self.capacity!r}")
         if self.preemption not in PREEMPTION_POLICIES:
             raise ValueError(
                 f"unknown preemption policy {self.preemption!r}; "
@@ -341,7 +343,10 @@ class FleetScenario:
                 raise ValueError(
                     f"rate_shift multiplier must be positive, "
                     f"got {multiplier}")
-        if self.power_cap_w is not None and self.power_cap_w <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN (which json.loads
+        # parses) must fail too, while an ``inf`` account-only cap stays
+        # legal.
+        if self.power_cap_w is not None and not self.power_cap_w > 0:
             raise ValueError(
                 f"power_cap_w must be positive, got {self.power_cap_w}")
         if self.power_cap_shift is not None:
@@ -357,7 +362,7 @@ class FleetScenario:
                 raise ValueError(
                     f"power_cap_shift time {shift_at} must fall inside "
                     f"the horizon (0, {self.horizon_s})")
-            if new_cap <= 0:
+            if not new_cap > 0:
                 raise ValueError(
                     f"power_cap_shift cap must be positive, got {new_cap}")
         if not isinstance(self.power_dvfs_levels, int) \
@@ -369,8 +374,9 @@ class FleetScenario:
         for index, fail_s in self.fail_at:
             if not 0 <= index < len(self.nodes):
                 raise ValueError(f"fail_at node index {index} out of range")
-            if fail_s <= 0:
-                raise ValueError("fail_at time must be positive")
+            if not fail_s > 0:
+                raise ValueError(
+                    f"fail_at time must be positive, got {fail_s!r}")
             if index in seen:
                 raise ValueError(
                     f"duplicate fail_at entry for node {index}; a node "

@@ -59,8 +59,10 @@ class AdmissionConfig:
     preemption: str = "none"
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        if isinstance(self.capacity, bool) \
+                or not isinstance(self.capacity, int) or self.capacity < 1:
+            raise ValueError(
+                f"capacity must be an int >= 1, got {self.capacity!r}")
         if self.queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
         if self.max_queue_wait_s <= 0:

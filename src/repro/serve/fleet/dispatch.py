@@ -33,6 +33,7 @@ so a re-dispatched session may appear in two node reports: truncated
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -98,12 +99,16 @@ class NodeSpec:
     fail_at_s: float | None = None
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if self.fail_at_s is not None and self.fail_at_s <= 0:
-            raise ValueError("fail_at_s must be positive")
+        if isinstance(self.capacity, bool) \
+                or not isinstance(self.capacity, int) or self.capacity < 1:
+            raise ValueError(
+                f"capacity must be an int >= 1, got {self.capacity!r}")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(
+                f"speed must be positive and finite, got {self.speed!r}")
+        if self.fail_at_s is not None and not self.fail_at_s > 0:
+            raise ValueError(
+                f"fail_at_s must be positive, got {self.fail_at_s!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ count:
   occupancy estimate ``est_live / capacity``) into per-node energy and a
   fleet-wide :class:`PowerSegment` trace.  Watt-seconds above the cap in
   force are the *violation ledger*, attributed to nodes in proportion to
-  their share of the fleet draw.
+  their share of the fleet draw.  Occupancy estimates are integers
+  ``0..capacity``, so the governor prices each node once, when it is
+  built — ``len(ladder) x (capacity + 1)`` ``node_watts`` calls — and
+  every later query (this integral, the routing views' marginal watts,
+  renegotiation and shedding) is a lookup into that table.
 * **DVFS renegotiation** — when ``enforce`` is on and the fleet draw
   exceeds the cap, the governor steps nodes down their
   :func:`~repro.hw.energy.dvfs_ladder` (largest watts saving first),
@@ -90,16 +94,21 @@ class FleetPowerConfig:
                 raise ValueError(
                     f"node {i} ladder speed multipliers must strictly "
                     f"decrease, got {multipliers}")
-        if self.cap_w <= 0:
-            raise ValueError("cap_w must be positive")
+        # ``not x > 0`` rejects NaN as well as non-positive values (a NaN
+        # cap would compare false everywhere and silently mean uncapped);
+        # ``inf`` stays legal as the account-only cap.
+        if not self.cap_w > 0:
+            raise ValueError(f"cap_w must be positive, got {self.cap_w!r}")
         if self.cap_shift is not None:
             if len(self.cap_shift) != 2:
                 raise ValueError("cap_shift must be (at_s, new_cap_w)")
             at_s, new_cap = self.cap_shift
-            if at_s <= 0:
-                raise ValueError("cap_shift time must be positive")
-            if new_cap <= 0:
-                raise ValueError("cap_shift new cap must be positive")
+            if not at_s > 0:
+                raise ValueError(
+                    f"cap_shift time must be positive, got {at_s!r}")
+            if not new_cap > 0:
+                raise ValueError(
+                    f"cap_shift new cap must be positive, got {new_cap!r}")
         if not 0.0 < self.hysteresis <= 1.0:
             raise ValueError("hysteresis must be in (0, 1]")
 
@@ -235,9 +244,19 @@ class _PowerGovernor:
         n = len(self.specs)
         self.levels = [0] * n
         self.last_t = 0.0
+        # ``_table[i][level][k]``: node i's draw at that DVFS level with
+        # ``k`` of its ``capacity`` slots estimated live.  The walk only
+        # prices integer occupancies; one above capacity reads column
+        # ``capacity``, whose ``capacity / capacity`` is exactly the 1.0
+        # the utilisation clamps to, so every lookup is the float a
+        # per-query ``node_watts`` call would return.
+        self._table = [
+            [[state.node_watts(min(1.0, k / spec.capacity))
+              for k in range(spec.capacity + 1)]
+             for state in ladder]
+            for spec, ladder in zip(self.specs, config.ladders)]
         # Draw per node over the segment currently being integrated.
-        self._node_watts = [ladder[0].node_watts(0.0)
-                            for ladder in config.ladders]
+        self._node_watts = [table[0][0] for table in self._table]
         self.node_energy = [0.0] * n
         self.node_over = [0.0] * n
         self.segments: list[PowerSegment] = []
@@ -245,21 +264,19 @@ class _PowerGovernor:
         self.shed_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------ model
-    def _watts(self, index: int, alive: bool, est_live: int,
+    def _watts(self, index: int, est_live: int,
                level: int | None = None) -> float:
-        """One node's draw at an occupancy estimate; a dead node draws 0."""
-        if not alive:
-            return 0.0
-        spec = self.specs[index]
-        state = self.config.ladders[index][
+        """An alive node's draw at an occupancy estimate (table lookup)."""
+        row = self._table[index][
             self.levels[index] if level is None else level]
-        return state.node_watts(min(1.0, est_live / spec.capacity))
+        return row[min(est_live, self.specs[index].capacity)]
 
-    def _fleet_watts(self, loads, levels=None) -> float:
-        return sum(
-            self._watts(i, alive, est_live,
-                        None if levels is None else levels[i])
-            for i, (alive, est_live) in enumerate(loads))
+    def _draws(self, loads, levels=None) -> list[float]:
+        """Per-node draws in index order; a dead node draws 0."""
+        return [self._watts(i, est_live,
+                            None if levels is None else levels[i])
+                if alive else 0.0
+                for i, (alive, est_live) in enumerate(loads)]
 
     def speed_multiplier(self, index: int) -> float:
         """Current DVFS speed multiplier of one node."""
@@ -270,8 +287,8 @@ class _PowerGovernor:
         """Extra draw of landing one more session on a node, as priced
         at its current DVFS state (0 once the occupancy estimate is
         saturated — but such nodes have no free slots to route to)."""
-        return (self._watts(index, True, est_live + 1)
-                - self._watts(index, True, est_live))
+        return (self._watts(index, est_live + 1)
+                - self._watts(index, est_live))
 
     # ------------------------------------------------------- accounting
     def advance(self, t: float) -> None:
@@ -321,42 +338,46 @@ class _PowerGovernor:
         stays under ``hysteresis x cap`` (deepest-throttled node first).
         With ``enforce=False`` levels stay pinned at nominal and this
         only refreshes the stored draw.
+
+        The fleet draw is always the builtin ``sum`` of the index-ordered
+        per-node draws; a step or a trial replaces one entry of that list
+        rather than adjusting a running total, so every ``> cap`` test
+        sees the same float however the levels got there.
         """
+        draws = self._draws(loads)
         if self.config.enforce:
-            while self._fleet_watts(loads) > self.cap_w:
+            while sum(draws) > self.cap_w:
                 best, saving = -1, 0.0
                 for i, (alive, est_live) in enumerate(loads):
                     if not alive or self.levels[i] + 1 >= \
-                            len(self.config.ladders[i]):
+                            len(self._table[i]):
                         continue
-                    gain = (self._watts(i, alive, est_live)
-                            - self._watts(i, alive, est_live,
-                                          self.levels[i] + 1))
+                    gain = draws[i] - self._watts(i, est_live,
+                                                  self.levels[i] + 1)
                     if gain > saving:
                         best, saving = i, gain
                 if best < 0:
                     break
                 self._step(t, best, self.levels[best] + 1)
+                draws[best] = self._watts(best, loads[best][1])
+            budget = self.cap_w * self.config.hysteresis
             while True:
                 candidates = [i for i, (alive, _) in enumerate(loads)
                               if alive and self.levels[i] > 0]
                 candidates.sort(key=lambda i: (-self.levels[i], i))
-                stepped = False
                 for i in candidates:
-                    trial = list(self.levels)
-                    trial[i] -= 1
-                    if self._fleet_watts(loads, trial) \
-                            <= self.cap_w * self.config.hysteresis:
+                    trial = list(draws)
+                    trial[i] = self._watts(i, loads[i][1],
+                                           self.levels[i] - 1)
+                    if sum(trial) <= budget:
                         self._step(t, i, self.levels[i] - 1)
-                        stepped = True
+                        draws = trial
                         break
-                if not stepped:
+                else:
                     break
-        self._node_watts = [self._watts(i, alive, est_live)
-                            for i, (alive, est_live) in enumerate(loads)]
+        self._node_watts = draws
         if self.recorder.enabled:
-            self.recorder.gauge(POWER_FLEET_WATTS, t,
-                                sum(self._node_watts))
+            self.recorder.gauge(POWER_FLEET_WATTS, t, sum(draws))
 
     def should_shed(self, tier: str, loads) -> bool:
         """True when an arrival of ``tier`` must be dropped, not routed.
@@ -371,14 +392,15 @@ class _PowerGovernor:
             return False
         if not any(alive for alive, _ in loads):
             return False          # no node at all: that is a *lost* arrival
-        floors = [len(ladder) - 1 for ladder in self.config.ladders]
+        floors = [len(table) - 1 for table in self._table]
+        draws = self._draws(loads, floors)
         best = math.inf
-        for j, (alive, _) in enumerate(loads):
+        for j, (alive, est_live) in enumerate(loads):
             if not alive:
                 continue
-            with_extra = [(a, e + 1 if i == j else e)
-                          for i, (a, e) in enumerate(loads)]
-            best = min(best, self._fleet_watts(with_extra, floors))
+            trial = list(draws)
+            trial[j] = self._watts(j, est_live + 1, floors[j])
+            best = min(best, sum(trial))
         return best > self.cap_w
 
     def record_shed(self, tier: str) -> None:

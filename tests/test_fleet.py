@@ -204,6 +204,11 @@ class TestPlanDispatch:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             NodeSpec(name="x", capacity=0)
+        for speed in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed"):
+                NodeSpec(name="x", capacity=1, speed=speed)
+        with pytest.raises(ValueError, match="fail_at_s"):
+            NodeSpec(name="x", capacity=1, fail_at_s=math.nan)
         with pytest.raises(ValueError):
             NodeSpec(name="x", capacity=1, speed=0.0)
         with pytest.raises(ValueError):
@@ -212,6 +217,14 @@ class TestPlanDispatch:
             plan_dispatch([], [], "round_robin", 100.0)
         with pytest.raises(ValueError):
             plan_dispatch([], self._specs(), "round_robin", 0.0)
+
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, True])
+    def test_capacity_must_be_int(self, capacity):
+        """The dispatcher prices occupancy as ``est_live / capacity`` and
+        the power governor tables ``0..capacity``: a fractional (or bool)
+        capacity would disagree with admission's ``active < capacity``."""
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            NodeSpec(name="x", capacity=capacity)
 
     def test_node_speed_orders_platforms(self):
         slow = node_speed(orange_pi_5(), POOL)
@@ -658,6 +671,16 @@ class TestFleetPowerConfig:
             FleetPowerConfig(ladders=(ladder,), cap_shift=(10.0, -1.0))
         with pytest.raises(ValueError, match="hysteresis"):
             FleetPowerConfig(ladders=(ladder,), hysteresis=1.5)
+        # NaN compares false against everything, so a NaN cap would
+        # silently mean uncapped; inf is the documented account-only cap.
+        with pytest.raises(ValueError, match="cap_w"):
+            FleetPowerConfig(ladders=(ladder,), cap_w=math.nan)
+        with pytest.raises(ValueError, match="cap_shift"):
+            FleetPowerConfig(ladders=(ladder,), cap_shift=(math.nan, 5.0))
+        with pytest.raises(ValueError, match="cap_shift"):
+            FleetPowerConfig(ladders=(ladder,), cap_shift=(10.0, math.nan))
+        assert FleetPowerConfig(ladders=(ladder,), cap_w=math.inf,
+                                cap_shift=(10.0, math.inf)).cap_w == math.inf
 
     def test_ladder_count_must_match_fleet(self):
         requests = [request(0, 1.0, 5.0)]
@@ -716,6 +739,37 @@ class TestPowerGovernedDispatch:
             np.random.default_rng(seed),
             TraceConfig(horizon_s=horizon, arrival_rate_per_s=rate,
                         mean_session_s=90.0))
+
+    def test_pricing_is_one_table_per_governor(self, monkeypatch):
+        """The governor prices every (DVFS level, occupancy) pair of every
+        node once and looks the rest up: one dispatch of the
+        ``test_bench_fleet_energy[cap_on]`` fleet makes exactly
+        sum(len(ladder) x (capacity + 1)) = 90 node_watts calls, where
+        per-query pricing made tens of thousands."""
+        from repro.hw.energy import DvfsState
+
+        requests = self._demand(rate=1 / 4, horizon=3600.0)
+        specs = [NodeSpec(name=f"n{i}", capacity=4, speed=1.0 + 0.5 * i,
+                          fail_at_s=(1800.0 if i == 0 else None))
+                 for i in range(6)]
+        config = FleetPowerConfig(
+            ladders=fleet_ladders(n=6, multipliers=(1.0, 0.8, 0.65)),
+            cap_w=40.0, cap_shift=(1800.0, 18.0))
+        calls = []
+        node_watts = DvfsState.node_watts
+
+        def counted(state, utilisation):
+            calls.append(utilisation)
+            return node_watts(state, utilisation)
+
+        monkeypatch.setattr(DvfsState, "node_watts", counted)
+        plan = plan_dispatch(requests, specs, "least_joules", 3600.0,
+                             power=config)
+        assert plan.power.dvfs_transitions and plan.shed
+        expected = sum(len(ladder) * (spec.capacity + 1)
+                       for ladder, spec in zip(config.ladders, specs))
+        assert expected == 90
+        assert len(calls) == expected
 
     def test_power_blind_plan_has_no_ledger(self):
         plan = plan_dispatch(self._demand(), self._specs(), "least_loaded",

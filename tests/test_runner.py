@@ -1,5 +1,7 @@
 """Tests for the fleet-scale scenario runner (specs, pool, determinism)."""
 
+import json
+import math
 import pickle
 
 import numpy as np
@@ -331,6 +333,9 @@ class TestFleetScenario:
         with pytest.raises(ValueError, match="duplicate fail_at"):
             FleetScenario(name="x", nodes=_fleet_nodes(),
                           fail_at=((0, 60.0), (0, 200.0)))
+        with pytest.raises(ValueError, match="fail_at time"):
+            FleetScenario(name="x", nodes=_fleet_nodes(),
+                          fail_at=((0, math.nan),))
 
     def test_specs_are_picklable(self):
         import pickle
@@ -432,6 +437,29 @@ class TestFleetPowerScenarios:
             _power_fleet(power_dvfs_levels=0)
         with pytest.raises(ValueError, match="power_dvfs_levels"):
             _power_fleet(power_dvfs_levels=9)
+        # NaN compares false against everything: a NaN cap would mean
+        # uncapped and a NaN brownout cap would never bind.  ``inf``
+        # stays the legal account-only cap.
+        with pytest.raises(ValueError, match="power_cap_w"):
+            _power_fleet(power_cap_w=math.nan)
+        with pytest.raises(ValueError, match="power_cap_shift"):
+            _power_fleet(power_cap_shift=(100.0, math.nan))
+        with pytest.raises(ValueError, match="power_cap_shift"):
+            _power_fleet(power_cap_shift=(math.nan, 10.0))
+        assert _power_fleet(power_cap_w=math.inf).power_cap_w == math.inf
+
+    def test_from_dict_rejects_json_nan(self):
+        """``json.loads`` parses ``NaN``, so a scenario file reaches the
+        power and failure fields with one."""
+        base = {"name": "p", "nodes": [{"name": "node0", "capacity": 2}],
+                "power_cap_w": 20.0}
+        for field, value in (("power_cap_w", math.nan),
+                             ("power_cap_shift", [100.0, math.nan]),
+                             ("fail_at", [[0, math.nan]])):
+            text = json.dumps({**base, field: value})
+            assert "NaN" in text
+            with pytest.raises(ValueError, match=field):
+                FleetScenario.from_dict(json.loads(text))
 
     def test_from_dict_converts_power_fields(self):
         spec = {
@@ -503,6 +531,11 @@ class TestStrictScenarioDicts:
                            match="unexpected DynamicScenario field"):
             DynamicScenario.from_dict({"name": "d",
                                        "arival_rate_per_s": 0.1})
+
+    @pytest.mark.parametrize("capacity", [2.5, True])
+    def test_dynamic_capacity_must_be_int(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            DynamicScenario.from_dict({"name": "d", "capacity": capacity})
 
     def test_dynamic_from_dict_coerces_pool(self):
         d = DynamicScenario.from_dict({"name": "d",

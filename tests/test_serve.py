@@ -94,6 +94,13 @@ class TestAdmissionController:
         with pytest.raises(ValueError):
             AdmissionConfig(max_queue_wait_s=0.0)
 
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, True])
+    def test_capacity_must_be_int(self, capacity):
+        """``active_count < 2.5`` would admit 3 sessions while the fleet
+        dispatcher prices occupancy against 2.5 slots."""
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            AdmissionConfig(capacity=capacity)
+
     def test_queue_drain_order_tier_then_fifo(self):
         c = AdmissionController()
         keys = [c.queue_order_key("bronze", 1.0, 1),
