@@ -15,11 +15,12 @@ from repro.estimator import EstimatorConfig, ThroughputEstimator
 from repro.hw import orange_pi_5
 from repro.mapping import (
     build_q_tensor,
+    gpu_only_mapping,
     random_partition_mapping,
     uniform_block_mapping,
 )
 from repro.search import MCTSConfig
-from repro.sim import EvaluationCache, simulate, simulate_batch
+from repro.sim import EvaluationCache, PlatformTables, simulate, simulate_batch
 from repro.vqvae import EmbeddingCache, LayerVQVAE
 from repro.zoo import get_model
 
@@ -64,6 +65,27 @@ def test_bench_simulator_solve_batch(benchmark, rollout_mappings, batch):
     subset = rollout_mappings[:batch]
     result = benchmark(lambda: simulate_batch(WORKLOAD, subset, PLATFORM))
     assert len(result) == batch
+
+
+@pytest.mark.parametrize("tables", ["warm", "cold"])
+def test_bench_simulator_segment_solve(benchmark, tables):
+    """The serve and fleet segment solve: a batch-1 GPU-only 4-DNN
+    ``simulate_batch``.
+
+    The kernel runs two iterations here, so the row times the Python
+    around it: demand lookup, packing and the ctypes call.  ``warm``
+    passes a :class:`PlatformTables` whose memo already holds the
+    demands, as every ``EvaluationCache`` miss does; ``cold`` builds a
+    throwaway one per call, as ``simulate`` does.  The ``[1|4|16]`` rows
+    above time fragmented rollouts instead, which are kernel-bound.
+    Guarded by ``record_bench.py``.
+    """
+    mapping = gpu_only_mapping(WORKLOAD)
+    shared = PlatformTables(PLATFORM) if tables == "warm" else None
+    simulate_batch(WORKLOAD, [mapping], PLATFORM, shared)
+    result = benchmark(
+        lambda: simulate_batch(WORKLOAD, [mapping], PLATFORM, shared))
+    assert result[0].solution.iterations == 2
 
 
 def test_bench_simulator_solve_scalar16(benchmark, rollout_mappings):

@@ -21,6 +21,7 @@ from .dynamic import (
     run_dynamic_scenario,
 )
 from .engine import SimResult, simulate, simulate_batch
+from .tables import PlatformTables
 
 __all__ = [
     "ContentionSolution",
@@ -31,6 +32,7 @@ __all__ = [
     "SimResult",
     "simulate",
     "simulate_batch",
+    "PlatformTables",
     "EvaluationCache",
     "platform_fingerprint",
     "restrict_mapping",

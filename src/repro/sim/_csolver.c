@@ -11,6 +11,16 @@
  * trajectory is bit-identical to it, which
  * tests/property/test_solver_equivalence.py locks.
  *
+ * The arrays arrive as three buffers, laid out by repro.sim._cext
+ * (which checks their dtype, contiguity and length before any call),
+ * with n = offsets[n_batch] stages in all:
+ *
+ *   ints  (int64):   offsets[n_batch + 1] | comp_of[n] | dnn_of[n]
+ *   reals (float64): inflated[n] | kernel_time[n] | hol_k[n] | weights[n]
+ *   out   (float64): rates[n_batch * num_dnns] | util[n_batch * num_comp]
+ *                    | iterations[n_batch] | converged[n_batch]
+ *                    | alloc[n] | eff[n]
+ *
  * Returns 0 on success, 1 on scratch-allocation failure.
  */
 
@@ -19,16 +29,27 @@
 #include <stdlib.h>
 #include <string.h>
 
-int solve_packed(const int64_t *offsets, int64_t n_batch,
-                 const int64_t *comp_of, const int64_t *dnn_of,
-                 const double *inflated, const double *kernel_time,
-                 const double *hol_k, const double *weights,
-                 int64_t num_dnns, int64_t num_comp, int64_t max_iter,
-                 double damping, double tol, int64_t cycle_window,
-                 double cycle_tol, int64_t cycle_burn_in,
-                 double *out_rates, double *out_alloc, double *out_eff,
-                 double *out_util, int64_t *out_iters, uint8_t *out_conv)
+int solve_packed(const int64_t *ints, const double *reals, double *out,
+                 int64_t n_batch, int64_t num_dnns, int64_t num_comp,
+                 int64_t max_iter, double damping, double tol,
+                 int64_t cycle_window, double cycle_tol,
+                 int64_t cycle_burn_in)
 {
+    const int64_t *offsets = ints;
+    const int64_t n_total = offsets[n_batch];
+    const int64_t *comp_of = offsets + n_batch + 1;
+    const int64_t *dnn_of = comp_of + n_total;
+    const double *inflated = reals;
+    const double *kernel_time = inflated + n_total;
+    const double *hol_k = kernel_time + n_total;
+    const double *weights = hol_k + n_total;
+    double *out_rates = out;
+    double *out_util = out_rates + n_batch * num_dnns;
+    double *out_iters = out_util + n_batch * num_comp;
+    double *out_conv = out_iters + n_batch;
+    double *out_alloc = out_conv + n_batch;
+    double *out_eff = out_alloc + n_total;
+
     int64_t max_stages = 0;
     for (int64_t b = 0; b < n_batch; b++) {
         int64_t n = offsets[b + 1] - offsets[b];
@@ -225,8 +246,8 @@ int solve_packed(const int64_t *offsets, int64_t n_batch,
             out_eff[s0 + s] = infl[s] + hol_wait[s];
             out_util[b * num_comp + comp[s]] += rates[dnn[s]] * infl[s];
         }
-        out_iters[b] = iterations;
-        out_conv[b] = (uint8_t)converged;
+        out_iters[b] = (double)iterations;
+        out_conv[b] = converged ? 1.0 : 0.0;
     }
 
     free(alloc); free(hol_wait); free(blocked); free(stage_rate);

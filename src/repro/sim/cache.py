@@ -53,6 +53,7 @@ from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
 from .engine import SimResult, simulate_batch
+from .tables import PlatformTables
 
 __all__ = ["EvaluationCache", "platform_fingerprint"]
 
@@ -96,6 +97,8 @@ class EvaluationCache:
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple, SimResult] = OrderedDict()
+        # What every miss on this platform shares: tables and demand memo.
+        self._tables = PlatformTables(platform)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -127,8 +130,9 @@ class EvaluationCache:
         miss_keys: list[tuple] = []
         miss_mappings: list[Mapping] = []
         miss_slots: dict[tuple, list[int]] = {}
+        names = tuple(m.name for m in workload)
         for i, mapping in enumerate(mappings):
-            k = self.key(workload, mapping)
+            k = (names, mapping.assignments)   # key(), names built once
             cached = self._store.get(k)
             if cached is not None:
                 self._store.move_to_end(k)
@@ -143,7 +147,8 @@ class EvaluationCache:
             miss_slots[k].append(i)
 
         if miss_mappings:
-            solved = simulate_batch(workload, miss_mappings, self.platform)
+            solved = simulate_batch(workload, miss_mappings, self.platform,
+                                    self._tables)
             for k, result in zip(miss_keys, solved):
                 self._insert(k, result)
                 for i in miss_slots[k]:

@@ -38,17 +38,28 @@ Two entry points compute the same fixed point:
   allocations, stage demands, utilisation, iteration counts and
   convergence flags all equal the oracle's exactly
   (``tests/property/test_solver_equivalence.py``).
+
+The batch path takes its per-platform constants (interference table, κ,
+head-of-line coefficients) from a :class:`~repro.sim.tables.PlatformTables`
+built once per platform.  The entitlement weights ``demand ** κ`` stay a
+numpy ``**`` on both paths: numpy's vectorised power differs from libm's
+``pow`` in the last bit on some inputs (about 6% of them on an AVX-512
+host), so moving it into C or Python floats would break bit identity.
+Numpy's result for an element does not depend on the array around it,
+so the batch path raises a whole batch's weights in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ..hw.platform import Platform
 from . import _cext
 from .demands import StageDemand
+from .tables import PlatformTables, _interference_table
 
 __all__ = [
     "ContentionSolution",
@@ -94,18 +105,6 @@ def _context_counts(comp_of: np.ndarray, dnn_of: np.ndarray,
     present = np.zeros((num_components, num_dnns), dtype=bool)
     present[comp_of, dnn_of] = True
     return present.sum(axis=1)
-
-
-def _interference_table(platform: Platform, num_dnns: int) -> np.ndarray:
-    """``gamma[c, n]`` = demand inflation of component ``c`` with ``n``
-    resident DNN contexts; indexing the table reproduces the scalar calls
-    to :meth:`ComputeComponent.interference_factor` exactly."""
-    table = np.empty((platform.num_components, num_dnns + 1))
-    for c in range(platform.num_components):
-        comp = platform.component(c)
-        for n in range(num_dnns + 1):
-            table[c, n] = comp.interference_factor(n)
-    return table
 
 
 def _empty_solution(num_dnns: int, platform: Platform) -> ContentionSolution:
@@ -238,69 +237,69 @@ def solve_steady_state(demands: list[StageDemand], num_dnns: int,
 
 
 def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
-          platform: Platform) -> tuple:
-    """Flatten non-empty demand sets into the C kernel's CSR-packed inputs.
+          tables: PlatformTables) -> tuple:
+    """Flatten non-empty demand sets into the C kernel's three buffers.
 
     Performs the iteration-independent precomputation of
     :func:`solve_steady_state` (interference inflation, kernel times,
     head-of-line coefficients times launch counts, entitlement weights)
-    per element with the same numpy expressions, so the packed quantities
-    are bitwise identical to what the oracle derives.  Returns
-    ``(packed_rows, offsets, comp_of, dnn_of, inflated, kernel_time,
-    hol_k, weights)`` where ``packed_rows[i]`` is the batch index of
-    packed element ``i``; empty demand sets are left out.
+    over the whole batch at once, with the oracle's elementwise numpy
+    expressions, so the packed quantities are bitwise identical to what
+    the oracle derives per mapping.  Returns ``(packed_rows, offsets,
+    ints, reals, out)``: ``packed_rows[i]`` is the batch index of packed
+    element ``i`` (empty demand sets are left out), whose stages are
+    ``offsets[i]:offsets[i + 1]``, and the buffers are laid out as
+    :func:`repro.sim._cext.buffer_lengths` says and checked by
+    :func:`repro.sim._cext.check_buffers` before they are filled.
+
+    Bad input stops here, before the kernel: a non-positive demand or a
+    negative component or DNN index raises ``ValueError``, and an index
+    past the end fails numpy's context count with ``IndexError``.
     """
-    num_comp = platform.num_components
-    gamma_table = _interference_table(platform, num_dnns)
-    kappa = np.array([platform.component(c).sharing_bias
-                      for c in range(num_comp)])
-    hol_by_comp = np.array([platform.component(c).hol_blocking
-                            for c in range(num_comp)])
+    num_comp = tables.platform.num_components
+    packed_rows = [b for b, demands in enumerate(demand_sets) if demands]
+    lengths = [len(demand_sets[b]) for b in packed_rows]
+    flat = [d for b in packed_rows for d in demand_sets[b]]
+    n_batch, n = len(packed_rows), len(flat)
+    ints, reals, out = _cext.empty_buffers(n_batch, n, num_dnns, num_comp)
+    _cext.check_buffers(ints, reals, out, n_batch, n, num_dnns, num_comp)
 
-    packed_rows: list[int] = []
-    offsets = [0]
-    comp_parts, dnn_parts = [], []
-    infl_parts, ktime_parts, holk_parts, weight_parts = [], [], [], []
-    for b, demands in enumerate(demand_sets):
-        if not demands:
-            continue
-        comp = np.array([d.component for d in demands], dtype=np.int64)
-        dnn = np.array([d.dnn_index for d in demands], dtype=np.int64)
-        base = np.array([d.seconds_per_inference for d in demands])
-        if np.any(base <= 0):
-            raise ValueError("stage demands must be positive")
-        contexts = _context_counts(comp, dnn, num_comp, num_dnns)
-        inflated = base * gamma_table[comp, contexts[comp]]
-        kernels = np.array([max(1, d.num_kernels) for d in demands],
-                           dtype=np.float64)
-        packed_rows.append(b)
-        offsets.append(offsets[-1] + len(demands))
-        comp_parts.append(comp)
-        dnn_parts.append(dnn)
-        infl_parts.append(inflated)
-        ktime_parts.append(base / kernels)
-        holk_parts.append(hol_by_comp[comp] * kernels)
-        weight_parts.append(inflated ** kappa[comp])
-
-    comp_of = np.concatenate(comp_parts)
-    dnn_of = np.concatenate(dnn_parts)
-    # The kernel indexes its scratch arrays with these unchecked.  An index
-    # past the end already failed _context_counts; numpy wraps a negative.
-    if comp_of.min() < 0 or dnn_of.min() < 0:
+    (offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
+     weights) = _cext.input_views(ints, reals, n_batch, n)
+    stages = [d.stage for d in flat]
+    comps = [s.component for s in stages]
+    dnns = [s.dnn_index for s in stages]
+    base = np.array([d.seconds_per_inference for d in flat])
+    if (base <= 0).any():
+        raise ValueError("stage demands must be positive")
+    # The kernel indexes its scratch arrays with these unchecked; numpy
+    # would wrap a negative one below.
+    if min(comps) < 0 or min(dnns) < 0:
         raise ValueError("stage component or DNN index out of range")
-    return (packed_rows,
-            np.array(offsets, dtype=np.int64),
-            comp_of,
-            dnn_of,
-            np.concatenate(infl_parts),
-            np.concatenate(ktime_parts),
-            np.concatenate(holk_parts),
-            np.concatenate(weight_parts))
+    bounds = list(accumulate(lengths, initial=0))
+    offsets[:] = bounds
+    comp_of[:] = comps
+    dnn_of[:] = dnns
+
+    # Distinct resident DNN contexts per (element, component).
+    batch_of = np.arange(n_batch).repeat(lengths)
+    present = np.zeros((n_batch, num_comp, num_dnns), dtype=bool)
+    present[batch_of, comp_of, dnn_of] = True
+    contexts = present.sum(axis=2)
+    gamma = tables.gamma(num_dnns)[comp_of, contexts[batch_of, comp_of]]
+    kernels = np.array([max(1, d.num_kernels) for d in flat],
+                       dtype=np.float64)
+    np.multiply(base, gamma, out=inflated)
+    np.divide(base, kernels, out=kernel_time)
+    np.multiply(tables.hol[comp_of], kernels, out=hol_k)
+    np.power(inflated, tables.kappa[comp_of], out=weights)
+    return packed_rows, bounds, ints, reals, out
 
 
 def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
                              num_dnns: int, platform: Platform,
                              max_iter: int = _MAX_ITER,
+                             tables: PlatformTables | None = None,
                              ) -> list[ContentionSolution]:
     """Solve B mappings' fixed points in one call to the C kernel.
 
@@ -308,39 +307,37 @@ def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
     ``platform``); they may have different stage counts, and empty demand
     sets answer with an empty solution.  Each element's result is bit
     for bit what :func:`solve_steady_state` returns on its demands alone.
+    ``tables`` holds the platform's constants (a throwaway instance is
+    built without it).
 
     Raises :class:`RuntimeError` when the kernel cannot be built or
     loaded on this host; :func:`repro.sim.engine.simulate_batch` checks
     :func:`repro.sim._cext.load_solver` first and falls back to the
     scalar oracle instead.
     """
-    solutions = [_empty_solution(num_dnns, platform) for _ in demand_sets]
     if not any(demand_sets):
-        return solutions
-    (packed_rows, offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
-     weights) = _pack(demand_sets, num_dnns, platform)
+        return [_empty_solution(num_dnns, platform) for _ in demand_sets]
+    if tables is None:
+        tables = PlatformTables(platform)
+    packed_rows, offsets, ints, reals, out = _pack(demand_sets, num_dnns,
+                                                   tables)
+    solutions = [None if demands else _empty_solution(num_dnns, platform)
+                 for demands in demand_sets]
 
-    n_packed = len(packed_rows)
-    out_rates = np.zeros((n_packed, num_dnns))
-    out_alloc = np.zeros(offsets[-1])
-    out_eff = np.zeros_like(out_alloc)
-    out_util = np.zeros((n_packed, platform.num_components))
-    out_iters = np.zeros(n_packed, dtype=np.int64)
-    out_conv = np.zeros(n_packed, dtype=np.uint8)
+    n_batch = len(packed_rows)
+    num_comp = platform.num_components
     _cext.solve_packed_c(
-        offsets, comp_of, dnn_of, inflated, kernel_time, hol_k, weights,
-        num_dnns, platform.num_components, max_iter, _DAMPING, _TOL,
-        _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
-        out_rates, out_alloc, out_eff, out_util, out_iters, out_conv)
+        ints, reals, out, n_batch, num_dnns, num_comp, max_iter, _DAMPING,
+        _TOL, _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN)
 
+    rates, util, iterations, converged, alloc, eff = _cext.output_views(
+        out, n_batch, offsets[-1], num_dnns, num_comp)
+    iterations, converged = iterations.tolist(), converged.tolist()
     for i, b in enumerate(packed_rows):
         s0, s1 = offsets[i], offsets[i + 1]
         solutions[b] = ContentionSolution(
-            rates=out_rates[i],
-            stage_allocations=out_alloc[s0:s1].copy(),
-            stage_demands=out_eff[s0:s1].copy(),
-            component_utilisation=out_util[i],
-            iterations=int(out_iters[i]),
-            converged=bool(out_conv[i]),
+            rates=rates[i], stage_allocations=alloc[s0:s1],
+            stage_demands=eff[s0:s1], component_utilisation=util[i],
+            iterations=int(iterations[i]), converged=bool(converged[i]),
         )
-    return solutions
+    return solutions  # type: ignore[return-value]

@@ -4,6 +4,12 @@ A pipeline stage's *demand* is the component-time (seconds) it consumes per
 inference: the sum of its blocks' layer latencies plus, when the previous
 stage lives on a different component, the feature-map handoff cost charged
 to the receiving stage.
+
+A stage's demand depends only on its model, position, component, block
+range and handoff, so :func:`compute_stage_demands` can memoise it in the
+solving platform's :class:`~repro.sim.tables.PlatformTables`; a memo miss
+runs the same arithmetic in the same order, so a memoised demand equals a
+freshly computed one bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from ..hw.latency import block_latencies
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping, Stage
 from ..zoo.layers import ModelSpec
+from .tables import PlatformTables
 
 __all__ = ["StageDemand", "compute_stage_demands"]
 
@@ -39,29 +46,51 @@ class StageDemand:
         return self.seconds_per_inference / max(1, self.num_kernels)
 
 
+def _stage_demand(model: ModelSpec, stage: Stage, platform: Platform,
+                  handoff: bool) -> StageDemand:
+    """One stage's demand, computed afresh (a memo miss)."""
+    latencies = block_latencies(model, platform.component(stage.component))
+    seconds = sum(latencies[stage.block_start : stage.block_end])
+    if handoff:
+        nbytes = model.blocks[stage.block_start].input_bytes
+        seconds += platform.link.transfer_time(nbytes)
+    kernels = sum(
+        len(model.blocks[b].layers)
+        for b in range(stage.block_start, stage.block_end)
+    )
+    return StageDemand(stage, seconds, kernels)
+
+
 def compute_stage_demands(workload: list[ModelSpec], mapping: Mapping,
-                          platform: Platform) -> list[StageDemand]:
-    """Demands for every stage of ``mapping`` over ``workload``."""
+                          platform: Platform,
+                          tables: PlatformTables | None = None,
+                          ) -> list[StageDemand]:
+    """Demands for every stage of ``mapping`` over ``workload``.
+
+    Each stage's demand is looked up in, or added to, the memo of
+    ``tables`` (which must be built for ``platform``; the memo key is in
+    :mod:`repro.sim.tables`).  Without ``tables`` the call uses a
+    throwaway instance, so every demand is computed afresh.
+    """
     mapping.validate_against(workload, platform.num_components)
-    all_stages = mapping.stages()
+    if tables is None:
+        tables = PlatformTables(platform)
+    memo = tables.demands
     demands: list[StageDemand] = []
-    per_comp_latencies = [
-        [block_latencies(model, platform.component(c))
-         for c in range(platform.num_components)]
-        for model in workload
-    ]
-    for dnn_index, model in enumerate(workload):
-        prev_comp: int | None = None
-        for stage in (s for s in all_stages if s.dnn_index == dnn_index):
-            latencies = per_comp_latencies[dnn_index][stage.component]
-            seconds = sum(latencies[stage.block_start : stage.block_end])
-            if prev_comp is not None and prev_comp != stage.component:
-                handoff = model.blocks[stage.block_start].input_bytes
-                seconds += platform.link.transfer_time(handoff)
-            kernels = sum(
-                len(model.blocks[b].layers)
-                for b in range(stage.block_start, stage.block_end)
-            )
-            demands.append(StageDemand(stage, seconds, kernels))
-            prev_comp = stage.component
+    dnn_index, prev_comp = -1, None
+    for stage in mapping.stages():
+        if stage.dnn_index != dnn_index:
+            dnn_index = stage.dnn_index
+            model = workload[dnn_index]
+            prev_comp = None
+        comp = stage.component
+        handoff = prev_comp is not None and prev_comp != comp
+        key = (dnn_index, model.name, comp, stage.block_start,
+               stage.block_end, handoff)
+        demand = memo.get(key)
+        if demand is None:
+            demand = _stage_demand(model, stage, platform, handoff)
+            tables.remember(key, demand)
+        demands.append(demand)
+        prev_comp = comp
     return demands

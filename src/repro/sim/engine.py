@@ -24,6 +24,7 @@ from .contention import (
     solve_steady_state_batch,
 )
 from .demands import compute_stage_demands
+from .tables import PlatformTables
 
 __all__ = ["SimResult", "simulate", "simulate_batch"]
 
@@ -73,7 +74,8 @@ def _warn_scalar_fallback() -> None:
 
 
 def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
-                   platform: Platform) -> list[SimResult]:
+                   platform: Platform,
+                   tables: PlatformTables | None = None) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
     Solves all fixed points in one call to the C kernel
@@ -83,19 +85,31 @@ def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
     scalar oracle :func:`repro.sim.contention.solve_steady_state` instead,
     after a :class:`RuntimeWarning` issued once per process; the results
     are the same bits either way.
+
+    ``tables`` carries what every solve on ``platform`` shares (see
+    :mod:`repro.sim.tables`); an :class:`~repro.sim.cache.EvaluationCache`
+    passes its own.  Without it the call builds a throwaway one, so
+    results never depend on it.
     """
     if not mappings:
         return []
-    demand_sets = [compute_stage_demands(workload, m, platform)
+    if tables is None:
+        tables = PlatformTables(platform)
+    elif tables.platform is not platform and tables.platform != platform:
+        raise ValueError(
+            f"tables were built for {tables.platform.name!r}, not for "
+            f"{platform.name!r}")
+    demand_sets = [compute_stage_demands(workload, m, platform, tables)
                    for m in mappings]
     num_dnns = len(workload)
     if _cext.load_solver() is not None:
-        solutions = solve_steady_state_batch(demand_sets, num_dnns, platform)
+        solutions = solve_steady_state_batch(demand_sets, num_dnns, platform,
+                                             tables=tables)
     else:
         _warn_scalar_fallback()
         solutions = [solve_steady_state(d, num_dnns, platform)
                      for d in demand_sets]
-    ideal = np.array([platform.ideal_throughput(m) for m in workload])
+    ideal = tables.ideal_rates(workload)
     names = tuple(m.name for m in workload)
     return [
         SimResult(workload_names=names, rates=sol.rates, ideal_rates=ideal,

@@ -142,6 +142,18 @@ class TestGitSha:
              "test_bench_simulator_solve_batch[16]": row(0.008)})
         assert len(flags) == 1 and "[16]" in flags[0]
 
+    def test_segment_solve_benches_guarded(self):
+        """The batch-1 segment solve (the Python around the kernel) is a
+        guarded hot path."""
+        rb = _load_record_bench()
+        assert "test_bench_simulator_segment_solve[" in rb.GUARDED_PREFIXES
+        flags = rb.flag_regressions(
+            {"test_bench_simulator_segment_solve[warm]": row(6e-5),
+             "test_bench_simulator_segment_solve[cold]": row(1e-4)},
+            {"test_bench_simulator_segment_solve[warm]": row(9e-5),
+             "test_bench_simulator_segment_solve[cold]": row(1e-4)})
+        assert len(flags) == 1 and "[warm]" in flags[0]
+
 
 class TestLastHistoryEntry:
     def test_reads_final_line(self, tmp_path):

@@ -1,7 +1,13 @@
 """Unit tests for the throughput estimator: model, dataset, training."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.estimator import (
     EstimatorConfig,
@@ -144,6 +150,62 @@ class TestMetrics:
 
     def test_spearman_constant_is_zero(self):
         assert spearman_r([1, 1, 1], [1, 2, 3]) == 0.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spearman_matches_scipy_oracle(self, seed):
+        """The numpy average-rank version against ``scipy.stats.spearmanr``
+        on continuous, heavily tied and mixed inputs."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        draws = (lambda: rng.normal(size=n),
+                 lambda: rng.integers(0, 4, n).astype(float),
+                 lambda: rng.integers(0, n, n).astype(float))
+        pred = draws[seed % 3]()
+        target = draws[(seed // 3) % 3]()
+        if np.allclose(pred, pred[0]) or np.allclose(target, target[0]):
+            want = 0.0
+        else:
+            want = stats.spearmanr(pred, target).statistic
+        assert abs(spearman_r(pred, target) - want) <= 1e-12
+
+    def test_spearman_ties_use_average_ranks(self):
+        pred = [1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+        target = [6.0, 5.0, 5.0, 1.0, 2.0, 2.0]
+        want = stats.spearmanr(pred, target).statistic
+        assert abs(spearman_r(pred, target) - want) <= 1e-12
+
+    @pytest.mark.parametrize("pred, target", [
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]),
+        ([1.0, 1.0 + 1e-12, 1.0], [1.0, 2.0, 3.0]),
+        ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, np.nan, 1.0]),
+        ([np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]),
+    ])
+    def test_spearman_degenerate_is_zero(self, pred, target):
+        assert spearman_r(pred, target) == 0.0
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        """``import repro`` must not pay for scipy (about a second)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' "
+             "or m.startswith('scipy.')))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
+    def test_no_scipy_import_under_src(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        offenders = [str(path.relative_to(src))
+                     for path in sorted(src.rglob("*.py"))
+                     if any(line.lstrip().startswith(("import scipy",
+                                                      "from scipy"))
+                            for line in path.read_text().splitlines())]
+        assert offenders == []
 
     def test_ranking_accuracy_perfect(self):
         rng = np.random.default_rng(0)
