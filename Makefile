@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-prop bench perfbench serve-demo obs-demo docs-check
+.PHONY: test test-prop bench perfbench serve-demo obs-demo docs-check loc
 
 ## Tier-1 verification: the full test suite in benchmark smoke mode.
 test:
@@ -41,3 +41,9 @@ obs-demo:
 ## (tests/test_docs.py runs the same check under tier-1).
 docs-check:
 	python tools/check_links.py
+
+## Line counts: src/ (.py + .c, the size metric ROADMAP tracks) next to
+## tests/ (.py, oracles included).  The solver build cache is skipped.
+loc:
+	@printf 'src/   %6d lines (.py + .c)\n' "$$(find src \( -name '*.py' -o -name '*.c' \) -not -path '*/_build/*' -exec cat {} + | wc -l)"
+	@printf 'tests/ %6d lines (.py)\n' "$$(find tests -name '*.py' -exec cat {} + | wc -l)"

@@ -2,7 +2,7 @@
 
 Mirrors the small subset of ``torch.nn`` needed by the RankMap models: a
 :class:`Module` base with parameter discovery, linear/convolutional layers,
-batch/layer normalisation, and the two attention variants the paper uses
+2-D batch normalisation, and the two attention variants the paper uses
 (softmax self-attention in the estimator backbone, linear attention in the
 per-DNN decoder streams).
 """
@@ -25,13 +25,9 @@ __all__ = [
     "DepthwiseConv2d",
     "Conv1d",
     "BatchNorm2d",
-    "BatchNorm1d",
-    "LayerNorm",
     "ReLU",
-    "GELU",
     "SelfAttention2d",
     "LinearAttention",
-    "MLP",
 ]
 
 
@@ -101,13 +97,6 @@ class Module:
         for m in self.modules():
             m.training = False
         return self
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def astype(self, dtype) -> "Module":
         """Cast all parameters and numpy buffers (e.g. BN running stats)."""
@@ -250,92 +239,44 @@ class Conv1d(Module):
                           padding=self.padding)
 
 
+#: Running-statistics momentum and variance epsilon of :class:`BatchNorm2d`.
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel with running stats."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
             mu = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
             self.running_mean = (
-                (1 - self.momentum) * self.running_mean
-                + self.momentum * mu.data.reshape(-1)
+                (1 - _BN_MOMENTUM) * self.running_mean
+                + _BN_MOMENTUM * mu.data.reshape(-1)
             )
             self.running_var = (
-                (1 - self.momentum) * self.running_var
-                + self.momentum * var.data.reshape(-1)
+                (1 - _BN_MOMENTUM) * self.running_var
+                + _BN_MOMENTUM * var.data.reshape(-1)
             )
         else:
             mu = Tensor(self.running_mean.reshape(1, -1, 1, 1))
             var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        inv = (var + self.eps) ** -0.5
+        inv = (var + _BN_EPS) ** -0.5
         normed = (x - mu) * inv
         return normed * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
-
-
-class BatchNorm1d(Module):
-    """Batch normalisation over (N, L) per channel for NCL tensors."""
-
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.gamma = Parameter(np.ones(channels))
-        self.beta = Parameter(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mu = x.mean(axis=(0, 2), keepdims=True)
-            var = x.var(axis=(0, 2), keepdims=True)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mu.data.reshape(-1)
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.reshape(-1)
-            )
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1))
-        inv = (var + self.eps) ** -0.5
-        normed = (x - mu) * inv
-        return normed * self.gamma.reshape(1, -1, 1) + self.beta.reshape(1, -1, 1)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the trailing feature axis."""
-
-    def __init__(self, features: int, eps: float = 1e-5):
-        super().__init__()
-        self.gamma = Parameter(np.ones(features))
-        self.beta = Parameter(np.zeros(features))
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mu) * ((var + self.eps) ** -0.5)
-        return normed * self.gamma + self.beta
 
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.gelu()
 
 
 class SelfAttention2d(Module):
@@ -387,20 +328,3 @@ class LinearAttention(Module):
         v = self.v(x)
         context = k.swapaxes(1, 2) @ v            # (N, d, out)
         return q @ context                        # (N, T, out)
-
-
-class MLP(Module):
-    """Fully connected stack with ReLU between layers."""
-
-    def __init__(self, sizes: list[int], rng: np.random.Generator):
-        super().__init__()
-        self.layers = [
-            Linear(a, b, rng) for a, b in zip(sizes[:-1], sizes[1:])
-        ]
-
-    def forward(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = x.relu()
-        return x

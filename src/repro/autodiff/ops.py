@@ -14,21 +14,13 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "concat",
-    "stack",
     "pad2d",
     "pad1d",
     "softmax",
-    "log_softmax",
     "conv2d",
     "depthwise_conv2d",
     "conv1d",
-    "max_pool2d",
-    "avg_pool2d",
-    "global_avg_pool2d",
     "straight_through",
-    "dropout",
-    "where_mask",
-    "clip_values",
 ]
 
 
@@ -48,20 +40,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 idx = [slice(None)] * grad.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(grad[tuple(idx)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        slabs = np.split(grad, len(tensors), axis=axis)
-        for t, slab in zip(tensors, slabs):
-            if t.requires_grad:
-                t._accumulate(np.squeeze(slab, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -99,7 +77,7 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Softmax family
+# Softmax
 # ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
@@ -111,20 +89,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if x.requires_grad:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             x._accumulate(out_data * (grad - dot))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -294,72 +258,6 @@ def conv1d(
 
 
 # ----------------------------------------------------------------------
-# Pooling
-# ----------------------------------------------------------------------
-def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling over NCHW; gradient flows to the (first) argmax element."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    oh, ow = _out_size(h, kernel, stride), _out_size(w, kernel, stride)
-    xd = x.data
-
-    windows = np.empty((kernel * kernel, n, c, oh, ow), dtype=xd.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            windows[ki * kernel + kj] = xd[
-                :, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
-            ]
-    arg = windows.argmax(axis=0)
-    out_data = np.take_along_axis(windows, arg[None], axis=0)[0]
-
-    def backward(grad):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(xd)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                mask = arg == (ki * kernel + kj)
-                gx[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
-                    grad * mask
-                )
-        x._accumulate(gx)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Average pooling over NCHW."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    oh, ow = _out_size(h, kernel, stride), _out_size(w, kernel, stride)
-    xd = x.data
-    scale = 1.0 / (kernel * kernel)
-
-    out_data = np.zeros((n, c, oh, ow), dtype=xd.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            out_data += xd[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-    out_data *= scale
-
-    def backward(grad):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(xd)
-        g = grad * scale
-        for ki in range(kernel):
-            for kj in range(kernel):
-                gx[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += g
-        x._accumulate(gx)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Mean over the spatial axes of NCHW, keeping (N, C)."""
-    return x.mean(axis=(2, 3))
-
-
-# ----------------------------------------------------------------------
 # Miscellaneous
 # ----------------------------------------------------------------------
 def straight_through(quantized: Tensor, continuous: Tensor) -> Tensor:
@@ -374,43 +272,3 @@ def straight_through(quantized: Tensor, continuous: Tensor) -> Tensor:
             continuous._accumulate(grad)
 
     return Tensor._make(quantized.data.copy(), (continuous,), backward)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward)
-
-
-def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select ``a`` where ``mask`` else ``b`` (mask is a constant array)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.where(mask, a.data, b.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(np.where(mask, grad, 0.0).reshape(a.shape))
-        if b.requires_grad:
-            b._accumulate(np.where(mask, 0.0, grad).reshape(b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
-def clip_values(x: Tensor, low: float, high: float) -> Tensor:
-    """Clamp values; gradient is passed through inside the active range."""
-    out_data = np.clip(x.data, low, high)
-    mask = (x.data > low) & (x.data < high)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward)

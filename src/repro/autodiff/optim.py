@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers for the autodiff engine."""
+"""Gradient-descent optimisation for the autodiff engine."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .nn import Parameter
 
-__all__ = ["SGD", "Adam", "clip_grad_norm", "CosineSchedule"]
+__all__ = ["Adam", "clip_grad_norm", "CosineSchedule"]
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
@@ -27,68 +27,37 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+#: Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults).
+_BETA1, _BETA2 = 0.9, 0.999
+_ADAM_EPS = 1e-8
 
 
 class Adam:
     """Adam optimiser (Kingma & Ba, 2015)."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bias1 = 1.0 - b1**self._t
         bias2 = 1.0 - b2**self._t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

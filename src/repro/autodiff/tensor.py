@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -34,11 +34,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    """Return True when operations record the autodiff graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -111,13 +106,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     # ------------------------------------------------------------------
     # Graph construction helpers
     # ------------------------------------------------------------------
@@ -142,10 +130,6 @@ class Tensor:
                 else grad.astype(self.data.dtype)
         else:
             self.grad = self.grad + grad
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -321,24 +305,6 @@ class Tensor:
         out = (centred * centred).mean(axis=axis, keepdims=keepdims)
         return out
 
-    def max(self, axis=None, keepdims: bool = False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = grad
-            o = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                o = np.expand_dims(o, axis)
-            mask = (self.data == o).astype(self.data.dtype)
-            # Split gradient equally between ties to keep the op well defined.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -387,33 +353,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def relu(self):
         mask = self.data > 0
         out_data = self.data * mask
@@ -421,58 +360,6 @@ class Tensor:
         def backward(grad):
             if self.requires_grad:
                 self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def leaky_relu(self, slope: float = 0.01):
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, slope * self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * np.where(mask, 1.0, slope))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def gelu(self):
-        """Gaussian error linear unit (tanh approximation)."""
-        c = np.sqrt(2.0 / np.pi)
-        x = self.data
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
-
-        def backward(grad):
-            if self.requires_grad:
-                dt = (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
-                self._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def abs(self):
-        out_data = np.abs(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -32,6 +32,9 @@ from .priorities import dynamic_priorities, normalize_priorities
 
 __all__ = ["Manager", "RankMap", "RankMapConfig"]
 
+#: Each relaxation retry scales the starvation thresholds by this factor.
+_RELAXATION_FACTOR = 0.5
+
 
 def _workload_fingerprint(workload: list[ModelSpec]) -> int:
     """Stable small seed offset per workload (process-independent).
@@ -76,9 +79,8 @@ class RankMapConfig:
     mode: str = "dynamic"                  # "static" (S) or "dynamic" (D)
     mcts: MCTSConfig = field(default_factory=MCTSConfig)
     reward: RewardConfig | None = None
-    # When nothing clears the starvation threshold, relax it and retry.
+    # When nothing clears the starvation threshold, halve it and retry.
     threshold_relaxations: int = 2
-    relaxation_factor: float = 0.5
     # Deployment hardening: re-measure the top-k candidate mappings on the
     # board (one measurement window each) and deploy the best *actual*
     # reward.  Protects the no-starvation guarantee against estimator
@@ -154,12 +156,11 @@ class RankMap(Manager):
         all_ideals = np.array([self.platform.ideal_throughput(m)
                                for m in workload])
         floor_min = (STARVATION_EPSILON * 1.2) * all_ideals
-        relax = self.config.relaxation_factor
         attempts = 0
         while (stats.best_reward <= DISQUALIFIED
                and attempts < self.config.threshold_relaxations):
             attempts += 1
-            thresholds = np.maximum(thresholds * relax, floor_min)
+            thresholds = np.maximum(thresholds * _RELAXATION_FACTOR, floor_min)
             mapping, stats = self._search(workload, p, thresholds, ideals,
                                           reward_cfg.kind, attempt=attempts)
 

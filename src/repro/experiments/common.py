@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import GAConfig, GeneticManager, GpuBaseline, Mosaic, Odmdef, OmniBoost
-from ..core import EstimatorPredictor, OraclePredictor, RankMap, RankMapConfig
+from ..core import EstimatorPredictor, RankMap, RankMapConfig
 from ..core.manager import Manager
 from ..estimator import (
     EstimatorConfig,
@@ -247,11 +247,6 @@ class ExperimentContext:
                               board_validation_top_k=4),
             ),
         }
-
-    def rankmap_oracle(self, mode: str) -> RankMap:
-        """RankMap driven by the simulator oracle (ablation helper)."""
-        return RankMap(self.platform, OraclePredictor(self.platform),
-                       RankMapConfig(mode=mode, mcts=self.mcts_config(400)))
 
     def estimator_artifact_path(self, refresh: bool = False) -> Path:
         """Train-or-load the context's estimator once; return its artifact.

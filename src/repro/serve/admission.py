@@ -204,8 +204,8 @@ class AdmissionController:
         """
         decision = self.preemption.consider(tier_name, live, self)
         if self.recorder.enabled:
-            # The same PREEMPT_PLAN tick PreemptionPolicy.decide would
-            # emit, batched with the funnel (see flush_verdicts).
+            # One PREEMPT_PLAN tick per consult, labelled by the planned
+            # action, batched with the funnel (see flush_verdicts).
             label = decision.action if decision is not None else "none"
             acc = self._plan_acc
             try:

@@ -35,9 +35,9 @@ The loop is architected for traces far longer than memory:
   ``ServeConfig.record_timeline=False`` additionally drops the O(events)
   segment list for scale runs.
 
-:func:`repro.serve.reference.serve_trace_reference` is the seed
-architecture kept as an oracle; the property suite pins the two loops
-bit-identical on randomized traces.
+The seed architecture is kept as a test-only oracle in
+``tests/oracles/serve_reference.py``; the property suite pins the two
+loops bit-identical on randomized traces.
 
 Everything is deterministic in ``(requests, policy manager seed,
 ServeConfig.seed)``: the event order is a total order, the only rng draws

@@ -35,9 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..obs import NULL_RECORDER, Recorder
-from ..obs.registry import PREEMPT_PLAN
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .admission import AdmissionController
 
@@ -136,27 +133,6 @@ class PreemptionPolicy:
                  ) -> PreemptionDecision | None:
         """Return the preemption to perform for this arrival, if any."""
         raise NotImplementedError  # pragma: no cover
-
-    def decide(self, tier_name: str, live: Sequence[LiveView],
-               controller: "AdmissionController",
-               recorder: Recorder = NULL_RECORDER,
-               ) -> PreemptionDecision | None:
-        """:meth:`consider`, with the verdict counted on ``recorder``.
-
-        One :data:`~repro.obs.registry.PREEMPT_PLAN` counter tick per
-        consult, labelled by the planned action (``evict`` / ``demote``
-        / ``none``), for callers driving a policy directly.  (The
-        admission controller calls :meth:`consider` and batches the
-        identical tick — see ``AdmissionController.flush_verdicts``.)
-        The decision itself is exactly ``consider``'s — the recorder is
-        a passive side channel.
-        """
-        decision = self.consider(tier_name, live, controller)
-        if recorder.enabled:
-            recorder.count(PREEMPT_PLAN,
-                           label=decision.action if decision is not None
-                           else "none")
-        return decision
 
 
 class NoPreempt(PreemptionPolicy):

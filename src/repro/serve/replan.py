@@ -31,12 +31,6 @@ import numpy as np
 from ..core.manager import Manager, RankMap
 from ..core.priorities import dynamic_priorities, normalize_priorities
 from ..mapping.mapping import Mapping, gpu_only_mapping
-from ..obs import NULL_RECORDER, Recorder
-from ..obs.registry import (
-    REPLAN_DECISION_S,
-    REPLAN_INVOCATIONS,
-    SPAN_REPLAN,
-)
 from ..search.reward import DISQUALIFIED, mapping_reward, thresholds_for
 from ..zoo.layers import ModelSpec
 
@@ -54,6 +48,12 @@ __all__ = [
 #: What the loop remembers of the previous decision: the workload names it
 #: was planned for (in order) and the deployed mapping.
 Incumbent = tuple[tuple[str, ...], Mapping]
+
+#: Share of the wrapped manager's MCTS budget a warm-start fallback search
+#: gets (never fewer than 4 iterations).
+_FALLBACK_FRACTION = 0.25
+#: Decimals the plan-cache key rounds priorities to.
+_KEY_DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -80,34 +80,6 @@ class ReplanPolicy:
         vector for static-mode managers, ``None`` in dynamic mode.
         """
         raise NotImplementedError  # pragma: no cover
-
-    def replan_observed(self, workload: list[ModelSpec],
-                        priorities: np.ndarray | None,
-                        incumbent: Incumbent | None,
-                        now_s: float,
-                        recorder: Recorder = NULL_RECORDER) -> ReplanOutcome:
-        """:meth:`replan`, traced on ``recorder``.
-
-        For callers driving a policy directly (the serving loop batches
-        the identical telemetry itself): each outcome
-        ticks the kind-labelled
-        :data:`~repro.obs.registry.REPLAN_INVOCATIONS` counter, streams
-        its modeled decision seconds into the
-        :data:`~repro.obs.registry.REPLAN_DECISION_S` histogram, and
-        traces a :data:`~repro.obs.registry.SPAN_REPLAN` span at
-        simulated ``now_s`` whose duration *is* the modeled decision
-        latency.  The outcome is exactly ``replan``'s — recording never
-        feeds back into the decision.
-        """
-        outcome = self.replan(workload, priorities, incumbent)
-        if recorder.enabled:
-            recorder.count(REPLAN_INVOCATIONS, label=outcome.kind)
-            recorder.observe(REPLAN_DECISION_S, outcome.decision_seconds)
-            recorder.span(SPAN_REPLAN, now_s, outcome.decision_seconds,
-                          (("dnns", len(workload)),
-                           ("kind", outcome.kind),
-                           ("policy", self.name)))
-        return outcome
 
 
 class FullReplan(ReplanPolicy):
@@ -136,17 +108,15 @@ class WarmStartReplan(ReplanPolicy):
 
     name = "warm"
 
-    def __init__(self, manager: Manager, fallback_fraction: float = 0.25):
+    def __init__(self, manager: Manager):
         if not isinstance(manager, RankMap):
             raise ValueError(
                 "WarmStartReplan needs a RankMap manager (it reuses the "
                 f"predictor and reward config); got {type(manager).__name__}")
-        if not 0.0 < fallback_fraction <= 1.0:
-            raise ValueError("fallback_fraction must be in (0, 1]")
         self.manager = manager
         mcts = manager.config.mcts
         reduced = replace(
-            mcts, iterations=max(4, int(mcts.iterations * fallback_fraction)))
+            mcts, iterations=max(4, int(mcts.iterations * _FALLBACK_FRACTION)))
         # Shares the predictor (and therefore the evaluation cache) with
         # the wrapped manager; only the search budget shrinks.
         self._fallback = RankMap(manager.platform, manager.predictor,
@@ -239,10 +209,9 @@ class PlanCacheReplan(ReplanPolicy):
 
     name = "cache"
 
-    def __init__(self, inner: ReplanPolicy, round_decimals: int = 6):
+    def __init__(self, inner: ReplanPolicy):
         self.inner = inner
         self.name = f"cache({inner.name})"
-        self.round_decimals = round_decimals
         self.hits = 0
         self.misses = 0
         self._store: dict[tuple, Mapping] = {}
@@ -253,7 +222,7 @@ class PlanCacheReplan(ReplanPolicy):
         names = tuple(m.name for m in workload)
         if priorities is None:
             return (names, None)
-        rounded = tuple(round(float(p), self.round_decimals)
+        rounded = tuple(round(float(p), _KEY_DECIMALS)
                         for p in np.asarray(priorities).ravel())
         return (names, rounded)
 

@@ -41,10 +41,6 @@ class StageDemand:
     def component(self) -> int:
         return self.stage.component
 
-    @property
-    def mean_kernel_time(self) -> float:
-        return self.seconds_per_inference / max(1, self.num_kernels)
-
 
 def _stage_demand(model: ModelSpec, stage: Stage, platform: Platform,
                   handoff: bool) -> StageDemand:

@@ -6,6 +6,14 @@ is invoked whenever the active set or the priority vector changes; its
 decision latency opens a gap during which the previous mapping keeps
 running and a newly arrived DNN makes no progress yet (rate 0), exactly the
 grey dashed re-mapping gaps in the paper's Fig. 10.
+
+The gap rules are the serving loop's (:func:`repro.serve.serve_trace`):
+
+* every event sharing a timestamp is applied first, then the planner is
+  called once for the resulting active set and priorities;
+* an event that lands inside a decision gap takes effect when the gap
+  closes, so segments never overlap and tile ``[0, horizon)`` exactly;
+* an event at or past the horizon calls no planner.
 """
 
 from __future__ import annotations
@@ -57,14 +65,17 @@ class ScenarioEvent:
 
 
 def arrival(time: float, model: ModelSpec) -> ScenarioEvent:
+    """``model`` joins the active set at ``time``."""
     return ScenarioEvent(time, "arrival", model=model)
 
 
 def departure(time: float, model: ModelSpec) -> ScenarioEvent:
+    """``model`` leaves the active set at ``time``."""
     return ScenarioEvent(time, "departure", model=model)
 
 
 def priority_change(time: float, priorities: dict[str, float]) -> ScenarioEvent:
+    """Set the user priorities named in ``priorities`` at ``time``."""
     return ScenarioEvent(time, "priority", priorities=priorities)
 
 
@@ -80,6 +91,7 @@ class Segment:
 
     @property
     def duration(self) -> float:
+        """Length of the segment in seconds."""
         return self.t_end - self.t_start
 
 
@@ -124,6 +136,7 @@ class Timeline:
         return min(values) if values else float("nan")
 
     def final_potentials(self) -> dict[str, float]:
+        """P of every DNN active in the last segment ({} when empty)."""
         return dict(self.segments[-1].potentials) if self.segments else {}
 
 
@@ -154,7 +167,14 @@ def restrict_mapping(mapping: Mapping | None, old_names: list[str],
 def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
                          platform: Platform, horizon: float,
                          default_priority: float = 0.1) -> Timeline:
-    """Simulate a scenario and return its piecewise-constant timeline."""
+    """Simulate a scenario and return its piecewise-constant timeline.
+
+    See the module docstring for the gap rules.  Raises ``ValueError``
+    for an empty event list and for a malformed event before the
+    horizon: an arrival or departure without a model, a priority event
+    without priorities, an unknown kind, or a second arrival of a DNN
+    name that is already active.
+    """
     if not events:
         raise ValueError("scenario needs at least one event")
     events = sorted(events, key=lambda e: e.time)
@@ -184,15 +204,15 @@ def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
             pots.setdefault(m.name, 0.0)
         timeline.segments.append(Segment(t0, t1, names, rates, pots))
 
-    for event in events:
-        if event.time > horizon:
-            break
-        emit(clock, event.time)
-        clock = event.time
-
+    def apply(event: ScenarioEvent) -> None:
+        nonlocal active
         if event.kind == "arrival":
             if event.model is None:
                 raise ValueError("arrival event needs a model")
+            if any(m.name == event.model.name for m in active):
+                raise ValueError(
+                    f"{event.model.name!r} arrives at t={event.time} "
+                    "while already active")
             active.append(event.model)
             priorities.setdefault(event.model.name, default_priority)
         elif event.kind == "departure":
@@ -206,6 +226,17 @@ def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
             priorities.update(event.priorities)
         else:
             raise ValueError(f"unknown event kind {event.kind!r}")
+
+    i = 0
+    while i < len(events) and events[i].time < horizon:
+        t_event = events[i].time
+        # Events landing inside a decision gap take effect when it closes.
+        effective = max(clock, t_event)
+        emit(clock, effective)
+        clock = effective
+        while i < len(events) and events[i].time == t_event:
+            apply(events[i])
+            i += 1
 
         if not active:
             current = None

@@ -68,10 +68,6 @@ class SlaAssignment:
         raw = np.array([self.tiers[m.name].priority for m in workload])
         return raw / raw.sum()
 
-    def priority_dict(self) -> dict[str, float]:
-        """Un-normalised priorities by name (dynamic-scenario input)."""
-        return {name: tier.priority for name, tier in self.tiers.items()}
-
 
 def assign_tiers(workload: list[ModelSpec],
                  tier_of: dict[str, str] | None = None,

@@ -1,14 +1,15 @@
 """Finite-difference gradient checking for the autodiff engine.
 
 Used pervasively by the test suite to verify that every operator's analytic
-gradient matches a central-difference estimate.
+gradient matches a central-difference estimate.  Only tests run it, so it
+lives under ``tests/oracles/`` and is imported as ``tests.oracles.gradcheck``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from repro.autodiff import Tensor
 
 __all__ = ["numeric_gradient", "check_gradients"]
 

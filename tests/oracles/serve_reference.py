@@ -13,8 +13,9 @@ of the lazy ``purge_queue`` scan — so the two implementations define the
 The property suite (``tests/property/test_serve_properties.py``) drives
 randomized preemption/tier-shift/timeout traces through both loops and
 asserts the :class:`~repro.serve.report.ServeReport` outputs are
-bit-identical, single-node and through the fleet dispatch path.  Keep
-this module boring: when the streaming loop in :mod:`repro.serve.loop`
+bit-identical, single-node and through the fleet dispatch path.  Only
+tests run it, so it lives under ``tests/oracles/`` and is imported as
+``tests.oracles.serve_reference``.  Keep this module boring: when the streaming loop in :mod:`repro.serve.loop`
 grows a feature, port the *semantics* here in the simplest possible
 form, never the optimisation.
 """
@@ -25,17 +26,12 @@ import heapq
 
 import numpy as np
 
-from ..hw.platform import Platform
-from ..sim.cache import EvaluationCache
-from ..sim.dynamic import Segment, Timeline, restrict_mapping
-from ..workloads.traces import SessionRequest
-from ..zoo.layers import ModelSpec
-from ..zoo.registry import get_model
-from .admission import ADMIT, PREEMPT, QUEUE, AdmissionController
-from .loop import ServeConfig, _manager_name
-from .preempt import EVICT, LiveView
-from .replan import ReplanPolicy
-from .report import (
+from repro.hw.platform import Platform
+from repro.serve.admission import ADMIT, PREEMPT, QUEUE, AdmissionController
+from repro.serve.loop import ServeConfig, _manager_name
+from repro.serve.preempt import EVICT, LiveView
+from repro.serve.replan import ReplanPolicy
+from repro.serve.report import (
     ABANDONED,
     EVICTED,
     OUT_OF_HORIZON,
@@ -46,6 +42,11 @@ from .report import (
     ServeReport,
     SessionOutcome,
 )
+from repro.sim.cache import EvaluationCache
+from repro.sim.dynamic import Segment, Timeline, restrict_mapping
+from repro.workloads.traces import SessionRequest
+from repro.zoo.layers import ModelSpec
+from repro.zoo.registry import get_model
 
 __all__ = ["serve_trace_reference"]
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.autodiff import Tensor, check_gradients, ops
+from repro.autodiff import Tensor, ops
+from tests.oracles.gradcheck import check_gradients
 
 FLOATS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False,
                    width=64)
@@ -49,7 +50,7 @@ def test_softmax_is_probability_distribution(data):
 @given(small_arrays(max_dims=2, max_side=4))
 def test_gradcheck_composite_expression(data):
     x = Tensor(data, requires_grad=True)
-    check_gradients(lambda: ((x * x).sigmoid() + x.tanh()).sum(), [x],
+    check_gradients(lambda: ((x * x + 1.0) ** 0.5 + x * x * x).sum(), [x],
                     rtol=1e-3, atol=1e-5)
 
 
@@ -81,15 +82,6 @@ def test_conv2d_linear_in_input(n, c, hw, f):
     lhs = ops.conv2d(Tensor(x1 + x2), w, padding=1).data
     rhs = ops.conv2d(Tensor(x1), w, padding=1).data + ops.conv2d(Tensor(x2), w, padding=1).data
     np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(2, 5), st.integers(2, 5))
-def test_avg_pool_preserves_mean(h_mult, w_mult):
-    g = np.random.default_rng(0)
-    x = g.normal(size=(1, 1, 2 * h_mult, 2 * w_mult))
-    pooled = ops.avg_pool2d(Tensor(x), kernel=2).data
-    np.testing.assert_allclose(pooled.mean(), x.mean(), rtol=1e-8)
 
 
 @settings(max_examples=20, deadline=None)

@@ -31,11 +31,11 @@ from hypothesis import strategies as st
 from repro.baselines import GpuBaseline
 from repro.hw import orange_pi_5
 from repro.runner import DynamicScenario, FleetScenario, ScenarioRunner
-from repro.serve import (AdmissionConfig, FullReplan, ServeConfig,
-                         serve_trace, serve_trace_reference)
+from repro.serve import AdmissionConfig, FullReplan, ServeConfig, serve_trace
 from repro.sim import EvaluationCache
 from repro.workloads import (TraceConfig, iter_session_requests,
                              sample_session_requests)
+from tests.oracles.serve_reference import serve_trace_reference
 
 PLATFORM = orange_pi_5()
 POOL = ("alexnet", "squeezenet", "mobilenet_v2", "shufflenet",
@@ -261,7 +261,7 @@ def test_renegotiation_spares_bronze_sessions():
 # The streaming rewrite of the serving loop (generator arrivals, keyed
 # waiting room, scheduled queue timeouts, vectorized accounting) must be
 # observationally *identical* to the pre-streaming loop kept in
-# :mod:`repro.serve.reference` — same event total order, same rng
+# ``tests/oracles/serve_reference.py`` — same event total order, same rng
 # consumption, last-ulp-equal float accounting.  These properties pin
 # that equivalence across randomized traces and every preemption policy.
 

@@ -1,17 +1,28 @@
 """Property-based tests (hypothesis) for mapping and simulator invariants."""
 
+from dataclasses import replace
+from itertools import groupby
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hw import orange_pi_5
 from repro.mapping import (
     Mapping,
     extract_stages,
+    gpu_only_mapping,
     random_partition_mapping,
     uniform_block_mapping,
 )
-from repro.sim import compute_stage_demands, simulate
+from repro.sim import (
+    MappingDecision,
+    compute_stage_demands,
+    run_dynamic_scenario,
+    simulate,
+)
+from repro.workloads import TraceConfig, poisson_trace
 from repro.zoo import MODEL_POOL, get_model
 
 PLATFORM = orange_pi_5()
@@ -109,3 +120,54 @@ def test_simulation_is_deterministic(names, seed):
     a = simulate(workload, mapping, PLATFORM)
     b = simulate(workload, mapping, PLATFORM)
     np.testing.assert_array_equal(a.rates, b.rates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1),
+       latency=st.sampled_from([0.0, 2.0, 20.0, 200.0]),
+       rate=st.sampled_from([1 / 10, 1 / 40]),
+       snap=st.sampled_from([0.0, 25.0]))
+def test_dynamic_timeline_tiles_the_horizon(seed, latency, rate, snap):
+    """Segments of a dynamic scenario tile ``[0, horizon)`` and the planner
+    runs once per distinct event time below the horizon that leaves a
+    non-empty active set, whatever the decision latency.  ``snap`` floors
+    event times onto a grid so that events coincide."""
+    horizon = 400.0
+    config = TraceConfig(horizon_s=horizon, arrival_rate_per_s=rate,
+                         mean_session_s=90.0, max_concurrent=3,
+                         pool=SMALL_POOL)
+    events = poisson_trace(np.random.default_rng(seed), config)
+    if snap:
+        events = [replace(e, time=float(np.floor(e.time / snap) * snap))
+                  for e in events]
+        events.sort(key=lambda e: e.time)
+    assume(events)
+    calls = []
+
+    def planner(workload, priorities):
+        calls.append(tuple(m.name for m in workload))
+        return MappingDecision(gpu_only_mapping(workload), latency)
+
+    timeline = run_dynamic_scenario(events, planner, PLATFORM, horizon)
+
+    segments = timeline.segments
+    assert segments[0].t_start == 0.0
+    assert segments[-1].t_end == horizon
+    for prev, nxt in zip(segments, segments[1:]):
+        assert prev.t_end == nxt.t_start
+    assert all(seg.duration > 0 for seg in segments)
+    assert sum(seg.duration for seg in segments) == pytest.approx(
+        horizon, rel=1e-12)
+
+    expected = 0
+    active: set[str] = set()
+    for t, batch in groupby(events, key=lambda e: e.time):
+        if t >= horizon:
+            break
+        for e in batch:
+            if e.kind == "arrival":
+                active.add(e.model.name)
+            elif e.kind == "departure":
+                active.discard(e.model.name)
+        expected += bool(active)
+    assert len(calls) == expected

@@ -26,7 +26,6 @@ API_MODULES = (
     "repro.serve",
     "repro.serve.admission",
     "repro.serve.loop",
-    "repro.serve.reference",
     "repro.serve.preempt",
     "repro.serve.replan",
     "repro.serve.report",
@@ -55,6 +54,7 @@ API_MODULES = (
     "repro.obs.recorder",
     "repro.obs.export",
     "repro.sim.contention",
+    "repro.sim.dynamic",
 )
 
 

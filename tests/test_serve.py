@@ -671,7 +671,7 @@ class TestStreamingLoop:
         assert from_list == from_stream
 
     def test_streaming_matches_reference_loop(self):
-        from repro.serve import serve_trace_reference
+        from tests.oracles.serve_reference import serve_trace_reference
 
         requests = self._sampled(seed=21)
         config = serve_config(capacity=2, queue_limit=4, max_wait=60.0,
@@ -813,7 +813,7 @@ class TestKeyedWaitingRoom:
         assert all(s.outcome == "served" for s in report.sessions)
 
     def test_drain_order_matches_reference_resort(self):
-        from repro.serve import serve_trace_reference
+        from tests.oracles.serve_reference import serve_trace_reference
 
         requests = [request(0, 0.0, 100.0, tier="gold"),
                     request(4, 5.0, 30.0, tier="silver"),

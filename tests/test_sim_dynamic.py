@@ -104,6 +104,90 @@ class TestScenarioBasics:
                 gpu_planner(), PLATFORM, 10.0,
             )
 
+    def test_second_arrival_of_active_name_rejected(self):
+        alexnet = get_model("alexnet")
+        with pytest.raises(ValueError, match="already active"):
+            run_dynamic_scenario(
+                [arrival(0.0, alexnet), arrival(10.0, alexnet),
+                 departure(20.0, alexnet)],
+                gpu_planner(), PLATFORM, 30.0,
+            )
+        # Arriving again after a departure is a new session, not a clash.
+        tl = run_dynamic_scenario(
+            [arrival(0.0, alexnet), departure(10.0, alexnet),
+             arrival(20.0, alexnet)],
+            gpu_planner(), PLATFORM, 30.0,
+        )
+        assert tl.potential_at("alexnet", 15.0) is None
+        assert tl.potential_at("alexnet", 25.0) == pytest.approx(1.0)
+
+
+def recording_planner(decision_seconds):
+    """GPU-only planner that logs the workload names of every call."""
+    calls = []
+
+    def plan(workload, priorities):
+        calls.append(tuple(m.name for m in workload))
+        return MappingDecision(gpu_only_mapping(workload), decision_seconds)
+
+    return plan, calls
+
+
+class TestDecisionGaps:
+    """The gap rules shared with the serving loop."""
+
+    def test_event_inside_gap_waits_for_it_to_close(self):
+        plan, calls = recording_planner(5.0)
+        tl = run_dynamic_scenario(
+            [arrival(0.0, get_model("alexnet")),
+             arrival(1.0, get_model("resnet50"))],
+            plan, PLATFORM, horizon=20.0,
+        )
+        spans = [(seg.t_start, seg.t_end) for seg in tl.segments]
+        assert spans == [(0.0, 5.0), (5.0, 10.0), (10.0, 20.0)]
+        assert sum(seg.duration for seg in tl.segments) == 20.0
+        assert calls == [("alexnet",), ("alexnet", "resnet50")]
+        # alexnet waits out its own gap and nothing else; resnet50 waits
+        # while the second decision runs.
+        assert tl.potential_at("alexnet", 3.0) == 0.0
+        assert tl.potential_at("resnet50", 3.0) is None
+        assert tl.potential_at("alexnet", 7.0) == pytest.approx(1.0)
+        assert tl.potential_at("resnet50", 7.0) == 0.0
+        assert tl.potential_at("resnet50", 15.0) > 0.0
+
+    def test_same_timestamp_events_plan_once(self):
+        names = ("mobilenet_v2", "squeezenet", "shufflenet", "alexnet")
+        events = [arrival(0.0, get_model(n)) for n in names]
+        events.append(priority_change(0.0, {"alexnet": 0.7}))
+        plan, calls = recording_planner(30.0)
+        tl = run_dynamic_scenario(events, plan, PLATFORM, horizon=100.0)
+        assert calls == [names]
+        spans = [(seg.t_start, seg.t_end) for seg in tl.segments]
+        assert spans == [(0.0, 30.0), (30.0, 100.0)]
+
+    def test_event_at_horizon_calls_no_planner(self):
+        plan, calls = recording_planner(0.0)
+        tl = run_dynamic_scenario(
+            [arrival(0.0, get_model("resnet50")),
+             arrival(100.0, get_model("vgg16"))],
+            plan, PLATFORM, horizon=100.0,
+        )
+        assert calls == [("resnet50",)]
+        assert tl.segments[-1].t_end == 100.0
+
+    def test_deferred_event_gap_is_cut_at_the_horizon(self):
+        plan, calls = recording_planner(50.0)
+        tl = run_dynamic_scenario(
+            [arrival(0.0, get_model("resnet50")),
+             arrival(30.0, get_model("vgg16"))],
+            plan, PLATFORM, horizon=60.0,
+        )
+        spans = [(seg.t_start, seg.t_end) for seg in tl.segments]
+        assert spans == [(0.0, 50.0), (50.0, 60.0)]
+        assert len(calls) == 2
+        assert tl.potential_at("vgg16", 40.0) is None
+        assert tl.potential_at("vgg16", 55.0) == 0.0
+
 
 class TestScenarioEdgeCases:
     def test_departure_of_never_admitted_model_is_noop(self):
