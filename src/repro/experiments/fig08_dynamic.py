@@ -32,12 +32,8 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     summaries: list[str] = []
 
     for manager_name in ("rankmap_d", "omniboost"):
-        manager = managers[manager_name]
-
-        def planner(workload, priorities, m=manager):
-            return m.plan(workload, priorities)
-
-        timeline = run_dynamic_scenario(fig8_events(), planner,
+        timeline = run_dynamic_scenario(fig8_events(),
+                                        managers[manager_name].plan,
                                         ctx.platform, HORIZON)
         series[manager_name] = {}
         starved_names = []

@@ -32,13 +32,9 @@ HORIZON = FIG10_HORIZON
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
-    manager = ctx.managers()["rankmap_s"]
-
-    def planner(workload, priorities):
-        return manager.plan(workload, priorities)
-
-    timeline = run_dynamic_scenario(fig10_events(), planner, ctx.platform,
-                                    HORIZON)
+    timeline = run_dynamic_scenario(fig10_events(),
+                                    ctx.managers()["rankmap_s"].plan,
+                                    ctx.platform, HORIZON)
 
     rows: list[list] = []
     stage_bounds = [*(t for t, _ in STAGES), HORIZON]

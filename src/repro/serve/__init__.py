@@ -12,9 +12,9 @@ problem.  This subsystem closes that gap:
 * :mod:`repro.serve.replan` — pluggable replanning on every workload
   change: full search, warm start from the incumbent mapping, or a plan
   cache keyed on the canonical workload.
-* :mod:`repro.serve.loop` — the event-driven loop tying both to the
-  steady-state simulator, with re-mapping gap semantics shared with
-  :func:`repro.sim.run_dynamic_scenario`.  Arrivals stream: any ordered
+* :mod:`repro.serve.loop` — the serving handlers tying both to the
+  steady-state simulator over :class:`repro.sim.dynamic.EventCore`, the
+  event core the scenario replay runs too.  Arrivals stream: any ordered
   iterable of requests works, so million-session traces are served
   without ever being materialised.  The pre-streaming loop survives as a
   test-only oracle, ``tests/oracles/serve_reference.py``; the property

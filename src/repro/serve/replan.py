@@ -18,8 +18,8 @@ policy as a pluggable strategy:
   O(1) with zero modeled latency and bit-identical steady-state rates.
 
 Policies report their modeled decision latency via
-:class:`ReplanOutcome`; the loop turns it into gap time exactly like
-:func:`repro.sim.run_dynamic_scenario` does for planner latency.
+:class:`ReplanOutcome`; the loop's event core
+(:class:`repro.sim.dynamic.EventCore`) turns it into gap time.
 """
 
 from __future__ import annotations

@@ -7,17 +7,22 @@ decision latency opens a gap during which the previous mapping keeps
 running and a newly arrived DNN makes no progress yet (rate 0), exactly the
 grey dashed re-mapping gaps in the paper's Fig. 10.
 
-The gap rules are the serving loop's (:func:`repro.serve.serve_trace`):
+:class:`EventCore` runs every dynamic run: this replay
+(:func:`run_dynamic_scenario`) and the online serving loop
+(:func:`repro.serve.serve_trace`) add only their event handlers and
+planner call.  Its gap rules:
 
 * every event sharing a timestamp is applied first, then the planner is
   called once for the resulting active set and priorities;
 * an event that lands inside a decision gap takes effect when the gap
   closes, so segments never overlap and tile ``[0, horizon)`` exactly;
-* an event at or past the horizon calls no planner.
+* an event at or past the horizon is never applied, and once a gap has
+  carried the clock to the horizon no planner is called.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,7 +31,7 @@ import numpy as np
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .engine import simulate
+from .cache import EvaluationCache
 
 __all__ = [
     "MappingDecision",
@@ -37,6 +42,8 @@ __all__ = [
     "priority_change",
     "Segment",
     "Timeline",
+    "EventCore",
+    "QUIET_RANK",
     "restrict_mapping",
     "run_dynamic_scenario",
 ]
@@ -130,9 +137,10 @@ class Timeline:
         return acc / total_time
 
     def min_potential(self, name: str) -> float:
-        """Lowest P ``name`` experienced while it was mapped and running."""
+        """Lowest P ``name`` experienced while it was mapped and running
+        (rate > 0: decision gaps it waits out unmapped do not count)."""
         values = [s.potentials[name] for s in self.segments
-                  if name in s.potentials]
+                  if s.rates.get(name, 0.0) > 0.0]
         return min(values) if values else float("nan")
 
     def final_potentials(self) -> dict[str, float]:
@@ -145,10 +153,7 @@ def restrict_mapping(mapping: Mapping | None, old_names: list[str],
     """Keep the old mapping for DNNs still active (decision-gap behaviour).
 
     Returns the surviving ``(models, mapping)`` pair in the old mapping's
-    order, or ``None`` when nothing survives.  Shared by the dynamic
-    replay engine and the online serving loop (:mod:`repro.serve`), whose
-    re-mapping gaps have identical semantics: residents keep running on
-    the incumbent placement while the planner decides.
+    order, or ``None`` when nothing survives.
     """
     if mapping is None:
         return None
@@ -164,6 +169,175 @@ def restrict_mapping(mapping: Mapping | None, old_names: list[str],
     return keep_models, Mapping(tuple(keep_assign))
 
 
+#: Rank of quiet events: above any rank a caller uses, so they run after
+#: every other event sharing their timestamp (see :class:`EventCore`).
+QUIET_RANK = 1 << 30
+
+
+class EventCore:
+    """Clock, event heap, decision gaps and segment emitter of a dynamic run.
+
+    A subclass brings the event vocabulary: handlers, scheduled with
+    :meth:`push`, run as ``handler(payload, t) -> bool`` at the
+    gap-adjusted time ``t``, keep :attr:`residents` (name -> record, in
+    arrival order) current, and return True when they changed what
+    :meth:`segment_state` reads.  The core then calls the subclass's
+    ``plan(t) -> (models, decision)``; ``decision`` carries ``mapping``
+    and ``decision_seconds``.  A :data:`QUIET_RANK` event changes no
+    resident: alone at its timestamp it neither ends a segment nor moves
+    the clock.  Segment state is memoised until the next plan.
+    """
+
+    def __init__(self, horizon: float, cache: EvaluationCache,
+                 record_timeline: bool = True):
+        self.horizon = horizon
+        self.cache = cache
+        self.clock = 0.0
+        self.residents: dict = {}
+        #: ``(models, mapping)`` running now; None while nothing is.
+        self.deployed: tuple[list[ModelSpec], Mapping] | None = None
+        self.timeline = Timeline()
+        self.record_timeline = record_timeline
+        self._heap: list[tuple] = []
+        self._seq = 0
+        self._segment: tuple | None = None     # None: rebuild on next emit
+
+    def push(self, time: float, rank: int, handler, payload) -> None:
+        """Schedule ``handler(payload, t)`` unless ``time`` is at or past
+        the horizon; ties on ``time`` run by ascending ``rank``, then in
+        push order."""
+        if time < self.horizon:
+            heapq.heappush(self._heap,
+                           (time, rank, self._seq, handler, payload))
+            self._seq += 1
+
+    def run(self) -> None:
+        """Apply every scheduled event, then close the timeline."""
+        heap, horizon, pop = self._heap, self.horizon, heapq.heappop
+        while heap:
+            t_event, rank, _, handler, payload = heap[0]
+            if rank == QUIET_RANK:
+                pop(heap)
+                handler(payload, max(self.clock, t_event))
+                continue
+            # Events landing inside a decision gap take effect when it
+            # closes.
+            clock = self.clock
+            if t_event > clock:
+                self.emit(clock, t_event)
+                self.clock = clock = t_event
+            replan = False
+            while heap and heap[0][0] == t_event:
+                _, _, _, handler, payload = pop(heap)
+                replan |= handler(payload, clock)
+            if replan and clock < horizon:
+                self._replan()
+        self.emit(self.clock, horizon)
+
+    def _replan(self) -> None:
+        self._segment = None
+        if not self.residents:
+            self.deployed = None
+            return
+        models, decision = self.plan(self.clock)
+        gap = max(0.0, decision.decision_seconds)
+        if gap > 0:
+            # Decision window: residents run the incumbent restricted to
+            # themselves; the change's subject waits at rate 0.
+            if self.deployed is not None:
+                prev_models, prev_mapping = self.deployed
+                self.deployed = restrict_mapping(
+                    prev_mapping, [m.name for m in prev_models], models)
+            gap_end = min(self.clock + gap, self.horizon)
+            self.emit(self.clock, gap_end)
+            self.clock = gap_end
+            self._segment = None
+        self.deployed = (models, decision.mapping)
+
+    def segment_state(self) -> tuple:
+        """``(names, rates, potentials, result)`` of the residents now,
+        solved through the cache; residents the deployed mapping does not
+        cover run at rate 0.  A subclass may append fields for
+        :meth:`account`."""
+        names = tuple(self.residents)
+        if self.deployed is None:
+            rates = {n: 0.0 for n in names}
+            return names, rates, dict(rates), None
+        models, mapping = self.deployed
+        result = self.cache.simulate_one(models, mapping)
+        rates = {m.name: float(r) for m, r in zip(models, result.rates)}
+        pots = {m.name: float(p) for m, p in zip(models, result.potentials)}
+        for n in names:                      # resident but not yet mapped
+            rates.setdefault(n, 0.0)
+            pots.setdefault(n, 0.0)
+        return names, rates, pots, result
+
+    def account(self, state: tuple, duration: float) -> None:
+        """Charge one emitted segment of ``state`` lasting ``duration``."""
+
+    def emit(self, t0: float, t1: float) -> None:
+        """Record ``[t0, t1)`` at the current segment state."""
+        duration = t1 - t0
+        if duration <= 0:
+            return
+        state = self._segment
+        if state is None:
+            state = self._segment = self.segment_state()
+        if self.record_timeline:
+            self.timeline.segments.append(
+                Segment(t0, t1, state[0], state[1], state[2]))
+        self.account(state, duration)
+
+
+class _Replay(EventCore):
+    """:func:`run_dynamic_scenario`'s handlers over the event core."""
+
+    def __init__(self, events: list[ScenarioEvent], planner: Planner,
+                 platform: Platform, horizon: float,
+                 default_priority: float):
+        super().__init__(horizon, EvaluationCache(platform))
+        self.planner = planner
+        self.default_priority = default_priority
+        self.priorities: dict[str, float] = {}
+        handlers = {"arrival": self.arrival, "departure": self.departure,
+                    "priority": self.priority}
+        for event in events:
+            self.push(event.time, 0, handlers.get(event.kind, self.unknown),
+                      event)
+
+    def arrival(self, event: ScenarioEvent, t: float) -> bool:
+        if event.model is None:
+            raise ValueError("arrival event needs a model")
+        name = event.model.name
+        if name in self.residents:
+            raise ValueError(
+                f"{name!r} arrives at t={event.time} while already active")
+        self.residents[name] = event.model
+        self.priorities.setdefault(name, self.default_priority)
+        return True
+
+    def departure(self, event: ScenarioEvent, t: float) -> bool:
+        if event.model is None:
+            raise ValueError("departure event needs a model")
+        self.residents.pop(event.model.name, None)
+        self.priorities.pop(event.model.name, None)
+        return True
+
+    def priority(self, event: ScenarioEvent, t: float) -> bool:
+        if not event.priorities:
+            raise ValueError("priority event needs a priority dict")
+        self.priorities.update(event.priorities)
+        return True
+
+    def unknown(self, event: ScenarioEvent, t: float) -> bool:
+        raise ValueError(f"unknown event kind {event.kind!r}")
+
+    def plan(self, t: float):
+        models = list(self.residents.values())
+        vector = np.array([self.priorities[n] for n in self.residents])
+        return models, self.planner(models, vector)
+
+
 def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
                          platform: Platform, horizon: float,
                          default_priority: float = 0.1) -> Timeline:
@@ -177,84 +351,6 @@ def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
     """
     if not events:
         raise ValueError("scenario needs at least one event")
-    events = sorted(events, key=lambda e: e.time)
-
-    timeline = Timeline()
-    active: list[ModelSpec] = []
-    priorities: dict[str, float] = {}
-    current: tuple[list[ModelSpec], Mapping] | None = None
-    prev_names: list[str] = []
-    clock = 0.0
-
-    def emit(t0: float, t1: float) -> None:
-        if t1 <= t0:
-            return
-        names = tuple(m.name for m in active)
-        if current is None:
-            zeros = {m.name: 0.0 for m in active}
-            timeline.segments.append(Segment(t0, t1, names, zeros, dict(zeros)))
-            return
-        models, mapping = current
-        result = simulate(models, mapping, platform)
-        rates = {m.name: float(r) for m, r in zip(models, result.rates)}
-        pots = {m.name: float(p) for m, p in zip(models, result.potentials)}
-        # DNNs active but not (yet) mapped make no progress.
-        for m in active:
-            rates.setdefault(m.name, 0.0)
-            pots.setdefault(m.name, 0.0)
-        timeline.segments.append(Segment(t0, t1, names, rates, pots))
-
-    def apply(event: ScenarioEvent) -> None:
-        nonlocal active
-        if event.kind == "arrival":
-            if event.model is None:
-                raise ValueError("arrival event needs a model")
-            if any(m.name == event.model.name for m in active):
-                raise ValueError(
-                    f"{event.model.name!r} arrives at t={event.time} "
-                    "while already active")
-            active.append(event.model)
-            priorities.setdefault(event.model.name, default_priority)
-        elif event.kind == "departure":
-            if event.model is None:
-                raise ValueError("departure event needs a model")
-            active = [m for m in active if m.name != event.model.name]
-            priorities.pop(event.model.name, None)
-        elif event.kind == "priority":
-            if not event.priorities:
-                raise ValueError("priority event needs a priority dict")
-            priorities.update(event.priorities)
-        else:
-            raise ValueError(f"unknown event kind {event.kind!r}")
-
-    i = 0
-    while i < len(events) and events[i].time < horizon:
-        t_event = events[i].time
-        # Events landing inside a decision gap take effect when it closes.
-        effective = max(clock, t_event)
-        emit(clock, effective)
-        clock = effective
-        while i < len(events) and events[i].time == t_event:
-            apply(events[i])
-            i += 1
-
-        if not active:
-            current = None
-            prev_names = []
-            continue
-
-        vector = np.array([priorities[m.name] for m in active])
-        decision = planner(list(active), vector)
-        gap = max(0.0, decision.decision_seconds)
-        if gap > 0:
-            # Decision window: previous mapping keeps running (restricted to
-            # the DNNs still active); the event's subject waits.
-            current = restrict_mapping(current[1] if current else None,
-                                       prev_names, active)
-            emit(clock, min(clock + gap, horizon))
-            clock = min(clock + gap, horizon)
-        current = (list(active), decision.mapping)
-        prev_names = [m.name for m in active]
-
-    emit(clock, horizon)
-    return timeline
+    replay = _Replay(events, planner, platform, horizon, default_priority)
+    replay.run()
+    return replay.timeline

@@ -417,7 +417,9 @@ def serve_trace_reference(requests, policy: ReplanPolicy,
                 timeout(payload, clock)
             else:
                 needs_replan |= handle(kind, payload, clock)
-        if needs_replan:
+        # A decision once the clock reached the horizon could never take
+        # effect: no planner call.
+        if needs_replan and clock < horizon:
             clock = replan(clock)
 
     emit(clock, horizon)

@@ -30,11 +30,15 @@ from hypothesis import strategies as st
 
 from repro.baselines import GpuBaseline
 from repro.hw import orange_pi_5
+from repro.mapping import gpu_only_mapping
 from repro.runner import DynamicScenario, FleetScenario, ScenarioRunner
-from repro.serve import AdmissionConfig, FullReplan, ServeConfig, serve_trace
-from repro.sim import EvaluationCache
-from repro.workloads import (TraceConfig, iter_session_requests,
-                             sample_session_requests)
+from repro.serve import (AdmissionConfig, FullReplan, ReplanOutcome,
+                         ReplanPolicy, ServeConfig, serve_trace)
+from repro.sim import (EvaluationCache, MappingDecision, arrival, departure,
+                       run_dynamic_scenario)
+from repro.workloads import (SessionRequest, TraceConfig,
+                             iter_session_requests, sample_session_requests)
+from repro.zoo import get_model
 from tests.oracles.serve_reference import serve_trace_reference
 
 PLATFORM = orange_pi_5()
@@ -337,3 +341,70 @@ def test_fleet_report_invariant_to_worker_count(seed, preemption, fail):
     solo = ScenarioRunner(max_workers=1).run_fleet([fleet])[0].report
     pooled = ScenarioRunner(max_workers=2).run_fleet([fleet])[0].report
     assert solo == pooled
+
+
+# ------------------------------------------------------- one event core
+class _FixedLatencyGpu(ReplanPolicy):
+    """GPU-only plans at a fixed modeled decision latency."""
+
+    name = "fixed"
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def replan(self, workload, priorities, incumbent):
+        return ReplanOutcome(gpu_only_mapping(workload), self.seconds,
+                             "full")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000),
+       count=st.integers(1, len(POOL)),
+       latency=st.sampled_from([0.0, 2.0, 20.0, 200.0]),
+       snap=st.sampled_from([0.0, 20.0]))
+def test_serve_trace_and_replay_share_one_timeline(seed, count, latency,
+                                                   snap):
+    """``serve_trace`` and ``run_dynamic_scenario`` run one event core.
+
+    A trace whose every request is admitted on arrival (no more requests
+    than pool models or slots) is served with a fixed-latency GPU-only
+    policy; its sessions, rebuilt as arrivals at each request's arrival
+    time and departures at ``admitted_s + duration_s``, replay through
+    ``run_dynamic_scenario`` with the same latency to the same timeline,
+    segment for segment.  ``snap`` puts times on a grid so that events
+    coincide."""
+    horizon = 360.0
+    rng = np.random.default_rng(seed)
+    arrivals = rng.uniform(0.0, horizon, count)
+    durations = rng.uniform(10.0, 300.0, count)
+    if snap:
+        arrivals = np.floor(arrivals / snap) * snap
+        durations = np.ceil(durations / snap) * snap
+    requests = [SessionRequest(i, float(a), float(d), "gold")
+                for i, (a, d) in enumerate(zip(arrivals, durations))]
+    config = ServeConfig(
+        horizon_s=horizon,
+        admission=AdmissionConfig(capacity=len(POOL)), pool=POOL, seed=seed)
+    report = serve_trace(requests, _FixedLatencyGpu(latency), PLATFORM,
+                         config, cache=CACHE)
+    assert all(s.queue_wait_s == 0.0 and s.admitted_s is not None
+               for s in report.sessions)
+
+    # Same-time order of the serving loop: departures, then arrivals by
+    # (arrival_s, session_id).
+    events = []
+    for req, s in sorted(zip(requests, report.sessions),
+                         key=lambda pair: (pair[0].arrival_s,
+                                           pair[0].session_id)):
+        model = get_model(s.model)
+        events.append((req.arrival_s, 1, arrival(req.arrival_s, model)))
+        end = s.admitted_s + req.duration_s
+        events.append((end, 0, departure(end, model)))
+    events.sort(key=lambda item: item[:2])
+
+    def planner(workload, priorities):
+        return MappingDecision(gpu_only_mapping(workload), latency)
+
+    timeline = run_dynamic_scenario([e for _, _, e in events], planner,
+                                    PLATFORM, horizon)
+    assert timeline.segments == report.timeline.segments

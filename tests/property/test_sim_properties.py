@@ -129,9 +129,10 @@ def test_simulation_is_deterministic(names, seed):
        snap=st.sampled_from([0.0, 25.0]))
 def test_dynamic_timeline_tiles_the_horizon(seed, latency, rate, snap):
     """Segments of a dynamic scenario tile ``[0, horizon)`` and the planner
-    runs once per distinct event time below the horizon that leaves a
-    non-empty active set, whatever the decision latency.  ``snap`` floors
-    event times onto a grid so that events coincide."""
+    runs once per distinct event time that leaves a non-empty active set
+    and whose gap-deferred time is below the horizon, whatever the
+    decision latency.  ``snap`` floors event times onto a grid so that
+    events coincide."""
     horizon = 400.0
     config = TraceConfig(horizon_s=horizon, arrival_rate_per_s=rate,
                          mean_session_s=90.0, max_concurrent=3,
@@ -160,6 +161,7 @@ def test_dynamic_timeline_tiles_the_horizon(seed, latency, rate, snap):
         horizon, rel=1e-12)
 
     expected = 0
+    clock = 0.0
     active: set[str] = set()
     for t, batch in groupby(events, key=lambda e: e.time):
         if t >= horizon:
@@ -169,5 +171,9 @@ def test_dynamic_timeline_tiles_the_horizon(seed, latency, rate, snap):
                 active.add(e.model.name)
             elif e.kind == "departure":
                 active.discard(e.model.name)
-        expected += bool(active)
+        # An event inside a decision gap takes effect when it closes.
+        clock = max(clock, t)
+        if active and clock < horizon:
+            expected += 1
+            clock = min(clock + latency, horizon)
     assert len(calls) == expected

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import OraclePredictor, RankMap, RankMapConfig
 from repro.hw import orange_pi_5
+from repro.mapping import gpu_only_mapping
 from repro.search import MCTSConfig
 from repro.serve import (
     ADMIT,
@@ -16,6 +17,8 @@ from repro.serve import (
     FullReplan,
     LiveView,
     PlanCacheReplan,
+    ReplanOutcome,
+    ReplanPolicy,
     ServeConfig,
     WarmStartReplan,
     build_preemption_policy,
@@ -50,6 +53,19 @@ def serve_config(capacity=2, queue_limit=2, max_wait=100.0, horizon=400.0,
                                   max_queue_wait_s=max_wait,
                                   preemption=preemption),
         pool=POOL, seed=seed)
+
+
+class FixedLatencyGpu(ReplanPolicy):
+    """GPU-only plans at a fixed modeled decision latency."""
+
+    name = "fixed"
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def replan(self, workload, priorities, incumbent):
+        return ReplanOutcome(gpu_only_mapping(workload), self.seconds,
+                             "full")
 
 
 def live_view(name, sid, tier, priority, admitted=0.0, served=0.0):
@@ -319,6 +335,24 @@ class TestServeLoop:
         for prev, nxt in zip(segs, segs[1:]):
             assert prev.t_end == pytest.approx(nxt.t_start)
         assert segs[-1].t_end == pytest.approx(200.0)
+
+    def test_no_replan_once_a_gap_reaches_the_horizon(self):
+        """The first plan's 100 s gap carries the clock past the 60 s
+        horizon.  The arrival at t=30 is still admitted when the gap
+        closes, but a replan then could never take effect: it is not
+        made, and neither counted nor priced."""
+        requests = [request(0, 0.0, 500.0), request(1, 30.0, 500.0)]
+        report = serve_trace(requests, FixedLatencyGpu(100.0), PLATFORM,
+                             serve_config(capacity=2, horizon=60.0))
+        assert report.replans == 1
+        assert report.replan_kinds == {"full": 1}
+        assert report.total_decision_seconds == 100.0
+        first, second = report.sessions
+        assert first.outcome == second.outcome == "serving"
+        assert second.admitted_s == 60.0
+        assert second.served_seconds == 0.0
+        segs = report.timeline.segments
+        assert [(s.t_start, s.t_end) for s in segs] == [(0.0, 60.0)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Unit tests for the dynamic scenario engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +193,29 @@ class TestDecisionGaps:
         assert tl.potential_at("vgg16", 40.0) is None
         assert tl.potential_at("vgg16", 55.0) == 0.0
 
+    def test_no_planner_call_once_a_gap_reaches_the_horizon(self):
+        """The first decision's 100 s gap carries the clock past the 60 s
+        horizon: the arrival at t=30 is still applied when the gap closes,
+        but a decision then could never take effect, so none is asked."""
+        plan, calls = recording_planner(100.0)
+        tl = run_dynamic_scenario(
+            [arrival(0.0, get_model("resnet50")),
+             arrival(30.0, get_model("vgg16"))],
+            plan, PLATFORM, horizon=60.0,
+        )
+        assert calls == [("resnet50",)]
+        spans = [(seg.t_start, seg.t_end) for seg in tl.segments]
+        assert spans == [(0.0, 60.0)]
+        assert all("vgg16" not in seg.names for seg in tl.segments)
+
+    def test_events_deferred_to_the_horizon_are_still_validated(self):
+        with pytest.raises(ValueError, match="already active"):
+            run_dynamic_scenario(
+                [arrival(0.0, get_model("alexnet")),
+                 arrival(30.0, get_model("alexnet"))],
+                recording_planner(100.0)[0], PLATFORM, horizon=60.0,
+            )
+
 
 class TestScenarioEdgeCases:
     def test_departure_of_never_admitted_model_is_noop(self):
@@ -272,6 +300,25 @@ class TestTimelineQueries:
         tl = self._timeline()
         assert tl.time_average_throughput() > 0
 
+    def test_min_potential_skips_decision_gaps(self):
+        """A DNN waiting unmapped (rate 0) through a decision gap is not
+        running, so the gap does not count towards its minimum P."""
+        a, b = get_model("resnet50"), get_model("vgg16")
+        tl = run_dynamic_scenario(
+            [arrival(0.0, a), arrival(100.0, b)], gpu_planner(10.0),
+            PLATFORM, horizon=200.0,
+        )
+        assert tl.potential_at("resnet50", 5.0) == 0.0
+        assert tl.potential_at("vgg16", 105.0) == 0.0
+        # resnet50 runs alone, then shares the GPU with vgg16.
+        shared = tl.potential_at("resnet50", 150.0)
+        assert 0.0 < shared < 1.0
+        assert tl.min_potential("resnet50") == pytest.approx(shared)
+        assert tl.min_potential("vgg16") == pytest.approx(
+            tl.potential_at("vgg16", 150.0))
+        assert tl.min_potential("vgg16") > 0.0
+        assert np.isnan(tl.min_potential("mobilenet"))
+
     def test_final_potentials_contains_both(self):
         tl = self._timeline()
         final = tl.final_potentials()
@@ -282,3 +329,19 @@ class TestTimelineQueries:
         for prev, nxt in zip(tl.segments, tl.segments[1:]):
             assert prev.t_end == pytest.approx(nxt.t_start)
         assert tl.segments[-1].t_end == pytest.approx(200.0)
+
+
+class TestLayering:
+    def test_import_repro_sim_leaves_serving_layer_unloaded(self):
+        """The event core sits below the serving loop that uses it:
+        ``repro.sim`` must never import ``repro.serve``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.sim; "
+             "print(sorted(m for m in sys.modules if m == 'repro.serve' "
+             "or m.startswith('repro.serve.')))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
