@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from ..zoo.layers import ModelSpec
 from .predictor import RatePredictor
 from .priorities import dynamic_priorities, normalize_priorities
 
-__all__ = ["Manager", "RankMap", "RankMapConfig"]
+__all__ = ["CandidateObjective", "Manager", "RankMap", "RankMapConfig"]
 
 #: Each relaxation retry scales the starvation thresholds by this factor.
 _RELAXATION_FACTOR = 0.5
@@ -110,8 +111,25 @@ class RankMapConfig:
         return RewardConfig(kind="weighted", normalize_by_ideal=False)
 
 
+class CandidateObjective(NamedTuple):
+    """What a plan scores candidates against (Sec. IV-E): priorities,
+    per-DNN starvation thresholds (inf/s), the ideal rates a potentials
+    reward divides by (``None`` for raw rates) and the reward kind."""
+
+    priorities: np.ndarray
+    thresholds: np.ndarray
+    ideals: np.ndarray | None
+    kind: str
+
+
 class RankMap(Manager):
-    """Priority-aware multi-DNN manager for heterogeneous platforms."""
+    """Priority-aware multi-DNN manager for heterogeneous platforms.
+
+    It owns the candidate objective: :meth:`candidate_objective` and
+    :meth:`score_candidates` serve its search, its board validation and
+    :class:`~repro.serve.replan.WarmStartReplan`; subclasses reprice
+    qualifying candidates through the :meth:`_adjust_rewards` hook.
+    """
 
     def __init__(self, platform: Platform, predictor: RatePredictor,
                  config: RankMapConfig | None = None):
@@ -137,16 +155,9 @@ class RankMap(Manager):
         t0 = time.perf_counter()
         if not workload:
             raise ValueError("workload must not be empty")
-        p = self._resolve_priorities(workload, priorities)
-        self.last_priorities = p
-
-        reward_cfg = self.config.resolved_reward()
-        thresholds = thresholds_for(workload, self.platform, reward_cfg, p)
-        ideals = (np.array([self.platform.ideal_throughput(m)
-                            for m in workload])
-                  if reward_cfg.normalize_by_ideal else None)
-        mapping, stats = self._search(workload, p, thresholds, ideals,
-                                      reward_cfg.kind, attempt=0)
+        objective = self.candidate_objective(workload, priorities)
+        self.last_priorities = objective.priorities
+        mapping, stats = self._search(workload, objective, attempt=0)
 
         # Under saturation, relax the floors — but never below the
         # starvation line itself, so a qualifying mapping always keeps
@@ -160,24 +171,59 @@ class RankMap(Manager):
         while (stats.best_reward <= DISQUALIFIED
                and attempts < self.config.threshold_relaxations):
             attempts += 1
-            thresholds = np.maximum(thresholds * _RELAXATION_FACTOR, floor_min)
-            mapping, stats = self._search(workload, p, thresholds, ideals,
-                                          reward_cfg.kind, attempt=attempts)
+            objective = objective._replace(thresholds=np.maximum(
+                objective.thresholds * _RELAXATION_FACTOR, floor_min))
+            mapping, stats = self._search(workload, objective,
+                                          attempt=attempts)
 
         modeled = stats.evaluations * self.predictor.board_latency_per_eval
         k = self.config.board_validation_top_k
         if k > 0 and stats.top_candidates:
             mapping, validated = self._validate_on_board(
-                workload, stats.top_candidates[:k], p, thresholds, ideals,
-                reward_cfg.kind, fallback=mapping)
+                workload, stats.top_candidates[:k], objective,
+                fallback=mapping)
             modeled += validated * self.config.board_measurement_window_s
 
         self.last_stats = stats
         self.last_wall_seconds = time.perf_counter() - t0
         return MappingDecision(mapping, decision_seconds=modeled)
 
-    def _validate_on_board(self, workload, candidates, p, thresholds,
-                           ideals, kind, fallback) -> tuple[Mapping, int]:
+    def candidate_objective(self, workload: list[ModelSpec],
+                            priorities: np.ndarray | None
+                            ) -> CandidateObjective:
+        """Resolve what candidate mappings of ``workload`` are scored
+        against."""
+        p = self._resolve_priorities(workload, priorities)
+        reward_cfg = self.config.resolved_reward()
+        thresholds = thresholds_for(workload, self.platform, reward_cfg, p)
+        ideals = (np.array([self.platform.ideal_throughput(m)
+                            for m in workload])
+                  if reward_cfg.normalize_by_ideal else None)
+        return CandidateObjective(p, thresholds, ideals, reward_cfg.kind)
+
+    def score_candidates(self, workload: list[ModelSpec],
+                         mappings: list[Mapping], rates,
+                         objective: CandidateObjective,
+                         utilisations=None) -> np.ndarray:
+        """Rewards of ``mappings`` at predicted or board-measured per-DNN
+        ``rates``; board validation also passes each mapping's measured
+        per-component ``utilisations``."""
+        p, thresholds, ideals, kind = objective
+        rewards = np.array([mapping_reward(row, p, thresholds, ideals, kind)
+                            for row in rates])
+        return self._adjust_rewards(workload, mappings, rates, rewards,
+                                    utilisations)
+
+    def _adjust_rewards(self, workload, mappings, rates, rewards,
+                        utilisations) -> np.ndarray:
+        """Hook: reprice the entries of ``rewards`` above
+        :data:`DISQUALIFIED` in place (``utilisations`` is ``None`` for
+        predicted rates).  RankMap scores rates alone."""
+        return rewards
+
+    def _validate_on_board(self, workload, candidates,
+                           objective: CandidateObjective,
+                           fallback) -> tuple[Mapping, int]:
         """Re-measure candidate mappings on the board; deploy the best.
 
         If every candidate *measures* disqualified (a saturated platform
@@ -188,20 +234,22 @@ class RankMap(Manager):
         """
         from ..sim.engine import simulate_batch
 
+        mappings = [candidate for _, candidate in candidates]
+        measured = simulate_batch(workload, mappings, self.platform)
+        rewards = self.score_candidates(
+            workload, mappings, [result.rates for result in measured],
+            objective,
+            [result.solution.component_utilisation for result in measured])
         best_mapping = fallback
         best_reward = DISQUALIFIED
         best_margin = -np.inf
         margin_mapping = fallback
-        mappings = [candidate for _, candidate in candidates]
-        measured = simulate_batch(workload, mappings, self.platform)
-        for candidate, result in zip(mappings, measured):
-            reward = mapping_reward(result.rates, p, thresholds, ideals,
-                                    kind)
+        for candidate, result, reward in zip(mappings, measured, rewards):
             if reward > best_reward:
                 best_reward = reward
                 best_mapping = candidate
             margin = float(
-                (result.rates / np.maximum(thresholds, 1e-12)).min())
+                (result.rates / np.maximum(objective.thresholds, 1e-12)).min())
             if margin > best_margin:
                 best_margin = margin
                 margin_mapping = candidate
@@ -221,15 +269,13 @@ class RankMap(Manager):
             raise ValueError("priority vector must match workload size")
         return p
 
-    def _search(self, workload: list[ModelSpec], p: np.ndarray,
-                thresholds: np.ndarray, ideals: np.ndarray | None,
-                kind: str, attempt: int = 0) -> tuple[Mapping, MCTSStats]:
+    def _search(self, workload: list[ModelSpec],
+                objective: CandidateObjective,
+                attempt: int = 0) -> tuple[Mapping, MCTSStats]:
         def evaluate(mappings: list[Mapping]) -> np.ndarray:
             rates = self.predictor.predict_batch(workload, mappings)
-            return np.array([
-                mapping_reward(row, p, thresholds, ideals, kind)
-                for row in rates
-            ])
+            return self.score_candidates(workload, mappings, rates,
+                                         objective)
 
         # Seed per (workload, relaxation attempt) — never per plan() call —
         # so repeated plans replay the same trajectory (see

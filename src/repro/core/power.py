@@ -23,8 +23,6 @@ matter how little power they would draw.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..hw.energy import (
@@ -35,11 +33,9 @@ from ..hw.energy import (
 )
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
-from ..search.mcts import MCTS, MCTSConfig, MCTSStats
-from ..search.reward import DISQUALIFIED, mapping_reward
+from ..search.reward import DISQUALIFIED
 from ..sim.demands import compute_stage_demands
 from ..zoo.layers import ModelSpec
-from .manager import _workload_fingerprint
 from .manager import RankMap, RankMapConfig
 from .predictor import RatePredictor
 
@@ -93,60 +89,22 @@ class PowerAwareRankMap(RankMap):
         """Ground-truth (simulated-board) energy report for a mapping."""
         return energy_report(workload, mapping, self.platform, self.power)
 
-    def _validate_on_board(self, workload, candidates, p, thresholds,
-                           ideals, kind, fallback) -> tuple[Mapping, int]:
-        """Board validation scores candidates with *measured* power.
+    def _adjust_rewards(self, workload, mappings, rates, rewards,
+                        utilisations) -> np.ndarray:
+        """Fold board power into each qualifying candidate's reward.
 
-        Mirrors the base class's saturation behaviour: if every candidate
-        measures disqualified, deploy the one with the largest worst-case
-        rate-to-threshold margin — starvation avoidance outranks power.
+        Search prices the utilisation :meth:`estimated_utilisation`
+        derives from predicted rates; board validation prices each
+        mapping's measured utilisation, as :meth:`measured_energy` does.
+        Disqualified candidates stay disqualified, so the best-margin
+        fallback still outranks power.
         """
-        best_mapping = fallback
-        best_reward = DISQUALIFIED
-        best_margin = -np.inf
-        margin_mapping = fallback
-        for _, candidate in candidates:
-            report = self.measured_energy(workload, candidate)
-            reward = mapping_reward(report.rates, p, thresholds, ideals,
-                                    kind)
-            if reward > DISQUALIFIED:
-                if self.objective == "penalty":
-                    reward -= self.power_weight * report.system_watts
-                else:
-                    reward /= max(report.system_watts, 1e-9)
-            if reward > best_reward:
-                best_reward = reward
-                best_mapping = candidate
-            margin = float(
-                (report.rates / np.maximum(thresholds, 1e-12)).min())
-            if margin > best_margin:
-                best_margin = margin
-                margin_mapping = candidate
-        if best_reward <= DISQUALIFIED:
-            best_mapping = margin_mapping
-        return best_mapping, len(candidates)
-
-    # ------------------------------------------------------------------
-    def _search(self, workload: list[ModelSpec], p: np.ndarray,
-                thresholds: np.ndarray, ideals: np.ndarray | None,
-                kind: str, attempt: int = 0) -> tuple[Mapping, MCTSStats]:
-        def evaluate(mappings: list[Mapping]) -> np.ndarray:
-            rates = self.predictor.predict_batch(workload, mappings)
-            rewards = np.empty(len(mappings))
-            for i, (mapping, row) in enumerate(zip(mappings, rates)):
-                base = mapping_reward(row, p, thresholds, ideals, kind)
-                if base <= DISQUALIFIED:
-                    rewards[i] = base
-                    continue
-                watts = self.estimated_watts(workload, mapping, row)
-                if self.objective == "penalty":
-                    rewards[i] = base - self.power_weight * watts
-                else:
-                    rewards[i] = base / max(watts, 1e-9)
-            return rewards
-
-        cfg = replace(self.config.mcts,
-                      seed=(self.config.mcts.seed + 1 + attempt
-                            + _workload_fingerprint(workload)))
-        search = MCTS(workload, self.platform.num_components, evaluate, cfg)
-        return search.search()
+        for i in np.flatnonzero(rewards > DISQUALIFIED):
+            util = (self.estimated_utilisation(workload, mappings[i], rates[i])
+                    if utilisations is None else utilisations[i])
+            watts = self.power.system_watts(np.clip(util, 0.0, 1.0))
+            if self.objective == "penalty":
+                rewards[i] -= self.power_weight * watts
+            else:
+                rewards[i] /= max(watts, 1e-9)
+        return rewards

@@ -46,14 +46,13 @@ from __future__ import annotations
 import hashlib
 import pickle
 import re
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..hw.platform import Platform
-from ..sim.cache import platform_fingerprint
+from ..sim.cache import dump_pickle_atomic, platform_fingerprint
 from ..vqvae.model import LayerVQVAE
 from ..vqvae.train import EmbeddingCache
 from .model import EstimatorConfig, ThroughputEstimator
@@ -226,10 +225,8 @@ def save_estimator_artifact(path: str | Path,
     ``lineage`` defaults to the base-artifact lineage; fine-tune passes
     supply the child's provenance instead.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lineage = lineage if lineage is not None else ArtifactLineage()
-    payload = {
+    return dump_pickle_atomic({
         "version": ARTIFACT_FORMAT_VERSION,
         "fingerprint": platform_fingerprint(platform),
         "platform_name": platform.name,
@@ -245,20 +242,7 @@ def save_estimator_artifact(path: str | Path,
             "segment_count": int(lineage.segment_count),
             "finetune_epoch": int(lineage.finetune_epoch),
         },
-    }
-    # Unique temp name per writer: concurrent saves to one path must not
-    # interleave into the same file before the atomic rename.
-    with tempfile.NamedTemporaryFile(dir=path.parent, delete=False,
-                                     suffix=".tmp") as fh:
-        tmp = Path(fh.name)
-        try:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException:
-            fh.close()
-            tmp.unlink(missing_ok=True)
-            raise
-    tmp.replace(path)
-    return path
+    }, path)
 
 
 def _parse_lineage(payload: dict, path: Path) -> ArtifactLineage:

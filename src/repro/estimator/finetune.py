@@ -43,7 +43,7 @@ from typing import Iterable, Mapping as MappingABC
 
 import numpy as np
 
-from ..autodiff import Tensor, optim
+from ..autodiff import optim
 from ..hw.platform import Platform
 from ..mapping import Mapping
 from ..obs.recorder import SegmentUsage
@@ -58,7 +58,7 @@ from .artifact import (
 )
 from .dataset import EstimatorDataset, EstimatorSample
 from .model import EstimatorConfig
-from .train import _masked_mse, _shuffle_channels
+from .train import train_epochs
 
 __all__ = [
     "FinetuneBuffer",
@@ -254,32 +254,14 @@ def finetune(artifact: EstimatorArtifact,
         return report
     dataset = EstimatorDataset(samples, artifact.config)
     model = artifact.estimator
-    rng = np.random.default_rng(config.seed)
     optimizer = optim.Adam(model.parameters(), lr=config.lr)
-    n = len(dataset)
     try:
-        for _ in range(config.epochs):
-            model.train()
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                q, y, mask = dataset.build_batch(idx, artifact.embedder)
-                if config.channel_shuffle:
-                    _shuffle_channels(q, y, mask, rng)
-                optimizer.zero_grad()
-                pred = model(Tensor(q))
-                loss = _masked_mse(pred, y, mask)
-                loss.backward()
-                optim.clip_grad_norm(model.parameters(), config.grad_clip)
-                optimizer.step()
-                epoch_loss += float(loss.data)
-                n_batches += 1
-                report.steps += 1
-            report.train_loss.append(epoch_loss / max(1, n_batches))
+        report.train_loss = list(train_epochs(
+            model, dataset, artifact.embedder, optimizer,
+            np.random.default_rng(config.seed), config))
     finally:
         model.eval()
+    report.steps = config.epochs * -(-len(dataset) // config.batch_size)
     return report
 
 

@@ -12,8 +12,8 @@ from .dataset import EstimatorDataset
 from .metrics import l2_loss, spearman_r
 from .model import ThroughputEstimator
 
-__all__ = ["EstimatorTrainConfig", "TrainReport", "train_estimator",
-           "evaluate_estimator"]
+__all__ = ["EstimatorTrainConfig", "TrainReport", "train_epochs",
+           "train_estimator", "evaluate_estimator"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,38 @@ def _masked_mse(pred: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
     return (masked * masked).sum() * (1.0 / max(mask.sum(), 1.0))
 
 
+def train_epochs(model: ThroughputEstimator, dataset: EstimatorDataset,
+                 embedder: EmbeddingCache, optimizer: optim.Adam,
+                 rng: np.random.Generator, config,
+                 schedule: optim.CosineSchedule | None = None):
+    """The epoch loop :func:`train_estimator` and
+    :func:`~repro.estimator.finetune.finetune` share; yields each epoch's
+    mean training loss.  ``config`` supplies ``epochs``, ``batch_size``,
+    ``channel_shuffle`` and ``grad_clip``."""
+    n = len(dataset)
+    for _ in range(config.epochs):
+        model.train()
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            q, y, mask = dataset.build_batch(idx, embedder)
+            if config.channel_shuffle:
+                _shuffle_channels(q, y, mask, rng)
+            optimizer.zero_grad()
+            pred = model(Tensor(q))
+            loss = _masked_mse(pred, y, mask)
+            loss.backward()
+            optim.clip_grad_norm(model.parameters(), config.grad_clip)
+            if schedule is not None:
+                schedule.step()
+            optimizer.step()
+            epoch_loss += float(loss.data)
+            n_batches += 1
+        yield epoch_loss / max(1, n_batches)
+
+
 def train_estimator(model: ThroughputEstimator, dataset: EstimatorDataset,
                     embedder: EmbeddingCache,
                     config: EstimatorTrainConfig | None = None
@@ -73,31 +105,14 @@ def train_estimator(model: ThroughputEstimator, dataset: EstimatorDataset,
     rng = np.random.default_rng(config.seed)
     train_set, val_set = dataset.split(config.val_fraction, rng)
     optimizer = optim.Adam(model.parameters(), lr=config.lr)
-    n = len(train_set)
-    steps = max(1, (n + config.batch_size - 1) // config.batch_size)
+    steps = max(1, (len(train_set) + config.batch_size - 1)
+                // config.batch_size)
     schedule = optim.CosineSchedule(optimizer, config.lr, config.lr_min,
                                     steps * config.epochs)
     report = TrainReport()
-    for _ in range(config.epochs):
-        model.train()
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            q, y, mask = train_set.build_batch(idx, embedder)
-            if config.channel_shuffle:
-                _shuffle_channels(q, y, mask, rng)
-            optimizer.zero_grad()
-            pred = model(Tensor(q))
-            loss = _masked_mse(pred, y, mask)
-            loss.backward()
-            optim.clip_grad_norm(model.parameters(), config.grad_clip)
-            schedule.step()
-            optimizer.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-        report.train_loss.append(epoch_loss / max(1, n_batches))
+    for loss in train_epochs(model, train_set, embedder, optimizer, rng,
+                             config, schedule):
+        report.train_loss.append(loss)
         val_l2, _ = evaluate_estimator(model, val_set, embedder)
         report.val_loss.append(val_l2)
 

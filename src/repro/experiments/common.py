@@ -1,9 +1,10 @@
 """Shared experiment infrastructure: presets, trained artifacts, managers.
 
 Every experiment runs through an :class:`ExperimentContext` that owns the
-platform, the trained VQ-VAE + estimator (cached on disk per preset, so 11
-experiments share one training run), the manager roster and the output
-directory.  Presets trade fidelity for runtime:
+platform, the trained VQ-VAE + estimator (cached on disk per preset and
+platform as one estimator artifact file, so 11 experiments share one
+training run), the manager roster and the output directory.  Presets
+trade fidelity for runtime:
 
 * ``tiny``  — CI-sized smoke configuration (seconds).
 * ``fast``  — the default recorded in EXPERIMENTS.md (minutes).
@@ -21,10 +22,10 @@ from ..baselines import GAConfig, GeneticManager, GpuBaseline, Mosaic, Odmdef, O
 from ..core import EstimatorPredictor, RankMap, RankMapConfig
 from ..core.manager import Manager
 from ..estimator import (
+    EstimatorArtifact,
     EstimatorConfig,
     EstimatorTrainConfig,
     ThroughputEstimator,
-    evaluate_estimator,
     generate_dataset,
     load_estimator_artifact,
     save_estimator_artifact,
@@ -33,10 +34,11 @@ from ..estimator import (
 from ..hw import orange_pi_5
 from ..hw.platform import Platform
 from ..search import MCTSConfig
-from ..vqvae import EmbeddingCache, LayerVQVAE, VQVAETrainConfig, train_vqvae
+from ..sim.cache import platform_fingerprint
+from ..vqvae import EmbeddingCache, VQVAETrainConfig, train_vqvae
 from ..workloads import sample_mix
 
-__all__ = ["ExperimentPreset", "PRESETS", "Artifacts", "ExperimentContext",
+__all__ = ["ExperimentPreset", "PRESETS", "ExperimentContext",
            "ExperimentResult", "sample_mix"]
 
 
@@ -81,17 +83,6 @@ PRESETS: dict[str, ExperimentPreset] = {
 
 
 @dataclass
-class Artifacts:
-    """Trained learning components shared across experiments."""
-
-    vqvae: LayerVQVAE
-    embedder: EmbeddingCache
-    estimator: ThroughputEstimator
-    estimator_val_l2: float
-    estimator_val_spearman: float
-
-
-@dataclass
 class ExperimentResult:
     """Uniform experiment output: rows for CSV plus rendered text."""
 
@@ -124,47 +115,43 @@ class ExperimentContext:
         self.platform = platform or orange_pi_5()
         self.results_dir = Path(results_dir)
         self.use_artifact_cache = use_artifact_cache
-        self._artifacts: Artifacts | None = None
+        self._artifacts: EstimatorArtifact | None = None
         self._mix_study = None  # filled by experiments.mix_study
 
     # ------------------------------------------------------------------
     @property
-    def artifacts(self) -> Artifacts:
+    def artifacts(self) -> EstimatorArtifact:
+        """The context's trained VQ-VAE and estimator, trained once.
+
+        With ``use_artifact_cache`` they are loaded from the
+        :meth:`estimator_artifact_path` file, or trained and saved there
+        when it is missing, corrupt or trained for another platform.
+        """
         if self._artifacts is None:
-            self._artifacts = self._build_or_load_artifacts()
+            path = self._artifact_file()
+            if self.use_artifact_cache and path.exists():
+                try:
+                    self._artifacts = load_estimator_artifact(path,
+                                                              self.platform)
+                except ValueError:
+                    pass    # wrong platform / corrupt / old format
+            if self._artifacts is None:
+                self._artifacts = self._train_artifacts()
+                if self.use_artifact_cache:
+                    self.estimator_artifact_path()
         return self._artifacts
 
-    def _cache_path(self) -> Path:
+    def _artifact_file(self) -> Path:
         # Keyed by platform as well as preset: the dataset (and therefore
         # the trained weights) depends on the board the rates were
-        # simulated on, and a platform-blind cache would let one board's
-        # weights be re-stamped as another's by estimator_artifact_path.
+        # simulated on.
         return (self.results_dir /
-                f"artifacts_{self.preset.name}_{self.platform.name}.npz")
+                f"estimator_{self.preset.name}_{self.platform.name}.pkl")
 
-    def _build_or_load_artifacts(self) -> Artifacts:
-        cache = self._cache_path()
+    def _train_artifacts(self) -> EstimatorArtifact:
         rng = np.random.default_rng(self.preset.seed)
-        vqvae = LayerVQVAE(np.random.default_rng(self.preset.seed))
         estimator = ThroughputEstimator(
             np.random.default_rng(self.preset.seed + 1), EstimatorConfig())
-
-        if self.use_artifact_cache and cache.exists():
-            blob = np.load(cache, allow_pickle=False)
-            vqvae.load_arrays([blob[f"vq_{i}"]
-                               for i in range(int(blob["n_vq"]))])
-            vqvae.quantizer.load_arrays([blob[f"cb_{i}"]
-                                         for i in range(int(blob["n_cb"]))])
-            vqvae.eval()
-            estimator.load_arrays([blob[f"est_{i}"]
-                                   for i in range(int(blob["n_est"]))])
-            return Artifacts(
-                vqvae=vqvae, embedder=EmbeddingCache(vqvae),
-                estimator=estimator,
-                estimator_val_l2=float(blob["val_l2"]),
-                estimator_val_spearman=float(blob["val_rho"]),
-            )
-
         vqvae, _ = train_vqvae(
             config=VQVAETrainConfig(epochs=self.preset.vqvae_epochs,
                                     seed=self.preset.seed))
@@ -176,36 +163,11 @@ class ExperimentContext:
             EstimatorTrainConfig(epochs=self.preset.estimator_epochs,
                                  seed=self.preset.seed),
         )
-        _, val = dataset.split(0.1, np.random.default_rng(self.preset.seed))
-        val_l2, val_rho = evaluate_estimator(estimator, val, embedder)
-        del report
-
-        artifacts = Artifacts(
-            vqvae=vqvae, embedder=embedder, estimator=estimator,
-            estimator_val_l2=val_l2, estimator_val_spearman=val_rho,
-        )
-        if self.use_artifact_cache:
-            self._save_artifacts(artifacts, cache)
-        return artifacts
-
-    def _save_artifacts(self, artifacts: Artifacts, cache: Path) -> None:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        payload: dict[str, np.ndarray] = {}
-        vq_arrays = artifacts.vqvae.state_arrays()
-        cb_arrays = artifacts.vqvae.quantizer.state_arrays()
-        est_arrays = artifacts.estimator.state_arrays()
-        payload["n_vq"] = np.array(len(vq_arrays))
-        payload["n_cb"] = np.array(len(cb_arrays))
-        payload["n_est"] = np.array(len(est_arrays))
-        payload["val_l2"] = np.array(artifacts.estimator_val_l2)
-        payload["val_rho"] = np.array(artifacts.estimator_val_spearman)
-        for i, a in enumerate(vq_arrays):
-            payload[f"vq_{i}"] = a
-        for i, a in enumerate(cb_arrays):
-            payload[f"cb_{i}"] = a
-        for i, a in enumerate(est_arrays):
-            payload[f"est_{i}"] = a
-        np.savez_compressed(cache, **payload)
+        return EstimatorArtifact(
+            estimator=estimator, vqvae=vqvae, embedder=embedder,
+            config=estimator.config, platform_name=self.platform.name,
+            fingerprint=platform_fingerprint(self.platform),
+            val_l2=report.final_val_loss, val_spearman=report.val_spearman)
 
     # ------------------------------------------------------------------
     def mcts_config(self, seed_offset: int = 0) -> MCTSConfig:
@@ -248,13 +210,14 @@ class ExperimentContext:
             ),
         }
 
-    def estimator_artifact_path(self, refresh: bool = False) -> Path:
+    def estimator_artifact_path(self) -> Path:
         """Train-or-load the context's estimator once; return its artifact.
 
-        The first call trains (or loads from the artifact cache) the
-        VQ-VAE + estimator and persists them as one
+        The first call trains (or loads) the VQ-VAE + estimator through
+        :attr:`artifacts` and persists them as one
         :func:`repro.estimator.save_estimator_artifact` file under the
-        results directory; later calls — and every
+        results directory — the same file :attr:`artifacts` reads back
+        with ``use_artifact_cache``; later calls — and every
         :class:`~repro.runner.ScenarioRunner` worker a sweep fans out —
         reuse that file by path.  This is what lets
         :meth:`serve_sweep`/:meth:`fleet_serve_sweep` pay for training
@@ -264,9 +227,8 @@ class ExperimentContext:
         a context on a different board — or a corrupt file — is
         retrained instead of silently downgrading every sweep cell.
         """
-        path = (self.results_dir /
-                f"estimator_{self.preset.name}_{self.platform.name}.pkl")
-        if not refresh and path.exists():
+        path = self._artifact_file()
+        if path.exists():
             try:
                 load_estimator_artifact(path, self.platform)
                 return path
@@ -275,8 +237,7 @@ class ExperimentContext:
         artifacts = self.artifacts
         save_estimator_artifact(
             path, artifacts.estimator, artifacts.vqvae, self.platform,
-            val_l2=artifacts.estimator_val_l2,
-            val_spearman=artifacts.estimator_val_spearman)
+            val_l2=artifacts.val_l2, val_spearman=artifacts.val_spearman)
         return path
 
     def refresh_estimator(self, results, config=None):

@@ -18,6 +18,7 @@ import numpy as np
 from ..core.predictor import EstimatorPredictor
 from ..core import RankMap, RankMapConfig
 from ..baselines import GpuBaseline, OmniBoost
+from ..metrics import STARVATION_EPSILON
 from ..sim import run_dynamic_scenario
 from ..utils import render_table
 from ..workloads import (
@@ -80,13 +81,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             violation_fracs.append(report.violation_fraction)
             gold_means.append(report.mean_potential_by_tier.get("gold",
                                                                 np.nan))
-            from ..metrics import STARVATION_EPSILON
-
             for segment in timeline.segments:
                 if segment.t_start < 30.0:
                     continue
+                # A DNN waiting out a decision gap unmapped (rate 0) is
+                # not starved, as in Timeline.min_potential.
                 starved += sum(p < STARVATION_EPSILON
-                               for p in segment.potentials.values())
+                               for name, p in segment.potentials.items()
+                               if segment.rates.get(name, 0.0) > 0.0)
         summary[name] = {
             "violation_frac": float(np.mean(violation_fracs)),
             "gold_mean_p": float(np.nanmean(gold_means)),

@@ -37,8 +37,8 @@ from ..obs import NULL_RECORDER, Recorder, TelemetryRecorder, merge_snapshots
 from ..obs.registry import EVAL_CACHE_DOWNGRADES, PREDICTOR_DOWNGRADES
 from ..search import MCTSConfig
 from ..serve import AdmissionConfig, ServeConfig, build_replan_policy, serve_trace
-from ..serve.fleet import (FleetPowerConfig, NodeSpec, build_fleet_report,
-                           fleet_pressure, node_speed, plan_dispatch)
+from ..serve.fleet import (FleetPowerConfig, FleetRounds, NodeSpec,
+                           node_speed)
 from ..sim import EvaluationCache, simulate
 from ..sim.cache import platform_fingerprint
 from ..workloads import (SessionRequest, TraceConfig, iter_session_requests,
@@ -544,8 +544,9 @@ class ScenarioRunner:
         """Execute fleet studies, fanning *nodes* across the process pool.
 
         Phase 1 runs in this process: each fleet samples its shared
-        demand and fixes a deterministic dispatch plan
-        (:func:`repro.serve.fleet.plan_dispatch`).  Phase 2 flattens
+        demand and its :class:`~repro.serve.fleet.FleetRounds` — the
+        round loop :func:`repro.serve.fleet.serve_fleet` runs inline —
+        fixes a deterministic dispatch plan.  Phase 2 flattens
         every fleet's node slices into one task list and maps it over the
         pool — so a 3-fleet x 4-node sweep keeps 12 workers busy — then
         regroups per fleet and rolls the node reports up into
@@ -554,10 +555,10 @@ class ScenarioRunner:
 
         Fleets with ``feedback_rounds=N > 0`` re-dispatch iteratively:
         round ``k`` plans with the per-node pressure measured from round
-        ``k-1``'s reports (:func:`repro.serve.fleet.fleet_pressure`) and
-        the fleet's result is round ``N``'s.  Mixed sweeps stay batched —
-        each round flattens every still-active fleet's node slices into
-        one pool map, and a fleet whose rounds are exhausted simply stops
+        ``k-1``'s reports and the fleet's result is round ``N``'s.  The
+        fleets' rounds step in lockstep, so mixed sweeps stay batched — each
+        round flattens every still-active fleet's node slices into one
+        pool map, and a fleet whose rounds are exhausted simply stops
         contributing tasks.  Only each fleet's *final* round records
         telemetry (intermediate rounds serve with ``observe=False``
         node specs and a null dispatch recorder), so snapshots — like
@@ -571,79 +572,57 @@ class ScenarioRunner:
         bit-identity.
         """
         fleets = list(fleets)
-        if not fleets:
-            return []
-        states: list[dict] = []
-        for fleet in fleets:
-            states.append({
-                "fleet": fleet,
-                "requests": tuple(sample_fleet_requests(fleet)),
-                "specs": _fleet_node_specs(fleet),
-                "power": _fleet_power_config(fleet),
-                "platforms": [node.platform for node in fleet.nodes],
-                "pressure": None,      # measured NodePressure from the
-                #                        previous round, None on round 0
-                "plan": None,
-                "dispatch_snap": None,
-                "node_results": None,
-            })
-        max_rounds = max(state["fleet"].feedback_rounds for state in states)
-        for round_index in range(max_rounds + 1):
-            active = [state for state in states
-                      if round_index <= state["fleet"].feedback_rounds]
+        all_rounds = [FleetRounds(sample_fleet_requests(fleet),
+                                  _fleet_node_specs(fleet),
+                                  [node.platform for node in fleet.nodes],
+                                  fleet.routing, fleet.horizon_s,
+                                  fleet.feedback_rounds,
+                                  _fleet_power_config(fleet))
+                      for fleet in fleets]
+        dispatch_snaps: list = [None] * len(fleets)
+        node_results: list[list[DynamicResult]] = [[] for _ in fleets]
+        while not all(rounds.done for rounds in all_rounds):
+            active = [i for i, rounds in enumerate(all_rounds)
+                      if not rounds.done]
             tasks: list[FleetNodeTask] = []
-            for state in active:
-                fleet = state["fleet"]
-                final = round_index == fleet.feedback_rounds
-                observing = final and any(n.observe for n in fleet.nodes)
+            for i in active:
+                fleet, rounds = fleets[i], all_rounds[i]
+                observing = (rounds.final
+                             and any(n.observe for n in fleet.nodes))
                 dispatch_recorder: Recorder = (
                     TelemetryRecorder(where=f"{fleet.name}/dispatch")
                     if observing else NULL_RECORDER)
-                plan = plan_dispatch(state["requests"], state["specs"],
-                                     fleet.routing, fleet.horizon_s,
-                                     recorder=dispatch_recorder,
-                                     pressure=state["pressure"],
-                                     power=state["power"])
-                state["plan"] = plan
-                state["dispatch_snap"] = dispatch_recorder.snapshot()
-                for node, spec, slice_requests in zip(
-                        fleet.nodes, state["specs"], plan.node_requests):
-                    horizon = (fleet.horizon_s if spec.fail_at_s is None
-                               else min(spec.fail_at_s, fleet.horizon_s))
-                    node_spec = (node if final
+                plan = rounds.dispatch(dispatch_recorder)
+                dispatch_snaps[i] = dispatch_recorder.snapshot()
+                for node, horizon, slice_requests in zip(
+                        fleet.nodes, rounds.horizons, plan.node_requests):
+                    node_spec = (node if rounds.final
                                  else replace(node, observe=False))
                     tasks.append(FleetNodeTask(spec=node_spec,
                                                requests=slice_requests,
                                                horizon_s=horizon))
             round_results = self._map(execute_fleet_node, tasks)
             cursor = 0
-            for state in active:
-                count = len(state["fleet"].nodes)
-                slice_results = round_results[cursor:cursor + count]
+            for i in active:
+                count = len(fleets[i].nodes)
+                node_results[i] = round_results[cursor:cursor + count]
                 cursor += count
-                state["node_results"] = slice_results
-                state["pressure"] = fleet_pressure(
-                    state["specs"], [r.report for r in slice_results])
+                all_rounds[i].finish([r.report for r in node_results[i]])
 
         results: list[FleetResult] = []
-        for state in states:
-            fleet = state["fleet"]
-            slice_results = state["node_results"]
-            report = build_fleet_report(
-                fleet.horizon_s, fleet.routing, state["specs"],
-                state["platforms"], state["plan"],
-                [r.report for r in slice_results])
+        for fleet, rounds, dispatch_snap, slice_results in zip(
+                fleets, all_rounds, dispatch_snaps, node_results):
             # Snapshots fold in a fixed order — dispatch phase first, then
             # nodes in fleet order — so telemetry is bit-identical for any
             # pool size, exactly like the reports themselves.
-            dispatch_snap = state["dispatch_snap"]
             snaps = ([dispatch_snap] if dispatch_snap is not None else [])
             snaps += [r.telemetry for r in slice_results
                       if r.telemetry is not None]
             telemetry = (merge_snapshots(snaps, where=fleet.name)
                          if snaps else None)
             results.append(FleetResult(
-                name=fleet.name, routing=fleet.routing, report=report,
+                name=fleet.name, routing=fleet.routing,
+                report=rounds.report(),
                 wall_seconds=sum(r.wall_seconds for r in slice_results),
                 telemetry=telemetry))
         return results

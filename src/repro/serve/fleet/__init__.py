@@ -33,6 +33,7 @@ worker count.
 from .dispatch import (
     DispatchPlan,
     FleetNode,
+    FleetRounds,
     NodeSpec,
     node_speed,
     plan_dispatch,
@@ -59,6 +60,7 @@ from .routing import (
 __all__ = [
     "NodeSpec",
     "FleetNode",
+    "FleetRounds",
     "DispatchPlan",
     "node_speed",
     "plan_dispatch",

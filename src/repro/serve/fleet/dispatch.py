@@ -17,7 +17,8 @@ Two phases keep this deterministic and pool-friendly:
    :func:`serve_fleet`, or fanned across a process pool via
    :meth:`repro.runner.ScenarioRunner.run_fleet` — and their
    :class:`~repro.serve.report.ServeReport` outputs roll up into a
-   :class:`~repro.serve.fleet.report.FleetReport`.
+   :class:`~repro.serve.fleet.report.FleetReport`.  One
+   :class:`FleetRounds` runs the feedback rounds of both paths.
 
 Node failure is modeled as a drain-and-re-dispatch: a node with
 ``NodeSpec.fail_at_s`` serves only up to the failure instant, and every
@@ -32,6 +33,7 @@ so a re-dispatched session may appear in two node reports: truncated
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -66,6 +68,7 @@ __all__ = [
     "NodeSpec",
     "FleetNode",
     "DispatchPlan",
+    "FleetRounds",
     "node_speed",
     "plan_dispatch",
     "serve_fleet",
@@ -391,6 +394,82 @@ def plan_dispatch(requests: Iterable[SessionRequest],
     )
 
 
+class FleetRounds:
+    """The dispatch-then-serve rounds of one fleet run.
+
+    The one round loop of :func:`serve_fleet` and of
+    :meth:`repro.runner.ScenarioRunner.run_fleet`, which steps several
+    fleets' rounds in lockstep, one pool map per round.  Each round,
+    :meth:`dispatch` routes the demand with a fresh policy fed the
+    pressure the previous round measured; the caller serves node ``i``'s
+    slice up to ``horizons[i]`` (cut at its failure) and passes the node
+    reports to :meth:`finish`.  :meth:`report` rolls up the final round.
+    """
+
+    def __init__(self, requests: Iterable[SessionRequest],
+                 specs: list[NodeSpec] | tuple[NodeSpec, ...],
+                 platforms: list[str] | tuple[str, ...],
+                 routing: RoutingPolicy | str, horizon_s: float,
+                 feedback_rounds: int = 0,
+                 power: FleetPowerConfig | None = None):
+        if feedback_rounds < 0:
+            raise ValueError(
+                f"feedback_rounds must be >= 0, got {feedback_rounds}")
+        if feedback_rounds and not isinstance(routing, str):
+            raise ValueError(
+                "feedback_rounds > 0 requires a routing roster key: every "
+                "round must re-dispatch with a fresh policy instance")
+        # Routing consumes the demand once per round.
+        self.requests = tuple(requests)
+        self.specs = tuple(specs)
+        self.platforms = tuple(platforms)
+        self.routing = routing
+        self.horizon_s = horizon_s
+        self.feedback_rounds = feedback_rounds
+        self.power = power
+        self.horizons = tuple(
+            horizon_s if spec.fail_at_s is None
+            else min(spec.fail_at_s, horizon_s) for spec in self.specs)
+        self.round = 0
+        self._pressure: dict[str, NodePressure] | None = None
+        self._plan: DispatchPlan | None = None
+        self._reports: list = []
+        self._routing_name = ""
+
+    @property
+    def final(self) -> bool:
+        """Whether the current round is the one the report is built from."""
+        return self.round == self.feedback_rounds
+
+    @property
+    def done(self) -> bool:
+        """Whether every round has been served."""
+        return self.round > self.feedback_rounds
+
+    def dispatch(self, recorder: Recorder = NULL_RECORDER) -> DispatchPlan:
+        """Fix the current round's routing of the whole demand."""
+        policy = (build_routing_policy(self.routing)
+                  if isinstance(self.routing, str) else self.routing)
+        self._routing_name = policy.name
+        self._plan = plan_dispatch(self.requests, self.specs, policy,
+                                   self.horizon_s, recorder=recorder,
+                                   pressure=self._pressure, power=self.power)
+        return self._plan
+
+    def finish(self, reports) -> None:
+        """Close the current round with its per-node serve reports."""
+        if not self.final:
+            self._pressure = fleet_pressure(self.specs, reports)
+        self._reports = list(reports)
+        self.round += 1
+
+    def report(self) -> FleetReport:
+        """The fleet report of the final round."""
+        return build_fleet_report(self.horizon_s, self._routing_name,
+                                  self.specs, self.platforms, self._plan,
+                                  self._reports)
+
+
 def serve_fleet(requests: Iterable[SessionRequest],
                 nodes: list[FleetNode] | tuple[FleetNode, ...],
                 routing: RoutingPolicy | str = "round_robin",
@@ -400,16 +479,16 @@ def serve_fleet(requests: Iterable[SessionRequest],
                 power: FleetPowerConfig | None = None) -> FleetReport:
     """Dispatch ``requests`` across ``nodes`` and serve every slice inline.
 
-    The single-process reference implementation of the fleet: routing via
-    :func:`plan_dispatch` (which materialises the demand — routing needs
-    it all), then one :func:`repro.serve.serve_trace` call per node (a
-    failed node serves up to ``fail_at_s`` only), rolled up into a
-    :class:`FleetReport`.  ``horizon_s`` defaults to the largest
+    The single-process execution of the fleet's :class:`FleetRounds`:
+    routing via :func:`plan_dispatch` (which materialises the demand —
+    routing needs it all), then one :func:`repro.serve.serve_trace` call
+    per node (a failed node serves up to ``fail_at_s`` only), rolled up
+    into a :class:`FleetReport`.  ``horizon_s`` defaults to the largest
     node-config horizon.  :meth:`repro.runner.ScenarioRunner.run_fleet`
-    produces bit-identical reports with the nodes fanned across a process
-    pool.  ``recorder`` observes both the dispatch phase and every node's
-    serving loop (one shared sink on this inline path; the pool path
-    keeps per-node recorders and merges their snapshots).
+    produces bit-identical reports with the nodes fanned across a
+    process pool.  ``recorder`` observes both the dispatch phase and
+    every node's serving loop (one shared sink on this inline path; the
+    pool path keeps per-node recorders and merges their snapshots).
 
     ``feedback_rounds=N`` iterates the whole dispatch-then-serve cycle
     ``N`` extra times: round ``k`` re-routes the *same* demand with the
@@ -419,8 +498,10 @@ def serve_fleet(requests: Iterable[SessionRequest],
     Each round starts from a fresh policy instance, so ``routing`` must
     be a roster key when ``feedback_rounds > 0``; with a pressure-blind
     policy the rounds converge trivially (every round routes
-    identically).  Telemetry is recorded on the final round only —
-    intermediate rounds are dispatcher deliberation, not served traffic.
+    identically).  Intermediate rounds are dispatcher deliberation, not
+    served traffic: they record no telemetry and serve on deep copies of
+    each node's replan policy, so the final round plans from the
+    caller's policy state, as every pool round plans from the node spec.
 
     ``power`` makes the dispatch energy-budgeted (see
     :func:`plan_dispatch`): the final report then carries the power-cap
@@ -428,41 +509,28 @@ def serve_fleet(requests: Iterable[SessionRequest],
     """
     if not nodes:
         raise ValueError("fleet must have at least one node")
-    if feedback_rounds < 0:
-        raise ValueError(
-            f"feedback_rounds must be >= 0, got {feedback_rounds}")
-    if feedback_rounds and not isinstance(routing, str):
-        raise ValueError(
-            "feedback_rounds > 0 requires a routing roster key: every "
-            "round must re-dispatch with a fresh policy instance")
     if horizon_s is None:
         horizon_s = max(node.config.horizon_s for node in nodes)
-    specs = [node.spec for node in nodes]
-    platforms = [node.platform.name for node in nodes]
-    # Routing consumes the demand once per round.
-    requests = tuple(requests)
-
-    pressure: dict[str, NodePressure] | None = None
-    for round_index in range(feedback_rounds + 1):
-        final = round_index == feedback_rounds
+    rounds = FleetRounds(requests, [node.spec for node in nodes],
+                         [node.platform.name for node in nodes], routing,
+                         horizon_s, feedback_rounds, power)
+    while not rounds.done:
+        final = rounds.final
         round_recorder = recorder if final else NULL_RECORDER
-        policy = (build_routing_policy(routing)
-                  if isinstance(routing, str) else routing)
-        plan = plan_dispatch(requests, specs, policy, horizon_s,
-                             recorder=round_recorder, pressure=pressure,
-                             power=power)
+        plan = rounds.dispatch(round_recorder)
         reports = []
-        for node, slice_requests in zip(nodes, plan.node_requests):
+        for node, horizon, slice_requests in zip(nodes, rounds.horizons,
+                                                 plan.node_requests):
+            # The evaluation cache never changes a report bit, so the
+            # copies share it rather than copy it.
+            policy = (node.policy if final else copy.deepcopy(
+                node.policy, {id(node.cache): node.cache}))
             config = node.config
-            fail = node.spec.fail_at_s
-            node_horizon = (horizon_s if fail is None
-                            else min(fail, horizon_s))
-            if config.horizon_s != node_horizon:
-                config = replace(config, horizon_s=node_horizon)
-            reports.append(serve_trace(slice_requests, node.policy,
+            if config.horizon_s != horizon:
+                config = replace(config, horizon_s=horizon)
+            reports.append(serve_trace(slice_requests, policy,
                                        node.platform, config,
                                        cache=node.cache,
                                        recorder=round_recorder))
-        pressure = fleet_pressure(specs, reports)
-    return build_fleet_report(horizon_s, policy.name, specs, platforms,
-                              plan, reports)
+        rounds.finish(reports)
+    return rounds.report()

@@ -313,13 +313,8 @@ def build_fleet_report(horizon_s: float, routing: str,
                        platforms: Sequence[str],
                        plan: "DispatchPlan",
                        reports: Sequence[ServeReport]) -> FleetReport:
-    """Assemble the :class:`FleetReport` from a dispatch plan's pieces.
-
-    Shared by the inline path (:func:`repro.serve.fleet.serve_fleet`) and
-    the process-pool path (:meth:`repro.runner.ScenarioRunner.run_fleet`)
-    so both produce structurally identical — and therefore bit-comparable
-    — reports.
-    """
+    """Assemble the :class:`FleetReport` from a dispatch plan's pieces
+    (the final round of a :class:`~repro.serve.fleet.FleetRounds` run)."""
     ledger = plan.power
     nodes = tuple(
         NodeReport(name=spec.name, platform=platform, speed=spec.speed,

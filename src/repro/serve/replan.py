@@ -24,14 +24,14 @@ Policies report their modeled decision latency via
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core.manager import Manager, RankMap
-from ..core.priorities import dynamic_priorities, normalize_priorities
 from ..mapping.mapping import Mapping, gpu_only_mapping
-from ..search.reward import DISQUALIFIED, mapping_reward, thresholds_for
+from ..search.reward import DISQUALIFIED
 from ..zoo.layers import ModelSpec
 
 __all__ = [
@@ -100,10 +100,11 @@ class FullReplan(ReplanPolicy):
 class WarmStartReplan(ReplanPolicy):
     """Extend the incumbent mapping instead of searching from scratch.
 
-    Requires a :class:`~repro.core.manager.RankMap` (the policy reuses its
-    predictor, reward configuration and starvation thresholds).  The first
-    plan of a run — no incumbent — is a full search: it seeds the state
-    every later warm start extends.
+    Requires a :class:`~repro.core.manager.RankMap`: its predictor scores
+    the candidates and its candidate objective rewards them, so a
+    :class:`~repro.core.power.PowerAwareRankMap` prices power here too.
+    The first plan of a run — no incumbent — is a full search: it seeds
+    the state every later warm start extends.
     """
 
     name = "warm"
@@ -117,10 +118,10 @@ class WarmStartReplan(ReplanPolicy):
         mcts = manager.config.mcts
         reduced = replace(
             mcts, iterations=max(4, int(mcts.iterations * _FALLBACK_FRACTION)))
-        # Shares the predictor (and therefore the evaluation cache) with
-        # the wrapped manager; only the search budget shrinks.
-        self._fallback = RankMap(manager.platform, manager.predictor,
-                                 replace(manager.config, mcts=reduced))
+        # The wrapped manager with its predictor (and therefore its
+        # evaluation cache) shared; only the search budget shrinks.
+        self._fallback = copy.copy(manager)
+        self._fallback.config = replace(manager.config, mcts=reduced)
 
     # ------------------------------------------------------------------
     def _candidates(self, workload: list[ModelSpec],
@@ -154,14 +155,6 @@ class WarmStartReplan(ReplanPolicy):
                 unique.append(cand)
         return unique
 
-    def _resolve_priorities(self, workload: list[ModelSpec],
-                            priorities: np.ndarray | None) -> np.ndarray:
-        if self.manager.config.mode == "dynamic":
-            return dynamic_priorities(workload)
-        if priorities is None:
-            raise ValueError("static mode requires a user priority vector")
-        return normalize_priorities(priorities)
-
     def replan(self, workload, priorities, incumbent) -> ReplanOutcome:
         """Extend the incumbent; fall back to a reduced search only when
         no extension candidate clears the starvation floors."""
@@ -171,18 +164,13 @@ class WarmStartReplan(ReplanPolicy):
                                  "full")
         manager = self.manager
         candidates = self._candidates(workload, incumbent)
-        p = self._resolve_priorities(workload, priorities)
-        reward_cfg = manager.config.resolved_reward()
-        thresholds = thresholds_for(workload, manager.platform, reward_cfg, p)
-        ideals = (np.array([manager.platform.ideal_throughput(m)
-                            for m in workload])
-                  if reward_cfg.normalize_by_ideal else None)
+        objective = manager.candidate_objective(workload, priorities)
         # One fused batched evaluation across the candidate roster — with
         # an EstimatorPredictor this is the paper's learned decision path
         # (stacked Q assembly + a single forward pass).
         rates = manager.predictor.predict_batch(workload, candidates)
-        rewards = [mapping_reward(row, p, thresholds, ideals, reward_cfg.kind)
-                   for row in rates]
+        rewards = manager.score_candidates(workload, candidates, rates,
+                                           objective)
         # Each candidate is priced at the predictor's modeled per-eval
         # latency: a full measurement window on the oracle, the paper's
         # 0.04 s learned decision latency on the estimator.

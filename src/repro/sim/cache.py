@@ -85,6 +85,30 @@ def platform_fingerprint(platform: Platform) -> str:
 _DEFAULT_MAXSIZE = 50_000
 
 
+def dump_pickle_atomic(payload, path: str | Path) -> Path:
+    """Pickle ``payload`` to ``path`` through a temp file and a rename.
+
+    The parent directory is created if needed.  Concurrent readers never
+    observe a half-written file, and a payload that fails to pickle
+    raises with neither a temp file left behind nor ``path`` changed.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # Unique temp name per writer: concurrent saves to one path must
+    # not interleave into the same file before the atomic rename.
+    with tempfile.NamedTemporaryFile(dir=path.parent, delete=False,
+                                     suffix=".tmp") as fh:
+        tmp = Path(fh.name)
+        try:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            fh.close()
+            tmp.unlink(missing_ok=True)
+            raise
+    tmp.replace(path)
+    return path
+
+
 class EvaluationCache:
     """LRU memo of :func:`simulate` results for one platform."""
 
@@ -173,21 +197,12 @@ class EvaluationCache:
         a temporary file and an atomic rename so concurrent readers never
         observe a half-written cache.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        dump_pickle_atomic({
             "version": _CACHE_FORMAT_VERSION,
             "fingerprint": platform_fingerprint(self.platform),
             "platform_name": self.platform.name,
             "entries": list(self._store.items()),
-        }
-        # Unique temp name per writer: concurrent saves to one path must
-        # not interleave into the same file before the atomic rename.
-        with tempfile.NamedTemporaryFile(dir=path.parent, delete=False,
-                                         suffix=".tmp") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp = Path(fh.name)
-        tmp.replace(path)
+        }, path)
         return len(self._store)
 
     @classmethod

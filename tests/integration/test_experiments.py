@@ -45,7 +45,7 @@ def test_artifact_cache_roundtrip(tmp_path):
     ctx1 = ExperimentContext(preset="tiny", results_dir=tmp_path,
                              use_artifact_cache=True)
     a1 = ctx1.artifacts
-    assert (tmp_path / "artifacts_tiny_orange_pi_5.npz").exists()
+    assert (tmp_path / "estimator_tiny_orange_pi_5.pkl").exists()
 
     ctx2 = ExperimentContext(preset="tiny", results_dir=tmp_path,
                              use_artifact_cache=True)
@@ -57,7 +57,12 @@ def test_artifact_cache_roundtrip(tmp_path):
     np.testing.assert_allclose(a1.estimator.predict_log_rates(q),
                                a2.estimator.predict_log_rates(q),
                                rtol=1e-5)
-    assert a2.estimator_val_l2 == pytest.approx(a1.estimator_val_l2)
+    assert a2.val_l2 == pytest.approx(a1.val_l2)
+    # The cache is the artifact sweeps fan out: no second file is written.
+    assert ctx2.estimator_artifact_path() \
+        == tmp_path / "estimator_tiny_orange_pi_5.pkl"
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["estimator_tiny_orange_pi_5.pkl"]
 
 
 def test_cli_main_runs(tmp_path, capsys):

@@ -31,9 +31,13 @@ from hypothesis import strategies as st
 from repro.baselines import GpuBaseline
 from repro.hw import orange_pi_5
 from repro.mapping import gpu_only_mapping
-from repro.runner import DynamicScenario, FleetScenario, ScenarioRunner
+from repro.runner import (PLATFORM_SPECS, DynamicScenario, FleetScenario,
+                          ScenarioRunner, build_manager,
+                          sample_fleet_requests)
 from repro.serve import (AdmissionConfig, FullReplan, ReplanOutcome,
-                         ReplanPolicy, ServeConfig, serve_trace)
+                         ReplanPolicy, ServeConfig, build_replan_policy,
+                         serve_trace)
+from repro.serve.fleet import FleetNode, NodeSpec, node_speed, serve_fleet
 from repro.sim import (EvaluationCache, MappingDecision, arrival, departure,
                        run_dynamic_scenario)
 from repro.workloads import (SessionRequest, TraceConfig,
@@ -341,6 +345,62 @@ def test_fleet_report_invariant_to_worker_count(seed, preemption, fail):
     solo = ScenarioRunner(max_workers=1).run_fleet([fleet])[0].report
     pooled = ScenarioRunner(max_workers=2).run_fleet([fleet])[0].report
     assert solo == pooled
+
+
+def _inline_nodes(fleet):
+    """The fleet's nodes built in this process, the way a pool worker
+    builds each node from its spec."""
+    fail_at = dict(fleet.fail_at)
+    nodes = []
+    for index, spec in enumerate(fleet.nodes):
+        platform = PLATFORM_SPECS[spec.platform]()
+        cache = EvaluationCache(platform)
+        policy = build_replan_policy(spec.policy,
+                                     build_manager(spec, platform, cache))
+        config = ServeConfig(
+            horizon_s=fleet.horizon_s,
+            admission=AdmissionConfig(
+                capacity=spec.capacity, queue_limit=spec.queue_limit,
+                max_queue_wait_s=spec.max_queue_wait_s,
+                preemption=spec.preemption),
+            pool=spec.pool, seed=spec.seed)
+        nodes.append(FleetNode(
+            spec=NodeSpec(name=spec.name, capacity=spec.capacity,
+                          speed=node_speed(platform, spec.pool),
+                          fail_at_s=fail_at.get(index)),
+            platform=platform, policy=policy, config=config, cache=cache))
+    return nodes
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000),
+       rounds=st.integers(0, 2),
+       policy=st.sampled_from(["full", "cache"]),
+       manager=st.sampled_from(["baseline", "omniboost"]),
+       fail=st.booleans())
+def test_inline_fleet_equals_pooled_fleet(seed, rounds, policy, manager,
+                                          fail):
+    """``serve_fleet`` on nodes built in-process returns the report
+    ``ScenarioRunner.run_fleet`` builds from the same spec, feedback
+    rounds included: earlier rounds leave no plan-cache entries or
+    planner state behind on the inline nodes, as pool workers rebuild
+    every round from the spec."""
+    nodes = tuple(DynamicScenario(
+        name=f"node{i}", manager=manager, policy=policy,
+        platform=("orange_pi_5" if i == 0 else "jetson_class"),
+        seed=i, pool=POOL[:4], capacity=2, queue_limit=4,
+        max_queue_wait_s=60.0, search_iterations=3, search_rollouts=1)
+        for i in range(2))
+    fleet = FleetScenario(
+        name="inline-vs-pool", nodes=nodes, routing="pressure_feedback",
+        seed=seed, horizon_s=200.0, arrival_rate_per_s=1 / 10,
+        mean_session_s=80.0, feedback_rounds=rounds,
+        fail_at=(((1, 110.0),) if fail else ()))
+    pooled = ScenarioRunner(max_workers=1).run_fleet([fleet])[0].report
+    inline = serve_fleet(sample_fleet_requests(fleet), _inline_nodes(fleet),
+                         fleet.routing, fleet.horizon_s,
+                         feedback_rounds=rounds)
+    assert inline == pooled
 
 
 # ------------------------------------------------------- one event core

@@ -11,8 +11,9 @@ from repro.core import (
     normalize_priorities,
     static_priorities,
 )
+from repro.core.power import PowerAwareRankMap
 from repro.core.predictor import RatePredictor
-from repro.hw import orange_pi_5
+from repro.hw import orange_pi_5, orange_pi_5_power
 from repro.mapping import gpu_only_mapping, uniform_block_mapping
 from repro.search import MCTSConfig, RewardConfig
 from repro.search.reward import DISQUALIFIED
@@ -263,24 +264,27 @@ class TestThresholdRelaxation:
 class TestBoardValidationMarginFallback:
     """_validate_on_board when every candidate *measures* disqualified."""
 
-    def _plan(self, threshold):
+    def _plan(self, threshold, power=False):
         workload = wl("alexnet", "mobilenet")
         reward = RewardConfig(kind="weighted", mode="absolute",
                               threshold=threshold, normalize_by_ideal=False)
-        manager = RankMap(
-            PLATFORM, InflatingOracle(PLATFORM),
-            RankMapConfig(mode="dynamic", mcts=FAST_MCTS, reward=reward,
-                          threshold_relaxations=0,
-                          board_validation_top_k=4),
-        )
+        config = RankMapConfig(mode="dynamic", mcts=FAST_MCTS, reward=reward,
+                               threshold_relaxations=0,
+                               board_validation_top_k=4)
+        if power:
+            manager = PowerAwareRankMap(PLATFORM, InflatingOracle(PLATFORM),
+                                        orange_pi_5_power(), config)
+        else:
+            manager = RankMap(PLATFORM, InflatingOracle(PLATFORM), config)
         return workload, manager, manager.plan(workload)
 
-    def test_margin_fallback_selects_least_starved_candidate(self):
+    def _assert_margin_fallback(self, power):
         # The inflated predictor qualifies candidates that the board
         # measurement (true simulator) cannot: rates sit far below the
         # absolute floor, so validation must fall back to the best-margin
         # candidate instead of trusting the estimator's reward order.
-        workload, manager, decision = self._plan(threshold=500.0)
+        workload, manager, decision = self._plan(threshold=500.0,
+                                                 power=power)
         stats = manager.last_stats
         assert stats.best_reward > DISQUALIFIED  # search believed it passed
         candidates = [m for _, m in stats.top_candidates[:4]]
@@ -292,6 +296,14 @@ class TestBoardValidationMarginFallback:
         margins = [float((r.rates / thresholds).min()) for r in measured]
         expected = candidates[int(np.argmax(margins))]
         assert decision.mapping == expected
+
+    def test_margin_fallback_selects_least_starved_candidate(self):
+        self._assert_margin_fallback(power=False)
+
+    def test_power_aware_margin_fallback(self):
+        """PowerAwareRankMap validates through RankMap's rule: power
+        pricing never rescues a candidate that measures disqualified."""
+        self._assert_margin_fallback(power=True)
 
     def test_validation_keeps_reward_best_when_measurable(self):
         # With an achievable floor the normal path deploys the candidate

@@ -585,6 +585,29 @@ class TestServeFleetFeedback:
             serve_fleet(demand(), fleet_nodes(), "pressure_feedback",
                         feedback_rounds=-1)
 
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_plan_dispatch_patch_point_called_once_per_round(self, rounds):
+        """The fleet benchmark times the dispatch decision by rebinding
+        ``plan_dispatch`` in :mod:`repro.serve.fleet.dispatch` around a
+        ``serve_fleet`` call; the call must look the name up there, once
+        per round."""
+        from repro.serve.fleet import dispatch as module
+
+        inner = module.plan_dispatch
+        calls = []
+
+        def plan_dispatch(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        module.plan_dispatch = plan_dispatch
+        try:
+            serve_fleet(demand(), fleet_nodes(), "pressure_feedback",
+                        feedback_rounds=rounds)
+        finally:
+            module.plan_dispatch = inner
+        assert len(calls) == rounds + 1
+
 
 # ---------------------------------------------------------------- power
 def power_views(*specs):

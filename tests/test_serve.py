@@ -172,6 +172,19 @@ class TestReplanPolicies:
         with pytest.raises(ValueError, match="RankMap"):
             WarmStartReplan(GpuBaseline())
 
+    def test_warm_start_checks_priority_length_like_rankmap(self):
+        """A static-mode warm replan resolves priorities through its
+        manager, so a wrong-length vector fails with RankMap's check
+        before any candidate is scored."""
+        policy = WarmStartReplan(rankmap(mode="static"))
+        resident = [get_model("alexnet"), get_model("squeezenet")]
+        first = policy.replan(resident, np.array([0.6, 0.4]), None)
+        workload = resident + [get_model("mobilenet_v2")]
+        with pytest.raises(ValueError, match="priority vector must match "
+                                             "workload size"):
+            policy.replan(workload, np.array([0.6, 0.4]),
+                          (("alexnet", "squeezenet"), first.mapping))
+
     def test_plan_cache_hit_is_free_and_identical(self):
         """Acceptance: cache hits cost nothing and replay the same mapping
         (hence identical steady-state rates) for identical workloads."""

@@ -121,6 +121,22 @@ class TestCachePersistence:
         for got, want in zip(results, originals):
             np.testing.assert_array_equal(got.rates, want.rates)
 
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        """A save whose pickling fails raises and removes its temp file,
+        leaving the previous cache file as it was."""
+        import pickle
+
+        workload = wl("alexnet", "mobilenet")
+        cache = self._primed_cache(workload)
+        path = tmp_path / "cache.pkl"
+        cache.save(path)
+        before = path.read_bytes()
+        cache._store[("unpicklable",)] = lambda: None
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.save(path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert path.read_bytes() == before
+
     def test_load_refuses_foreign_platform(self, tmp_path):
         from repro.hw import jetson_class
 
