@@ -56,33 +56,15 @@ def sweep(ctx, horizon, routing, estimator_path, feedback_rounds=0,
     results, _ = ctx.fleet_serve_sweep(
         routings=(routing,), num_nodes=NUM_NODES, traces_per_cell=1,
         horizon_s=horizon, arrival_rate_per_s=RATE, pool=LIGHT_POOL,
-        capacity=CAPACITY, predictor="estimator",
+        capacity=CAPACITY, policy="warm", predictor="estimator",
         estimator_path=estimator_path, observe=observe,
         feedback_rounds=feedback_rounds,
         rate_shift=(horizon / 2.0, 3.0), max_workers=workers)
     return results, results[0].report
 
 
-def main() -> None:
-    horizon = float(sys.argv[1]) if len(sys.argv) > 1 else 480.0
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else None
-
-    ctx = ExperimentContext(
-        preset="tiny",
-        results_dir=Path(tempfile.gettempdir()) / "repro_adaptive_demo")
-    t0 = time.perf_counter()
-    base = ctx.estimator_artifact_path()
-    # Start every run from generation zero so the refresh below is
-    # always the base -> gen1 step (repeat runs stay reproducible).
-    for stale in base.parent.glob(f"{base.stem}.gen*{base.suffix}"):
-        stale.unlink()
-    # Freeze the pre-drift weights in their own family dir: a scenario
-    # naming this copy can never pick up the refreshed generation.
-    frozen = Path(tempfile.mkdtemp(prefix="repro_frozen_")) / base.name
-    shutil.copyfile(base, frozen)
-    print(f"estimator artifact: {base} "
-          f"(ready in {time.perf_counter() - t0:.1f} s)")
-
+def ab_test(ctx, horizon, base, frozen, workers) -> None:
+    """Observe, adapt, then compare frozen vs adaptive on one demand."""
     # Phase 1: observe the drifted demand with the frozen weights.
     t0 = time.perf_counter()
     observed, _ = sweep(ctx, horizon, "least_loaded", frozen,
@@ -127,6 +109,30 @@ def main() -> None:
     print(f"1-vs-2-worker adaptive reports bit-identical: {identical}")
     if not identical:
         raise SystemExit("determinism regression on the closed loop")
+
+
+def main() -> None:
+    horizon = float(sys.argv[1]) if len(sys.argv) > 1 else 480.0
+    workers = int(sys.argv[2]) if len(sys.argv) > 2 else None
+
+    ctx = ExperimentContext(
+        preset="tiny",
+        results_dir=Path(tempfile.gettempdir()) / "repro_adaptive_demo")
+    t0 = time.perf_counter()
+    base = ctx.estimator_artifact_path()
+    # Start every run from generation zero so the refresh below is
+    # always the base -> gen1 step (repeat runs stay reproducible).
+    for stale in base.parent.glob(f"{base.stem}.gen*{base.suffix}"):
+        stale.unlink()
+    # Freeze the pre-drift weights in their own family dir, removed with
+    # the run: a scenario naming this copy can never pick up the
+    # refreshed generation.
+    with tempfile.TemporaryDirectory(prefix="repro_frozen_") as frozen_dir:
+        frozen = Path(frozen_dir) / base.name
+        shutil.copyfile(base, frozen)
+        print(f"estimator artifact: {base} "
+              f"(ready in {time.perf_counter() - t0:.1f} s)")
+        ab_test(ctx, horizon, base, frozen, workers)
 
 
 if __name__ == "__main__":

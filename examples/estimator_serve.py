@@ -58,7 +58,8 @@ def main() -> None:
         results, summary = ctx.serve_sweep(
             policies=POLICIES, managers=("rankmap_d",), traces_per_cell=1,
             horizon_s=horizon, arrival_rate_per_s=1 / 30.0,
-            pool=LIGHT_POOL, max_workers=workers, predictor=predictor,
+            mean_session_s=200.0, pool=LIGHT_POOL, max_workers=workers,
+            predictor=predictor,
             estimator_path=(artifact_path if predictor == "estimator"
                             else None))
         wall = time.perf_counter() - t0
@@ -91,7 +92,7 @@ def main() -> None:
     specs = dynamic_sweep_scenarios(
         policies=POLICIES, managers=("rankmap_d",), traces_per_cell=1,
         seed=ctx.preset.seed, horizon_s=horizon,
-        arrival_rate_per_s=1 / 30.0, pool=LIGHT_POOL,
+        arrival_rate_per_s=1 / 30.0, mean_session_s=200.0, pool=LIGHT_POOL,
         search_iterations=ctx.preset.mcts_iterations,
         search_rollouts=ctx.preset.mcts_rollouts,
         predictor="estimator", estimator_path=str(artifact_path))

@@ -280,113 +280,28 @@ class ExperimentContext:
                                 self.platform, config=config)
 
     # ------------------------------------------------------------------
-    def fleet_sweep(self, managers: tuple[str, ...] = ("baseline", "mosaic",
-                                                       "rankmap_d"),
-                    sizes: tuple[int, ...] = (3, 4, 5),
-                    mixes_per_size: int | None = None,
-                    platform: str | None = None,
-                    max_workers: int | None = None):
-        """Oracle-backed mix sweep fanned across a process pool.
-
-        This is the scale-out successor of the hand-rolled serial loops the
-        experiments used to carry: the preset's MCTS budget and mix count
-        turn into declarative :class:`~repro.runner.Scenario` specs and a
-        :class:`~repro.runner.ScenarioRunner` executes them on all cores
-        with per-scenario seeded determinism (the result list is identical
-        for any worker count).  Returns ``(results, summary_rows)``.
-
-        Workers rebuild the platform from a ``runner.PLATFORM_SPECS``
-        preset key; by default the context's own platform name, which must
-        therefore be a preset (a custom Platform object cannot cross the
-        process boundary by name — pass ``platform=`` explicitly).
-        """
-        from ..runner import PLATFORM_SPECS, ScenarioRunner, mix_scenarios, summarise
-
-        if platform is None:
-            platform = self.platform.name
-        if platform not in PLATFORM_SPECS:
-            raise ValueError(
-                f"platform {platform!r} is not a runner preset; "
-                f"choose from {sorted(PLATFORM_SPECS)}")
-        scenarios = mix_scenarios(
-            managers=managers, sizes=sizes,
-            mixes_per_size=(mixes_per_size if mixes_per_size is not None
-                            else self.preset.mixes_per_size),
-            seed=self.preset.seed, platform=platform,
-            search_iterations=self.preset.mcts_iterations,
-            search_rollouts=self.preset.mcts_rollouts,
-        )
-        results = ScenarioRunner(max_workers=max_workers).run(scenarios)
-        return results, summarise(results)
-
     def serve_sweep(self, policies: tuple[str, ...] = ("full", "warm",
                                                        "cache"),
                     managers: tuple[str, ...] = ("rankmap_d",),
                     traces_per_cell: int = 2,
-                    horizon_s: float = 600.0,
-                    arrival_rate_per_s: float = 1.0 / 45.0,
-                    pool: tuple[str, ...] = (),
-                    platform: str | None = None,
-                    preemption: str = "none",
                     max_workers: int | None = None,
-                    cache_path=None,
-                    predictor: str = "oracle",
-                    estimator_path=None):
+                    **fields):
         """Dynamic-traffic study fanned across the process pool.
 
-        The online analogue of :meth:`fleet_sweep`: every (policy,
-        manager) cell serves the same sampled Poisson traces through
-        :func:`repro.serve.serve_trace` on a worker process, so replan
-        policies are compared on identical arrival processes.  The
-        preset's MCTS budget scales the search managers; ``cache_path``
-        optionally points workers at a persisted evaluation cache and
-        ``preemption`` keys the admission-side preemption policy
-        (:data:`repro.serve.PREEMPTION_POLICIES`) in every cell.
-        ``predictor="estimator"`` runs the paper's learned decision path:
-        the context trains (or loads) its estimator artifact *once*
-        (:meth:`estimator_artifact_path`, unless ``estimator_path``
-        points at an existing artifact) and every worker loads it by
-        path.  Returns ``(results, summary_rows)``.
+        Every (policy, manager) cell serves the same sampled Poisson
+        traces through :func:`repro.serve.serve_trace` on a worker
+        process, so replan policies are compared on identical arrival
+        processes.  Every other keyword is a
+        :class:`~repro.runner.DynamicScenario` field passed by name
+        through :func:`~repro.runner.dynamic_sweep_scenarios`, completed
+        by :meth:`_sweep_fields`.  Returns ``(results, summary_rows)``.
         """
-        from ..runner import (
-            PLATFORM_SPECS,
-            ScenarioRunner,
-            dynamic_sweep_scenarios,
-            summarise_dynamic,
-        )
+        from ..runner import (ScenarioRunner, dynamic_sweep_scenarios,
+                              summarise_dynamic)
 
-        if platform is None:
-            platform = self.platform.name
-        if platform not in PLATFORM_SPECS:
-            raise ValueError(
-                f"platform {platform!r} is not a runner preset; "
-                f"choose from {sorted(PLATFORM_SPECS)}")
-        if predictor == "estimator" and estimator_path is None:
-            # The context trains for its own platform; fanning that
-            # artifact to a sweep on a *different* platform would
-            # downgrade every cell to the oracle — a config error, not a
-            # study.  Callers with a matching artifact pass it explicitly.
-            if platform != self.platform.name:
-                raise ValueError(
-                    f"the context's estimator is trained for "
-                    f"{self.platform.name!r}; a {platform!r} sweep would "
-                    "downgrade every cell to the oracle — pass an "
-                    "estimator_path trained for that platform")
-            estimator_path = self.estimator_artifact_path()
         scenarios = dynamic_sweep_scenarios(
-            policies=policies, managers=managers,
-            traces_per_cell=traces_per_cell, seed=self.preset.seed,
-            platform=platform, horizon_s=horizon_s,
-            arrival_rate_per_s=arrival_rate_per_s, pool=pool,
-            preemption=preemption,
-            search_iterations=self.preset.mcts_iterations,
-            search_rollouts=self.preset.mcts_rollouts,
-            cache_path=(str(cache_path) if cache_path is not None
-                        else None),
-            predictor=predictor,
-            estimator_path=(str(estimator_path)
-                            if estimator_path is not None else None),
-        )
+            policies, managers, traces_per_cell, self.preset.seed,
+            **self._sweep_fields(fields))
         results = ScenarioRunner(max_workers=max_workers).run_dynamic(
             scenarios)
         return results, summarise_dynamic(results)
@@ -394,25 +309,12 @@ class ExperimentContext:
     def fleet_serve_sweep(self, routings: tuple[str, ...] = ("round_robin",
                                                              "least_loaded",
                                                              "tier_affinity"),
+                          traces_per_cell: int = 2,
                           num_nodes: int = 3,
-                          manager: str = "rankmap_d",
-                          policy: str = "warm",
                           platforms: tuple[str, ...] = ("orange_pi_5",
                                                         "jetson_class"),
-                          traces_per_cell: int = 2,
-                          horizon_s: float = 600.0,
-                          arrival_rate_per_s: float = 1.0 / 15.0,
-                          pool: tuple[str, ...] = (),
-                          capacity: int = 3,
-                          preemption: str = "none",
-                          fail_at: tuple[tuple[int, float], ...] = (),
                           max_workers: int | None = None,
-                          cache_path=None,
-                          predictor: str = "oracle",
-                          estimator_path=None,
-                          observe: bool = False,
-                          feedback_rounds: int = 0,
-                          rate_shift: tuple[float, float] | None = None):
+                          **fields):
         """Cluster-scale serving study fanned across the process pool.
 
         The multi-node analogue of :meth:`serve_sweep`: every routing
@@ -420,69 +322,59 @@ class ExperimentContext:
         across a heterogeneous fleet (node ``i`` runs the
         ``platforms[i % len(platforms)]`` preset), each node serving its
         slice through :func:`repro.serve.serve_trace` on a worker
-        process.  The preset's MCTS budget scales the node managers,
-        ``preemption`` keys every node's admission-side preemption
-        policy, and ``fail_at`` optionally kills nodes mid-run to
-        exercise the re-dispatch path.  ``predictor="estimator"`` gives
-        every node the learned decision path via one shared artifact
-        (trained once by :meth:`estimator_artifact_path` unless
-        ``estimator_path`` is given); nodes on platforms the artifact
-        was not trained for downgrade to the oracle with a warning,
-        mirroring a shared ``cache_path``.
-
-        ``observe=True`` records telemetry on every node (the segments
-        feed :meth:`refresh_estimator`), ``feedback_rounds`` iterates
-        dispatch with measured node pressure
-        (:class:`~repro.runner.FleetScenario`), and ``rate_shift``
-        drifts the Poisson demand mid-run — together the knobs of the
-        closed-loop adaptation study.  Returns
-        ``(results, summary_rows)``.
+        process.  Every other keyword goes by name through
+        :func:`~repro.runner.fleet_sweep_scenarios` — to every
+        :class:`~repro.runner.FleetScenario` cell when it names one of
+        its fields (demand, ``fail_at``, ``feedback_rounds``,
+        ``rate_shift``, the power knobs), to every node otherwise —
+        completed by :meth:`_sweep_fields`.  With ``predictor="estimator"``
+        nodes on platforms the shared artifact was not trained for
+        downgrade to the oracle with a warning, mirroring a shared
+        ``cache_path``.  Returns ``(results, summary_rows)``.
         """
-        from ..runner import (
-            PLATFORM_SPECS,
-            ScenarioRunner,
-            fleet_sweep_scenarios,
-            summarise_fleet,
-        )
+        from ..runner import (ScenarioRunner, fleet_sweep_scenarios,
+                              summarise_fleet)
 
-        for platform in platforms:
-            if platform not in PLATFORM_SPECS:
-                raise ValueError(
-                    f"platform {platform!r} is not a runner preset; "
-                    f"choose from {sorted(PLATFORM_SPECS)}")
-        if predictor == "estimator" and estimator_path is None:
-            # Heterogeneous fleets legitimately warm only the nodes the
-            # artifact matches, but a fleet with *no* node on the
-            # context's platform would downgrade every node — refuse.
-            # Check the platforms nodes actually get (node i runs
-            # platforms[i % len(platforms)]), not the raw tuple: a short
-            # fleet may never reach the matching entry.
-            node_platforms = {platforms[i % len(platforms)]
-                              for i in range(num_nodes)}
-            if self.platform.name not in node_platforms:
-                raise ValueError(
-                    f"the context's estimator is trained for "
-                    f"{self.platform.name!r}, which is not among the fleet "
-                    f"node platforms {sorted(node_platforms)} — every "
-                    "node would downgrade to the oracle; pass an "
-                    "estimator_path trained for one of them")
-            estimator_path = self.estimator_artifact_path()
+        node_platforms = {platforms[i % len(platforms)]
+                          for i in range(num_nodes)}
         scenarios = fleet_sweep_scenarios(
-            routings=routings, traces_per_cell=traces_per_cell,
-            num_nodes=num_nodes, manager=manager, policy=policy,
-            platforms=platforms, seed=self.preset.seed,
-            horizon_s=horizon_s, arrival_rate_per_s=arrival_rate_per_s,
-            pool=pool, capacity=capacity, preemption=preemption,
-            search_iterations=self.preset.mcts_iterations,
-            search_rollouts=self.preset.mcts_rollouts,
-            cache_path=(str(cache_path) if cache_path is not None
-                        else None),
-            predictor=predictor,
-            estimator_path=(str(estimator_path)
-                            if estimator_path is not None else None),
-            fail_at=fail_at, observe=observe,
-            feedback_rounds=feedback_rounds, rate_shift=rate_shift,
-        )
+            routings, traces_per_cell, num_nodes, platforms,
+            self.preset.seed, **self._sweep_fields(fields, node_platforms))
         results = ScenarioRunner(max_workers=max_workers).run_fleet(
             scenarios)
         return results, summarise_fleet(results)
+
+    def _sweep_fields(self, fields: dict,
+                      node_platforms: set[str] | None = None) -> dict:
+        """Complete a context sweep's spec keywords in place.
+
+        What the context adds to the specs' own defaults: its platform
+        unless the sweep names node platforms or a ``platform``, the
+        preset's MCTS budget unless the caller names one, and path fields
+        as plain strings.  ``predictor="estimator"`` without an
+        ``estimator_path`` gets the artifact :meth:`estimator_artifact_path`
+        trains (or loads) once and every worker loads by path — refused
+        when no node runs on the context's platform, since every cell
+        would then silently serve the oracle (node platforms, not the raw
+        ``platforms`` tuple: a short fleet may never reach the matching
+        entry).
+        """
+        if node_platforms is None:
+            node_platforms = {fields.setdefault("platform",
+                                                self.platform.name)}
+        fields.setdefault("search_iterations", self.preset.mcts_iterations)
+        fields.setdefault("search_rollouts", self.preset.mcts_rollouts)
+        if fields.get("predictor") == "estimator" \
+                and fields.get("estimator_path") is None:
+            if self.platform.name not in node_platforms:
+                raise ValueError(
+                    f"the context's estimator is trained for "
+                    f"{self.platform.name!r}, which no sweep node runs on "
+                    f"(node platforms {sorted(node_platforms)}): it would "
+                    "downgrade every cell to the oracle on every node — "
+                    "pass an estimator_path trained for one of them")
+            fields["estimator_path"] = self.estimator_artifact_path()
+        for key in ("cache_path", "estimator_path"):
+            if fields.get(key) is not None:
+                fields[key] = str(fields[key])
+        return fields

@@ -14,7 +14,6 @@ from .qtensor import (
     scatter_layers,
 )
 from .random_map import random_partition_mapping, uniform_block_mapping
-from .serialize import DeploymentRecord, load_deployment, save_deployment
 from .space import log10_solution_space, solution_space_size
 
 __all__ = [
@@ -31,7 +30,4 @@ __all__ = [
     "scatter_layers",
     "solution_space_size",
     "log10_solution_space",
-    "DeploymentRecord",
-    "save_deployment",
-    "load_deployment",
 ]

@@ -76,6 +76,17 @@ POWER_SPECS: dict[str, Callable[[], PlatformPower]] = {
 #: ``FleetScenario.power_dvfs_levels`` takes a prefix of this tuple.
 DVFS_MULTIPLIERS: tuple[float, ...] = (1.0, 0.8, 0.65, 0.5)
 
+
+def _preset(specs: dict[str, Callable], key: str):
+    """Build the ``specs`` preset (a platform or its power envelope) that
+    the platform key ``key`` names; a key with no preset raises."""
+    try:
+        return specs[key]()
+    except KeyError:
+        raise ValueError(f"unknown platform {key!r}; "
+                         f"choose from {sorted(specs)}") from None
+
+
 #: Per-process memo of loaded estimator artifacts, keyed by
 #: (path, mtime_ns, size, platform fingerprint) so every scenario a pool
 #: worker executes against the same artifact file shares one rebuilt
@@ -267,12 +278,7 @@ def build_manager(scenario: Scenario, platform: Platform,
 
 def execute_scenario(scenario: Scenario) -> ScenarioResult:
     """Run one scenario start-to-finish (also the process-pool worker)."""
-    try:
-        platform = PLATFORM_SPECS[scenario.platform]()
-    except KeyError:
-        raise ValueError(
-            f"unknown platform {scenario.platform!r}; "
-            f"choose from {sorted(PLATFORM_SPECS)}") from None
+    platform = _preset(PLATFORM_SPECS, scenario.platform)
     workload = [get_model(n) for n in scenario.workload]
     cache = EvaluationCache(platform)
     manager = build_manager(scenario, platform, cache)
@@ -318,12 +324,7 @@ def _serve_requests(spec: DynamicScenario,
     the file matches.  ``eval_cache_preloaded == 0`` on the result is the
     signal that nothing was loaded.
     """
-    try:
-        platform = PLATFORM_SPECS[spec.platform]()
-    except KeyError:
-        raise ValueError(
-            f"unknown platform {spec.platform!r}; "
-            f"choose from {sorted(PLATFORM_SPECS)}") from None
+    platform = _preset(PLATFORM_SPECS, spec.platform)
     recorder: Recorder = (TelemetryRecorder(where=spec.name)
                           if spec.observe else NULL_RECORDER)
     preloaded = 0
@@ -473,12 +474,7 @@ def _fleet_node_specs(fleet: FleetScenario) -> list[NodeSpec]:
     fail_by_index = dict(fleet.fail_at)
     specs = []
     for index, node in enumerate(fleet.nodes):
-        try:
-            platform = PLATFORM_SPECS[node.platform]()
-        except KeyError:
-            raise ValueError(
-                f"unknown platform {node.platform!r}; "
-                f"choose from {sorted(PLATFORM_SPECS)}") from None
+        platform = _preset(PLATFORM_SPECS, node.platform)
         pool = node.pool if node.pool else MODEL_POOL
         specs.append(NodeSpec(
             name=node.name, capacity=node.capacity,
@@ -499,16 +495,10 @@ def _fleet_power_config(fleet: FleetScenario) -> FleetPowerConfig | None:
     if fleet.power_cap_w is None:
         return None
     multipliers = DVFS_MULTIPLIERS[:fleet.power_dvfs_levels]
-    ladders = []
-    for node in fleet.nodes:
-        try:
-            power = POWER_SPECS[node.platform]()
-        except KeyError:
-            raise ValueError(
-                f"unknown platform {node.platform!r}; "
-                f"choose from {sorted(POWER_SPECS)}") from None
-        ladders.append(dvfs_ladder(power, multipliers))
-    return FleetPowerConfig(ladders=tuple(ladders),
+    ladders = tuple(dvfs_ladder(_preset(POWER_SPECS, node.platform),
+                                multipliers)
+                    for node in fleet.nodes)
+    return FleetPowerConfig(ladders=ladders,
                             cap_w=fleet.power_cap_w,
                             cap_shift=fleet.power_cap_shift,
                             shed_tiers=fleet.power_shed_tiers,

@@ -399,6 +399,10 @@ class FleetScenario:
         })
 
 
+#: Keywords :func:`fleet_sweep_scenarios` routes to the fleet, not nodes.
+_FLEET_FIELDS = frozenset(f.name for f in fields(FleetScenario))
+
+
 @dataclass(frozen=True)
 class FleetResult:
     """Per-fleet outcome: the aggregated report plus worker-local stats.
@@ -422,14 +426,16 @@ def mix_scenarios(managers: tuple[str, ...],
                   sizes: tuple[int, ...] = (3, 4, 5),
                   mixes_per_size: int = 6,
                   seed: int = 0,
-                  platform: str = "orange_pi_5",
-                  search_iterations: int = 40,
-                  search_rollouts: int = 2) -> list[Scenario]:
+                  **fields) -> list[Scenario]:
     """The paper's Sec. V-A style sweep as a flat scenario list.
 
     Every manager sees the *same* sampled mixes (one rng drives the mix
     sampling; manager seeds derive from the mix index), so per-manager
-    aggregates stay comparable.
+    aggregates stay comparable.  Every other keyword is a
+    :class:`Scenario` field (``platform``, ``search_iterations``, ...)
+    passed by name to every cell with the dataclass's default; an
+    unknown keyword, or one the grid owns (``name``, ``workload``,
+    ``manager``), raises ``TypeError``.
     """
     rng = np.random.default_rng(seed + 42)
     scenarios: list[Scenario] = []
@@ -439,11 +445,8 @@ def mix_scenarios(managers: tuple[str, ...],
             for manager in managers:
                 scenarios.append(Scenario(
                     name=f"mix{size}_{mix_index}_{manager}",
-                    workload=workload, manager=manager, platform=platform,
-                    seed=seed + 1000 * size + mix_index,
-                    search_iterations=search_iterations,
-                    search_rollouts=search_rollouts,
-                ))
+                    workload=workload, manager=manager,
+                    seed=seed + 1000 * size + mix_index, **fields))
     return scenarios
 
 
@@ -452,49 +455,24 @@ def dynamic_sweep_scenarios(policies: tuple[str, ...] = ("full", "warm",
                             managers: tuple[str, ...] = ("rankmap_d",),
                             traces_per_cell: int = 2,
                             seed: int = 0,
-                            platform: str = "orange_pi_5",
-                            horizon_s: float = 600.0,
-                            arrival_rate_per_s: float = 1.0 / 45.0,
-                            mean_session_s: float = 200.0,
-                            pool: tuple[str, ...] = (),
-                            capacity: int = 4,
-                            tier_shift_prob: float = 0.0,
-                            preemption: str = "none",
-                            search_iterations: int = 24,
-                            search_rollouts: int = 2,
-                            cache_path: str | None = None,
-                            predictor: str = "oracle",
-                            estimator_path: str | None = None,
-                            ) -> list[DynamicScenario]:
+                            **fields) -> list[DynamicScenario]:
     """A (policy x manager x trace) grid of dynamic-traffic studies.
 
     Every policy/manager cell sees the *same* sampled traces (the trace
     seed depends only on the trace index), so per-policy aggregates stay
-    comparable — the dynamic analogue of :func:`mix_scenarios`.
-    ``preemption`` keys the node-side preemption policy
-    (:data:`repro.serve.PREEMPTION_POLICIES`) applied in every cell;
-    ``predictor``/``estimator_path`` select the candidate-scoring path
-    (oracle measurement vs the trained estimator artifact) in every cell.
+    comparable — the dynamic analogue of :func:`mix_scenarios`.  Every
+    other keyword is a :class:`DynamicScenario` field (``horizon_s``,
+    ``preemption``, ``predictor``, ``observe``, ...) passed by name to
+    every cell with the dataclass's default; an unknown keyword, or one
+    the grid owns (``name``, ``manager``, ``policy``), raises
+    ``TypeError``.
     """
-    scenarios: list[DynamicScenario] = []
-    for trace_index in range(traces_per_cell):
-        for manager in managers:
-            for policy in policies:
-                scenarios.append(DynamicScenario(
-                    name=f"trace{trace_index}_{manager}_{policy}",
-                    manager=manager, platform=platform, policy=policy,
-                    seed=seed + 1000 * trace_index,
-                    horizon_s=horizon_s,
-                    arrival_rate_per_s=arrival_rate_per_s,
-                    mean_session_s=mean_session_s, pool=pool,
-                    capacity=capacity, tier_shift_prob=tier_shift_prob,
-                    preemption=preemption,
-                    search_iterations=search_iterations,
-                    search_rollouts=search_rollouts,
-                    cache_path=cache_path,
-                    predictor=predictor, estimator_path=estimator_path,
-                ))
-    return scenarios
+    return [DynamicScenario(name=f"trace{trace_index}_{manager}_{policy}",
+                            manager=manager, policy=policy,
+                            seed=seed + 1000 * trace_index, **fields)
+            for trace_index in range(traces_per_cell)
+            for manager in managers
+            for policy in policies]
 
 
 def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
@@ -502,85 +480,44 @@ def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
                                                        "tier_affinity"),
                           traces_per_cell: int = 2,
                           num_nodes: int = 3,
-                          manager: str = "rankmap_d",
-                          policy: str = "warm",
                           platforms: tuple[str, ...] = ("orange_pi_5",
                                                         "jetson_class"),
                           seed: int = 0,
-                          horizon_s: float = 600.0,
-                          arrival_rate_per_s: float = 1.0 / 15.0,
-                          mean_session_s: float = 180.0,
-                          pool: tuple[str, ...] = (),
-                          capacity: int = 3,
-                          tier_shift_prob: float = 0.0,
-                          preemption: str = "none",
-                          search_iterations: int = 24,
-                          search_rollouts: int = 2,
-                          cache_path: str | None = None,
-                          predictor: str = "oracle",
-                          estimator_path: str | None = None,
-                          fail_at: tuple[tuple[int, float], ...] = (),
-                          observe: bool = False,
-                          feedback_rounds: int = 0,
-                          rate_shift: tuple[float, float] | None = None,
-                          power_cap_w: float | None = None,
-                          power_cap_shift: tuple[float, float] | None = None,
-                          ) -> list[FleetScenario]:
+                          **fields) -> list[FleetScenario]:
     """A (routing x trace) grid of fleet studies over heterogeneous nodes.
 
     Node ``i`` runs on ``platforms[i % len(platforms)]``, so any
     ``num_nodes >= 2`` fleet with the default platform pair is genuinely
     heterogeneous.  A shared ``cache_path`` therefore warms only the
-    nodes whose platform matches the persisted cache; the others start
-    cold (see :class:`DynamicScenario`).  Every routing cell sees the
+    nodes whose platform matches the persisted cache, and a shared
+    estimator artifact only matches the nodes whose platform it was
+    trained for — the others start cold or downgrade to the oracle with a
+    warning (see :class:`DynamicScenario`).  Every routing cell sees the
     *same* sampled aggregate traces (the trace seed depends only on the
     trace index), so per-routing aggregates stay comparable — the
-    cluster analogue of :func:`dynamic_sweep_scenarios`.  ``preemption``
-    applies the keyed :data:`repro.serve.PREEMPTION_POLICIES` policy on
-    every node's admission controller.  ``predictor``/``estimator_path``
-    select every node's candidate-scoring path; like a shared
-    ``cache_path``, a shared estimator artifact only matches the nodes
-    whose platform it was trained for — the others downgrade to the
-    oracle with a warning.  ``observe`` switches on every node's
-    telemetry recorder (the segments feed
-    :meth:`~repro.experiments.ExperimentContext.refresh_estimator`);
-    ``feedback_rounds``/``rate_shift`` are forwarded to every
-    :class:`FleetScenario` cell (pressure-fed re-dispatch and mid-run
-    demand drift), as are ``power_cap_w``/``power_cap_shift`` (the
-    energy budget and its brownout drop) so a sweep can compare routing
-    policies under the same power envelope.
+    cluster analogue of :func:`dynamic_sweep_scenarios`.
+
+    A keyword naming a :class:`FleetScenario` field (the demand, failure,
+    feedback and power knobs) goes to every fleet cell; any other keyword
+    goes to every node's :class:`DynamicScenario` (``manager``,
+    ``policy``, ``capacity``, ``predictor``, ``observe``, ...).  Both
+    keep their dataclass's default, and an unknown keyword, or one the
+    grid owns (``name``, ``nodes``, ``routing``, ``platform``), raises
+    ``TypeError``.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be at least 1")
-    nodes = tuple(
-        DynamicScenario(
-            name=f"node{i}", manager=manager,
-            platform=platforms[i % len(platforms)], policy=policy,
-            seed=seed + i, pool=pool, capacity=capacity,
-            preemption=preemption,
-            search_iterations=search_iterations,
-            search_rollouts=search_rollouts, cache_path=cache_path,
-            predictor=predictor, estimator_path=estimator_path,
-            observe=observe)
-        for i in range(num_nodes))
-    scenarios: list[FleetScenario] = []
-    for trace_index in range(traces_per_cell):
-        for routing in routings:
-            scenarios.append(FleetScenario(
-                name=f"fleet{trace_index}_{routing}",
-                nodes=nodes, routing=routing,
-                seed=seed + 1000 * trace_index,
-                horizon_s=horizon_s,
-                arrival_rate_per_s=arrival_rate_per_s,
-                mean_session_s=mean_session_s,
-                tier_shift_prob=tier_shift_prob,
-                fail_at=fail_at,
-                feedback_rounds=feedback_rounds,
-                rate_shift=rate_shift,
-                power_cap_w=power_cap_w,
-                power_cap_shift=power_cap_shift,
-            ))
-    return scenarios
+    fleet = {k: v for k, v in fields.items() if k in _FLEET_FIELDS}
+    node = {k: v for k, v in fields.items() if k not in _FLEET_FIELDS}
+    nodes = tuple(DynamicScenario(name=f"node{i}",
+                                  platform=platforms[i % len(platforms)],
+                                  seed=seed + i, **node)
+                  for i in range(num_nodes))
+    return [FleetScenario(name=f"fleet{trace_index}_{routing}", nodes=nodes,
+                          routing=routing, seed=seed + 1000 * trace_index,
+                          **fleet)
+            for trace_index in range(traces_per_cell)
+            for routing in routings]
 
 
 def summarise(results: list[ScenarioResult]) -> list[dict]:

@@ -44,8 +44,8 @@ silently wrong) or an unknown format version.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -91,21 +91,22 @@ def dump_pickle_atomic(payload, path: str | Path) -> Path:
     The parent directory is created if needed.  Concurrent readers never
     observe a half-written file, and a payload that fails to pickle
     raises with neither a temp file left behind nor ``path`` changed.
+    The file gets the permissions the process umask leaves of 0o666,
+    like any other file the process writes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Unique temp name per writer: concurrent saves to one path must
     # not interleave into the same file before the atomic rename.
-    with tempfile.NamedTemporaryFile(dir=path.parent, delete=False,
-                                     suffix=".tmp") as fh:
-        tmp = Path(fh.name)
-        try:
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException:
-            fh.close()
-            tmp.unlink(missing_ok=True)
-            raise
-    tmp.replace(path)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -7,7 +7,9 @@ corrupt/truncated/missing artifact fails loudly instead of silently
 serving the wrong study.
 """
 
+import os
 import pickle
+import stat
 
 import numpy as np
 import pytest
@@ -208,6 +210,24 @@ class TestReviewRegressions:
             save_estimator_artifact(tmp_path / "a.pkl", estimator, vqvae,
                                     orange_pi_5())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644),
+                                             (0o077, 0o600)])
+    def test_saved_pickles_follow_the_umask(self, trained, tmp_path,
+                                            umask, mode):
+        """Saved caches and artifacts get the permissions the umask
+        leaves, like any other file the process writes."""
+        estimator, vqvae = trained
+        previous = os.umask(umask)
+        try:
+            cache = EvaluationCache(orange_pi_5())
+            cache.save(tmp_path / "cache.pkl")
+            save_estimator_artifact(tmp_path / "a.pkl", estimator, vqvae,
+                                    orange_pi_5())
+        finally:
+            os.umask(previous)
+        for name in ("cache.pkl", "a.pkl"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
     def test_mismatch_memoised_but_still_warns_per_scenario(
             self, artifact_path):

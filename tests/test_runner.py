@@ -1,5 +1,7 @@
 """Tests for the fleet-scale scenario runner (specs, pool, determinism)."""
 
+import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -7,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.experiments import ExperimentContext
 from repro.runner import (
     MANAGER_SPECS,
     PLATFORM_SPECS,
@@ -113,47 +116,6 @@ class TestScenarioRunner:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ScenarioRunner(max_workers=0)
-
-
-class TestExperimentContextFleetSweep:
-    def test_fleet_sweep_uses_preset_and_aggregates(self, tmp_path):
-        from repro.experiments import ExperimentContext
-
-        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path,
-                                use_artifact_cache=False)
-        results, summary = ctx.fleet_sweep(
-            managers=("baseline",), sizes=(2,), mixes_per_size=1,
-            max_workers=1)
-        assert len(results) == 1
-        assert summary[0]["manager"] == "baseline"
-        assert summary[0]["scenarios"] == 1
-        # Scenario search budget comes from the preset.
-        scenario_like = results[0]
-        assert scenario_like.platform == "orange_pi_5"
-
-    def test_fleet_sweep_follows_context_platform(self, tmp_path):
-        from repro.experiments import ExperimentContext
-        from repro.hw import jetson_class
-
-        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path,
-                                platform=jetson_class(),
-                                use_artifact_cache=False)
-        results, _ = ctx.fleet_sweep(managers=("baseline",), sizes=(2,),
-                                     mixes_per_size=1, max_workers=1)
-        assert results[0].platform == "jetson_class"
-
-    def test_fleet_sweep_rejects_non_preset_platform(self, tmp_path):
-        import dataclasses
-
-        from repro.experiments import ExperimentContext
-        from repro.hw import orange_pi_5
-
-        custom = dataclasses.replace(orange_pi_5(), name="bespoke_board")
-        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path,
-                                platform=custom, use_artifact_cache=False)
-        with pytest.raises(ValueError, match="not a runner preset"):
-            ctx.fleet_sweep(managers=("baseline",), sizes=(2,),
-                            mixes_per_size=1, max_workers=1)
 
 
 class TestDynamicScenario:
@@ -297,10 +259,12 @@ class TestDynamicScenario:
                                 use_artifact_cache=False)
         results, summary = ctx.serve_sweep(
             policies=("full",), managers=("baseline",), traces_per_cell=1,
-            horizon_s=240.0, pool=SMALL_POOL, max_workers=1)
+            horizon_s=240.0, pool=SMALL_POOL, capacity=2, observe=True,
+            max_workers=1)
         assert len(results) == 1
         assert summary[0]["policy"] == "full"
         assert results[0].report.arrivals > 0
+        assert results[0].telemetry is not None
 
 
 def _fleet_nodes(n=3):
@@ -408,10 +372,11 @@ class TestFleetScenario:
             routings=("round_robin",), num_nodes=2, manager="baseline",
             policy="full", traces_per_cell=1, horizon_s=240.0,
             arrival_rate_per_s=1 / 20, pool=SMALL_POOL, capacity=2,
-            max_workers=1)
+            power_cap_w=40.0, max_workers=1)
         assert len(results) == 1
         assert summary[0]["routing"] == "round_robin"
         assert results[0].report.admitted > 0
+        assert results[0].report.power is not None
 
 
 def _power_fleet(**kw):
@@ -608,6 +573,22 @@ class TestMixScenariosAndSummarise:
         assert rows[1]["mean_throughput"] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("sweep, specs", [
+    (mix_scenarios, (Scenario,)),
+    (dynamic_sweep_scenarios, (DynamicScenario,)),
+    (fleet_sweep_scenarios, (FleetScenario, DynamicScenario)),
+    (ExperimentContext.serve_sweep, (DynamicScenario,)),
+    (ExperimentContext.fleet_serve_sweep, (FleetScenario, DynamicScenario)),
+], ids=["mix", "dynamic", "fleet", "ctx_serve", "ctx_fleet_serve"])
+def test_sweeps_declare_no_spec_field(sweep, specs):
+    """A sweep names only its grid axes and base seed; every spec field
+    passes by name, so it has one declaration and one default."""
+    named = {p.name for p in inspect.signature(sweep).parameters.values()
+             if p.kind is not p.VAR_KEYWORD}
+    spec_fields = {f.name for cls in specs for f in dataclasses.fields(cls)}
+    assert named & spec_fields - {"seed"} == set()
+
+
 PREEMPT_FAST = dict(horizon_s=240.0, arrival_rate_per_s=1 / 10,
                     mean_session_s=100.0, pool=SMALL_POOL, capacity=2,
                     queue_limit=6, search_iterations=6, search_rollouts=2)
@@ -641,13 +622,28 @@ class TestPreemptionScenarios:
         specs = dynamic_sweep_scenarios(policies=("full",),
                                         managers=("baseline",),
                                         traces_per_cell=1,
-                                        preemption="evict_lowest_tier")
+                                        preemption="evict_lowest_tier",
+                                        queue_limit=3, max_queue_wait_s=45.0,
+                                        observe=True)
         assert all(s.preemption == "evict_lowest_tier" for s in specs)
+        assert all((s.queue_limit, s.max_queue_wait_s, s.observe)
+                   == (3, 45.0, True) for s in specs)
         fleets = fleet_sweep_scenarios(routings=("round_robin",),
                                        traces_per_cell=1, num_nodes=2,
                                        preemption="renegotiate")
         assert all(n.preemption == "renegotiate"
                    for f in fleets for n in f.nodes)
+        # A typo'd field, or a field the grid sets per cell, is refused.
+        for bad in ({"preemptoin": "none"}, {"name": "x"},
+                    {"policy": "warm"}):
+            with pytest.raises(TypeError):
+                dynamic_sweep_scenarios(policies=("full",),
+                                        traces_per_cell=1, **bad)
+        for bad in ({"preemptoin": "none"}, {"name": "x"},
+                    {"routing": "least_loaded"}, {"platform": "nope"}):
+            with pytest.raises(TypeError):
+                fleet_sweep_scenarios(routings=("round_robin",),
+                                      traces_per_cell=1, **bad)
 
     def test_summarise_dynamic_reports_preemption(self):
         specs = [DynamicScenario(name="d", manager="baseline", policy="full",
@@ -901,7 +897,12 @@ class TestFleetFeedbackRuns:
         specs = fleet_sweep_scenarios(
             routings=("pressure_feedback",), traces_per_cell=1,
             num_nodes=2, pool=SMALL_POOL, search_iterations=6,
-            observe=True, feedback_rounds=2, rate_shift=(300.0, 2.0))
+            observe=True, feedback_rounds=2, rate_shift=(300.0, 2.0),
+            power_cap_w=40.0, power_dvfs_levels=2,
+            power_shed_tiers=("bronze", "silver"), power_enforce=False)
         assert all(s.feedback_rounds == 2 for s in specs)
         assert all(s.rate_shift == (300.0, 2.0) for s in specs)
         assert all(node.observe for s in specs for node in s.nodes)
+        assert all((s.power_cap_w, s.power_dvfs_levels, s.power_shed_tiers,
+                    s.power_enforce) == (40.0, 2, ("bronze", "silver"), False)
+                   for s in specs)
