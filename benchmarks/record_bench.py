@@ -11,13 +11,14 @@ machine-readable perf trajectory across PRs — the solver batch sweep
 comparison (``test_bench_serve_replan[*]``) are the rows to watch.
 
 Before appending, the hot-path rows are compared against the previous
-history entry: any row under one of the ten ``GUARDED_PREFIXES`` — the
+history entry: any row under one of the eleven ``GUARDED_PREFIXES`` — the
 ``test_bench_serve_replan``, ``test_bench_serve_preempt``,
 ``test_bench_serve_scale``, ``test_bench_serve_obs``,
 ``test_bench_estimator_predict``, ``test_bench_finetune``,
 ``test_bench_fleet_feedback``, ``test_bench_fleet_energy``,
 ``test_bench_simulator_solve_batch`` and
-``test_bench_simulator_segment_solve`` families — whose mean got more than
+``test_bench_simulator_segment_solve`` families and the
+``test_bench_estimator_forward`` row — whose mean got more than
 25% slower is flagged loudly (a hot path must not regress silently
 behind an unrelated change).  Flags are warnings, not failures — machine
 noise is real — but they belong in the change's review discussion.
@@ -40,6 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GUARDED_PREFIXES = ("test_bench_serve_replan[", "test_bench_serve_preempt[",
                     "test_bench_serve_scale[", "test_bench_serve_obs[",
                     "test_bench_estimator_predict[",
+                    "test_bench_estimator_forward",
                     "test_bench_finetune[", "test_bench_fleet_feedback[",
                     "test_bench_fleet_energy[",
                     "test_bench_simulator_solve_batch[",

@@ -101,7 +101,7 @@ class EstimatorPredictor(RatePredictor):
                 f"{cfg.max_dnns}"
             )
         if not mappings:
-            return np.zeros((0, len(workload)), dtype=np.float32)
+            return np.zeros((0, len(workload)))
         if self.recorder.enabled:
             self.recorder.count(PREDICT_CALLS)
             self.recorder.observe(PREDICT_BATCH_SIZE, len(mappings))
@@ -112,8 +112,7 @@ class EstimatorPredictor(RatePredictor):
         q = build_q_tensor_batch(workload, mappings, embeddings,
                                  cfg.num_components, cfg.max_dnns,
                                  cfg.max_layers).astype(np.float32)
-        rates = self.estimator.predict_rates(q)
-        return rates[:, : len(workload)]
+        return self.estimator.predict_rates(q, num_dnns=len(workload))
 
     @property
     def board_latency_per_eval(self) -> float:

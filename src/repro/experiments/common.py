@@ -357,11 +357,16 @@ class ExperimentContext:
         when no node runs on the context's platform, since every cell
         would then silently serve the oracle (node platforms, not the raw
         ``platforms`` tuple: a short fleet may never reach the matching
-        entry).
+        entry).  A node platform that is not a runner preset is refused
+        first, before any training.
         """
+        from ..runner.runner import PLATFORM_SPECS, _preset
+
         if node_platforms is None:
             node_platforms = {fields.setdefault("platform",
                                                 self.platform.name)}
+        for key in sorted(node_platforms):
+            _preset(PLATFORM_SPECS, key)
         fields.setdefault("search_iterations", self.preset.mcts_iterations)
         fields.setdefault("search_rollouts", self.preset.mcts_rollouts)
         if fields.get("predictor") == "estimator" \

@@ -6,8 +6,9 @@ The learned-path analogue of ``test_solver_equivalence.py``: the fast path
 :meth:`EstimatorPredictor.predict_batch`) must *bit*-match per-mapping
 Q-tensor assembly — same scatter, same bucket means, same float32 cast —
 so a batched candidate roster scores exactly as the stacked scalar
-assemblies would.  (The forward pass itself is shared, so Q-bit equality
-is what pins the whole path.)
+assemblies would.  The inference forward shapes every contraction per
+batch row, so a mapping's scores are also bit-identical whatever roster
+it is scored in: batched, looped one by one, or split into chunks.
 """
 
 import numpy as np
@@ -98,30 +99,24 @@ def test_predict_batch_matches_scalar_assembly(names, seed, batch_size):
 @settings(max_examples=8, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_predict_batch_close_to_looped_predict(names, seed):
-    """Scoring the roster in one batch agrees with per-mapping ``predict``
-    calls to solver precision.  (Exact bit equality across *different
-    forward batch shapes* is not guaranteed — BLAS blocking may vary with
-    the batch dimension — which is why the bit contract above fixes the
-    assembly, not the batch shape.)"""
+    """Scoring the roster in one batch equals per-mapping ``predict``
+    calls bit for bit: no contraction of the inference forward spans
+    batch rows."""
     workload = [get_model(n) for n in names]
     mappings = _mapping_batch(workload, 3, seed, 6)
     batched = _PREDICTOR.predict_batch(workload, mappings)
     looped = np.concatenate(
         [_PREDICTOR.predict(workload, [m]) for m in mappings])
-    np.testing.assert_allclose(batched, looped, rtol=1e-5, atol=1e-6)
+    np.testing.assert_array_equal(batched, looped)
 
 
 @settings(max_examples=8, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_batch_shape_divergence_pinned(names, seed):
-    """Carried-item contract: the *same* mapping scored inside rosters of
-    different sizes may differ — BLAS kernels block the batch dimension
-    differently — but only at rounding order.  The divergence is pinned
-    at rel <= 1e-12 (observed ~1e-15 on this estimator; a batch-invariant
-    matmul kernel would make it exactly zero, see ROADMAP).  This is the
-    explicit tolerance the loose ``rtol=1e-5`` check above folklore'd:
-    scores are batch-shape-stable to 12 digits, not bit-identical.
-    """
+    """The *same* mapping scored inside rosters of different sizes gets
+    the same scores, bit for bit: every GEMM of the inference forward is
+    one call per batch row (the decoder FC layers included, as (B, 1, d)),
+    so BLAS never blocks the batch dimension."""
     workload = [get_model(n) for n in names]
     mappings = _mapping_batch(workload, 3, seed, 6)
     full = _PREDICTOR.predict_batch(workload, mappings)
@@ -130,12 +125,16 @@ def test_batch_shape_divergence_pinned(names, seed):
             _PREDICTOR.predict_batch(workload, mappings[i:i + step])
             for i in range(0, len(mappings), step)
         ])
-        np.testing.assert_allclose(split, full, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(split, full)
 
 
 def test_empty_and_oversized_batches():
     workload = [get_model("alexnet")]
-    assert _PREDICTOR.predict_batch(workload, []).shape == (0, 1)
+    empty = _PREDICTOR.predict_batch(workload, [])
+    assert empty.shape == (0, 1)
+    one = _PREDICTOR.predict_batch(
+        workload, _mapping_batch(workload, 3, 0, 1))
+    assert empty.dtype == one.dtype == np.float64
     big = [get_model(n) for n in SMALL_POOL] + [get_model("vgg16")]
     with pytest.raises(ValueError, match="exceeds estimator capacity"):
         _PREDICTOR.predict_batch(big, [])

@@ -154,6 +154,17 @@ class TestGitSha:
              "test_bench_simulator_segment_solve[cold]": row(1e-4)})
         assert len(flags) == 1 and "[warm]" in flags[0]
 
+    def test_estimator_forward_bench_guarded(self):
+        """The estimator's inference forward pass is a guarded hot path."""
+        rb = _load_record_bench()
+        assert "test_bench_estimator_forward" in rb.GUARDED_PREFIXES
+        flags = rb.flag_regressions(
+            {"test_bench_estimator_forward": row(0.02),
+             "test_bench_estimator_predict[batch]": row(0.05)},
+            {"test_bench_estimator_forward": row(0.03),
+             "test_bench_estimator_predict[batch]": row(0.05)})
+        assert len(flags) == 1 and "estimator_forward" in flags[0]
+
 
 class TestLastHistoryEntry:
     def test_reads_final_line(self, tmp_path):

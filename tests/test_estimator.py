@@ -54,8 +54,11 @@ class TestModel:
     def test_forward_rejects_wrong_shape(self):
         from repro.autodiff import Tensor
 
+        q = np.zeros((2, 3, 16, 48), np.float32)
         with pytest.raises(ValueError):
-            small_model()(Tensor(np.zeros((2, 3, 16, 48), np.float32)))
+            small_model()(Tensor(q))
+        with pytest.raises(ValueError, match="expected Q of shape"):
+            small_model().predict_log_rates(q)
 
     def test_predict_rates_nonnegative(self):
         model = small_model()

@@ -7,6 +7,7 @@ corrupt/truncated/missing artifact fails loudly instead of silently
 serving the wrong study.
 """
 
+import dataclasses
 import os
 import pickle
 import stat
@@ -282,6 +283,23 @@ class TestReviewRegressions:
                 horizon_s=120.0, pool=SMALL_POOL,
                 platforms=("jetson_class", "orange_pi_5"),
                 predictor="estimator", max_workers=1)
+
+    def test_unknown_platform_refused_before_training(self, tmp_path):
+        """A context whose platform is no runner preset is refused before
+        its estimator is trained and saved for a sweep that cannot run."""
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext(
+            preset="tiny", results_dir=tmp_path,
+            platform=dataclasses.replace(orange_pi_5(),
+                                         name="bespoke_board"))
+        with pytest.raises(ValueError, match="unknown platform"):
+            ctx.serve_sweep(policies=("full",), managers=("baseline",),
+                            traces_per_cell=1, horizon_s=120.0,
+                            pool=SMALL_POOL, predictor="estimator",
+                            max_workers=1)
+        assert list(tmp_path.glob("estimator_*.pkl")) == []
+        assert ctx._artifacts is None
 
     def test_stale_artifact_for_other_platform_is_retrained(self, tmp_path,
                                                             trained):
