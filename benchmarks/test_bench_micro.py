@@ -1,8 +1,9 @@
 """Micro-benchmarks of the performance-critical kernels.
 
 These are the hot paths of the reproduction: the steady-state contention
-solver (called for every evaluated mapping), Q-tensor assembly, estimator
-forward pass, VQ-VAE encoding, and one MCTS planning step.
+solver (called for every evaluated mapping), stage-demand assembly, MCTS
+rollouts, Q-tensor assembly, estimator forward pass, VQ-VAE encoding, and
+one MCTS planning step.
 """
 
 from __future__ import annotations
@@ -19,8 +20,15 @@ from repro.mapping import (
     random_partition_mapping,
     uniform_block_mapping,
 )
-from repro.search import MCTSConfig
-from repro.sim import EvaluationCache, PlatformTables, simulate, simulate_batch
+from repro.search import MCTS, MCTSConfig
+from repro.sim import (
+    EvaluationCache,
+    PlatformTables,
+    compute_stage_demands,
+    simulate,
+    simulate_batch,
+)
+from repro.sim.contention import _CYCLE_BURN_IN, _MAX_ITER
 from repro.vqvae import EmbeddingCache, LayerVQVAE
 from repro.zoo import get_model
 
@@ -41,6 +49,14 @@ def rollout_mappings():
     actually feed the evaluator, and the batch path's target workload."""
     rng = np.random.default_rng(0)
     return [uniform_block_mapping(WORKLOAD, 3, rng) for _ in range(16)]
+
+
+@pytest.fixture(scope="module")
+def mcts_rollouts():
+    """MCTS rollouts from the empty prefix: the mappings a cold plan
+    scores."""
+    search = MCTS(WORKLOAD, 3, None, MCTSConfig(seed=0))
+    return [search._complete([]) for _ in range(16)]
 
 
 def test_bench_simulator_solve(benchmark, mappings):
@@ -86,6 +102,49 @@ def test_bench_simulator_segment_solve(benchmark, tables):
     result = benchmark(
         lambda: simulate_batch(WORKLOAD, [mapping], PLATFORM, shared))
     assert result[0].solution.iterations == 2
+
+
+def test_bench_simulator_limit_cycle(benchmark, mcts_rollouts):
+    """The kernel on long solves: the rollouts whose fixed point runs past
+    the limit-cycle burn-in, to settle on the cycle average or stop at
+    the iteration cap.  Every such iteration checks the cycle window, so
+    this row times that check.  Guarded by ``record_bench.py``."""
+    tables = PlatformTables(PLATFORM)
+    first = simulate_batch(WORKLOAD, mcts_rollouts, PLATFORM, tables)
+    long = [mapping for mapping, result in zip(mcts_rollouts, first)
+            if result.solution.iterations >= _CYCLE_BURN_IN]
+    result = benchmark(lambda: simulate_batch(WORKLOAD, long, PLATFORM,
+                                              tables))
+    iterations = [r.solution.iterations for r in result]
+    assert min(iterations) >= _CYCLE_BURN_IN and _MAX_ITER in iterations
+    assert any(r.solution.converged for r in result)
+
+
+@pytest.mark.parametrize("tables", ["cold", "warm"])
+def test_bench_stage_demands(benchmark, mcts_rollouts, tables):
+    """Stage demands of 16 rollouts.  ``cold`` starts each pass on fresh
+    :class:`PlatformTables`, so every distinct stage misses the memo once,
+    as in a cold plan's first evaluations; ``warm`` finds every stage in
+    the memo, as a long-lived ``EvaluationCache`` does.  Guarded by
+    ``record_bench.py``."""
+    shared = PlatformTables(PLATFORM)
+    for mapping in mcts_rollouts:
+        compute_stage_demands(WORKLOAD, mapping, PLATFORM, shared)
+
+    def step():
+        used = shared if tables == "warm" else PlatformTables(PLATFORM)
+        return [compute_stage_demands(WORKLOAD, mapping, PLATFORM, used)
+                for mapping in mcts_rollouts]
+
+    assert len(benchmark(step)) == len(mcts_rollouts)
+
+
+def test_bench_mcts_rollout(benchmark):
+    """One rollout completed from the empty prefix: the search's own
+    cost per evaluated mapping.  Guarded by ``record_bench.py``."""
+    search = MCTS(WORKLOAD, 3, None, MCTSConfig(seed=0))
+    mapping = benchmark(lambda: search._complete([]))
+    assert mapping.num_dnns == len(WORKLOAD)
 
 
 def test_bench_simulator_solve_scalar16(benchmark, rollout_mappings):
@@ -169,6 +228,8 @@ def test_bench_vqvae_embed(benchmark):
 
 
 def test_bench_rankmap_plan_oracle(benchmark):
+    """A cold RankMap plan on the simulator: search, demands and solves
+    together.  Guarded by ``record_bench.py``."""
     manager = RankMap(
         PLATFORM, OraclePredictor(PLATFORM),
         RankMapConfig(mode="dynamic",

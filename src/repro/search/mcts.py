@@ -12,11 +12,20 @@ scored is returned.
 The evaluator is injected as a callable so the same search runs on the
 learned estimator (RankMap, OmniBoost) or directly on the simulator
 (ablations).
+
+A rollout is the search's hot path, so it replays the generator's stream
+in bulk instead of calling it once per block, and draw for draw: every
+decision, and the generator state a rollout leaves behind, equals what
+scalar ``random()`` and ``integers()`` calls would give
+(``tests/property/test_mcts_equivalence.py`` holds it to the scalar-draw
+oracle in ``tests/oracles/mcts_reference.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -78,8 +87,14 @@ class _Node:
         self.value_sum = 0.0
         self.children: dict[int, _Node] = {}
 
-    def mean(self) -> float:
-        return self.value_sum / self.visits if self.visits else 0.0
+
+# numpy's PCG64 draws, replayed on the raw 64-bit output words: ``random()``
+# is ``(word >> 11) * 2**-53``; ``integers(n)`` for 1 < n <= 2**32 takes
+# 32-bit halves (the low half of a fresh word first, its high half kept in
+# the ``has_uint32``/``uinteger`` buffer for the next 32-bit draw) through
+# Lemire's rejection rule; ``integers(1)`` draws nothing.
+_TO_UNIT = 1.0 / 9007199254740992.0
+_LOW32 = 0xFFFFFFFF
 
 
 class MCTS:
@@ -96,13 +111,26 @@ class MCTS:
         self.num_components = num_components
         self.evaluator = evaluator
         self.config = config
-        self._block_counts = [m.num_blocks for m in workload]
-        self.depth = sum(self._block_counts)
-        self._rng = np.random.default_rng(config.seed)
+        counts = [m.num_blocks for m in workload]
+        self.depth = sum(counts)
+        # Each DNN's slice of the flat decision sequence; its first block
+        # draws a component outright, the others test persistence first.
+        self._slices = [(end - n, end) for n, end in
+                        zip(counts, accumulate(counts))]
+        self._fresh = [False] * self.depth
+        for start, _ in self._slices:
+            self._fresh[start] = True
+        # Lemire's rule redraws a 32-bit half whose low product word
+        # falls below this.
+        self._reject_below = (_LOW32 + 1 - num_components) % num_components
+        # ``default_rng``'s generator, named: rollouts replay PCG64's
+        # draw rules.
+        self._rng = np.random.Generator(np.random.PCG64(config.seed))
+        self._logs = [0.0]  # np.log(max(n, 1)) for visit counts n
         self._root = _Node()
         # Running bounds of valid rewards for value normalisation.
-        self._lo = np.inf
-        self._hi = -np.inf
+        self._lo = math.inf
+        self._hi = -math.inf
 
     # ------------------------------------------------------------------
     def search(self) -> tuple[Mapping, MCTSStats]:
@@ -118,7 +146,7 @@ class MCTS:
             if rewards.shape != (len(mappings),):
                 raise ValueError("evaluator must return one reward per mapping")
 
-            for mapping, reward in zip(mappings, rewards):
+            for mapping, reward in zip(mappings, rewards.tolist()):
                 stats.evaluations += 1
                 if reward <= DISQUALIFIED:
                     stats.disqualified += 1
@@ -143,35 +171,58 @@ class MCTS:
 
     # ------------------------------------------------------------------
     def _select_and_expand(self) -> tuple[list[_Node], list[int]]:
-        """Walk the tree with UCB1; expand one new child at the frontier."""
+        """Walk the tree with UCB1; expand one new child at the frontier.
+
+        Mean values are min-max normalised into ~[0, 1] against the
+        running reward bounds (all zero before the first valid reward).
+        """
         node = self._root
         path = [node]
         prefix: list[int] = []
         c = self.config.exploration
+        num_components = self.num_components
+        scored = math.isfinite(self._lo)
+        if scored:
+            floor = self._floor()
+            scale = self._hi - floor + 1e-12
         while len(prefix) < self.depth:
-            if len(node.children) < self.num_components:
-                # Expand: add the first untried component at this level.
-                untried = [a for a in range(self.num_components)
-                           if a not in node.children]
-                action = int(self._rng.choice(untried))
+            children = node.children
+            if len(children) < num_components:
+                # Expand one untried component, drawn as
+                # ``rng.choice(untried)`` draws it.
+                untried = [a for a in range(num_components)
+                           if a not in children]
+                action = untried[int(self._rng.integers(len(untried)))]
                 child = _Node()
-                node.children[action] = child
+                children[action] = child
                 path.append(child)
                 prefix.append(action)
                 return path, prefix
             # All children exist: UCB1 descent.
-            log_n = np.log(max(node.visits, 1))
-            best_action, best_score = 0, -np.inf
-            for action, child in node.children.items():
-                explore = c * np.sqrt(log_n / child.visits) \
-                    if child.visits else np.inf
-                score = self._normalise(child.mean()) + explore
+            log_n = self._log_visits(node.visits)
+            best_action, best_score = 0, -math.inf
+            for action, child in children.items():
+                visits = child.visits
+                if visits:
+                    explore = c * math.sqrt(log_n / visits)
+                    mean = child.value_sum / visits
+                else:
+                    explore, mean = math.inf, 0.0
+                score = ((mean - floor) / scale if scored else 0.0) + explore
                 if score > best_score:
                     best_action, best_score = action, score
-            node = node.children[best_action]
+            node = children[best_action]
             path.append(node)
             prefix.append(best_action)
         return path, prefix
+
+    def _log_visits(self, visits: int) -> float:
+        """``np.log(max(visits, 1))``, memoised (``math.log`` differs from
+        it in the last bit for some counts)."""
+        logs = self._logs
+        while len(logs) <= visits:
+            logs.append(float(np.log(len(logs))))
+        return logs[visits]
 
     def _complete(self, prefix: list[int]) -> Mapping:
         """Markov-persistent random completion of a decision prefix.
@@ -180,22 +231,55 @@ class MCTS:
         with probability ``rollout_persistence``; DNN boundaries and the
         first block draw uniformly.  This biases rollouts toward coherent
         few-stage mappings without excluding any mapping from the support.
+
+        The draws are exactly one ``random() > persistence`` test per
+        non-boundary block and one ``integers(num_components)`` per fresh
+        component, replayed on words from one bulk ``random_raw`` call.
+        Afterwards the generator is put back at the state those scalar
+        calls leave: the start state advanced by the words they consume,
+        with their 32-bit half-word buffer.
         """
-        persist = self.config.rollout_persistence
         flat = list(prefix)
-        boundaries = set(np.cumsum([0] + self._block_counts[:-1]).tolist())
-        while len(flat) < self.depth:
-            pos = len(flat)
-            if pos in boundaries or not flat or self._rng.random() > persist:
-                flat.append(int(self._rng.integers(self.num_components)))
-            else:
-                flat.append(flat[-1])
-        assignments = []
-        pos = 0
-        for count in self._block_counts:
-            assignments.append(tuple(flat[pos : pos + count]))
-            pos += count
-        return Mapping(tuple(assignments))
+        bitgen = self._rng.bit_generator
+        state = bitgen.state
+        has_half, half = state["has_uint32"], state["uinteger"]
+        # Enough words unless Lemire rejects: one per persistence test,
+        # one per two component draws.
+        left = self.depth - len(flat)
+        tests = left - sum(start >= len(flat) for start, _ in self._slices)
+        raw = bitgen.random_raw(tests + (left + 1) // 2).tolist()
+        used = 0
+        persist = self.config.rollout_persistence
+        n = self.num_components
+        fresh = self._fresh
+        for pos in range(len(flat), self.depth):
+            if not fresh[pos]:
+                word = raw[used]
+                used += 1
+                if not (word >> 11) * _TO_UNIT > persist:
+                    flat.append(flat[-1])
+                    continue
+            if n == 1:
+                flat.append(0)
+                continue
+            while True:
+                if has_half:
+                    draw, has_half = half, 0
+                else:
+                    word = raw[used]
+                    used += 1
+                    draw, half, has_half = word & _LOW32, word >> 32, 1
+                scaled = draw * n
+                if (scaled & _LOW32) >= self._reject_below:
+                    break
+                # Rejected: the redraw may need a word past the bound.
+                raw.extend(bitgen.random_raw(1).tolist())
+            flat.append(scaled >> 32)
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bitgen.state = state
+        bitgen.random_raw(used)
+        return Mapping(tuple([tuple(flat[start:end])
+                              for start, end in self._slices]))
 
     def _backup_value(self, rewards: np.ndarray) -> float:
         """Mean of the batch in raw reward units (disqualified -> floor)."""
@@ -205,18 +289,10 @@ class MCTS:
 
     def _floor(self) -> float:
         """Raw-value stand-in for disqualified rollouts."""
-        if not np.isfinite(self._lo):
+        if not math.isfinite(self._lo):
             return 0.0
         spread = max(self._hi - self._lo, 1e-9)
         return self._lo - 0.25 * spread
-
-    def _normalise(self, raw: float) -> float:
-        """Min-max normalise a raw mean value into ~[0, 1] for UCB1."""
-        if not np.isfinite(self._lo):
-            return 0.0
-        spread = max(self._hi - self._lo, 1e-9)
-        return (raw - self._floor()) / (self._hi - self._floor() + 1e-12) \
-            if spread else 0.0
 
     def _count_nodes(self, node: _Node) -> int:
         return 1 + sum(self._count_nodes(ch) for ch in node.children.values())

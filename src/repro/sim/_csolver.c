@@ -21,6 +21,15 @@
  *                    | iterations[n_batch] | converged[n_batch]
  *                    | alloc[n] | eff[n]
  *
+ * The limit-cycle check keeps, per DNN, monotonic deques of the window's
+ * iterates, so the window's exact minimum and maximum cost O(1) a
+ * check.  A DNN whose span already exceeds cycle_tol times its maximum
+ * (with a 1e-9 margin) fails the check without a scan: on non-negative
+ * iterates the chronological mean never exceeds the maximum by more than
+ * a few ulps, so the scan would have found the same ratio above
+ * cycle_tol.  Only a window that can still pass is scanned, exactly as
+ * the oracle does, and a window holding a NaN always is.
+ *
  * Returns 0 on success, 1 on scratch-allocation failure.
  */
 
@@ -28,6 +37,30 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Push iterate ``it`` with value ``v`` onto one DNN's deque, a ring of
+ * ``window`` (value, iteration) slots from ``*head``.  Iterates older than
+ * the window leave the front first; the front then holds the window's
+ * minimum (keep_min) or maximum. */
+static void window_push(double *val, int64_t *idx, int64_t *head,
+                        int64_t *len, int64_t window, int64_t it, double v,
+                        int keep_min)
+{
+    while (*len && idx[*head] <= it - window) {
+        *head = (*head + 1) % window;
+        (*len)--;
+    }
+    while (*len) {
+        double back = val[(*head + *len - 1) % window];
+        if (keep_min ? back < v : back > v)
+            break;
+        (*len)--;
+    }
+    int64_t slot = (*head + *len) % window;
+    val[slot] = v;
+    idx[slot] = it;
+    (*len)++;
+}
 
 int solve_packed(const int64_t *ints, const double *reals, double *out,
                  int64_t n_batch, int64_t num_dnns, int64_t num_comp,
@@ -75,17 +108,26 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
     double *hot_weight = malloc((size_t)num_comp * sizeof(double));
     double *ring = malloc((size_t)cycle_window * (size_t)num_dnns
                           * sizeof(double));
+    /* Per DNN d: deque 2d keeps the window's minimum, 2d + 1 its maximum,
+     * each in cycle_window slots. */
+    double *q_val = malloc(2 * (size_t)cycle_window * (size_t)num_dnns
+                           * sizeof(double));
+    int64_t *q_idx = malloc(2 * (size_t)cycle_window * (size_t)num_dnns
+                            * sizeof(int64_t));
+    int64_t *q_head = malloc(2 * (size_t)num_dnns * sizeof(int64_t));
+    int64_t *q_len = malloc(2 * (size_t)num_dnns * sizeof(int64_t));
     if (!alloc || !hol_wait || !blocked || !stage_rate || !cap_rate
         || !ceiling_rate || !target || !need || !wants_more || !rates
         || !new_rates || !means || !weight_sum || !totals || !sat_need
-        || !hot_weight || !ring) {
+        || !hot_weight || !ring || !q_val || !q_idx || !q_head || !q_len) {
         free(alloc); free(hol_wait); free(blocked); free(stage_rate);
         free(cap_rate); free(ceiling_rate); free(target); free(need);
         free(wants_more); free(rates); free(new_rates); free(means);
         free(weight_sum); free(totals); free(sat_need); free(hot_weight);
-        free(ring);
+        free(ring); free(q_val); free(q_idx); free(q_head); free(q_len);
         return 1;
     }
+    const double span_bound = cycle_tol * (1.0 + 1e-9);
 
     for (int64_t b = 0; b < n_batch; b++) {
         const int64_t s0 = offsets[b];
@@ -117,6 +159,11 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
             rates[d] = 0.0;
         for (int64_t s = 0; s < n_stages; s++)
             hol_wait[s] = 0.0;
+        for (int64_t q = 0; q < 2 * num_dnns; q++) {
+            q_head[q] = 0;
+            q_len[q] = 0;
+        }
+        int nan_seen = 0;
 
         int64_t iterations = 0;
         int converged = 0;
@@ -201,10 +248,29 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
 
             if (it > cycle_burn_in - cycle_window) {
                 double *row = ring + ((it - 1) % cycle_window) * num_dnns;
-                for (int64_t d = 0; d < num_dnns; d++)
-                    row[d] = rates[d];
+                for (int64_t d = 0; d < num_dnns; d++) {
+                    double v = rates[d];
+                    row[d] = v;
+                    if (isnan(v))
+                        nan_seen = 1;
+                    for (int64_t q = 2 * d; q < 2 * d + 2; q++)
+                        window_push(q_val + q * cycle_window,
+                                    q_idx + q * cycle_window, q_head + q,
+                                    q_len + q, cycle_window, it, v,
+                                    q == 2 * d);
+                }
             }
-            if (it >= cycle_burn_in) {
+            int may_settle = it >= cycle_burn_in;
+            for (int64_t d = 0; may_settle && !nan_seen && d < num_dnns;
+                 d++) {
+                double lo = q_val[2 * d * cycle_window + q_head[2 * d]];
+                double hi = q_val[(2 * d + 1) * cycle_window
+                                  + q_head[2 * d + 1]];
+                double hfloor = hi > 1e-12 ? hi : 1e-12;
+                if (lo >= 0.0 && hi - lo > span_bound * hfloor)
+                    may_settle = 0;
+            }
+            if (may_settle) {
                 double worst = 0.0;
                 for (int64_t d = 0; d < num_dnns; d++) {
                     double first = ring[((it - cycle_window) % cycle_window)
@@ -254,6 +320,6 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
     free(cap_rate); free(ceiling_rate); free(target); free(need);
     free(wants_more); free(rates); free(new_rates); free(means);
     free(weight_sum); free(totals); free(sat_need); free(hot_weight);
-    free(ring);
+    free(ring); free(q_val); free(q_idx); free(q_head); free(q_len);
     return 0;
 }

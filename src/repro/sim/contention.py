@@ -266,9 +266,7 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
 
     (offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
      weights) = _cext.input_views(ints, reals, n_batch, n)
-    stages = [d.stage for d in flat]
-    comps = [s.component for s in stages]
-    dnns = [s.dnn_index for s in stages]
+    dnns, comps, _, _ = zip(*[d.stage for d in flat])
     base = np.array([d.seconds_per_inference for d in flat])
     if (base <= 0).any():
         raise ValueError("stage demands must be positive")
@@ -281,14 +279,13 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
     comp_of[:] = comps
     dnn_of[:] = dnns
 
-    # Distinct resident DNN contexts per (element, component).
-    batch_of = np.arange(n_batch).repeat(lengths)
-    present = np.zeros((n_batch, num_comp, num_dnns), dtype=bool)
-    present[batch_of, comp_of, dnn_of] = True
-    contexts = present.sum(axis=2)
-    gamma = tables.gamma(num_dnns)[comp_of, contexts[batch_of, comp_of]]
-    kernels = np.array([max(1, d.num_kernels) for d in flat],
-                       dtype=np.float64)
+    # Distinct resident DNN contexts per (element, component) slot.
+    slot = np.arange(n_batch).repeat(lengths) * num_comp + comp_of
+    present = np.zeros((n_batch * num_comp, num_dnns), dtype=bool)
+    present[slot, dnn_of] = True
+    gamma = tables.gamma(num_dnns)[comp_of, present.sum(axis=1)[slot]]
+    kernels = np.array([d.num_kernels for d in flat], dtype=np.float64)
+    np.maximum(kernels, 1.0, out=kernels)
     np.multiply(base, gamma, out=inflated)
     np.divide(base, kernels, out=kernel_time)
     np.multiply(tables.hol[comp_of], kernels, out=hol_k)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hw.latency import block_latencies
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping, Stage
 from ..zoo.layers import ModelSpec
@@ -42,18 +41,15 @@ class StageDemand:
         return self.stage.component
 
 
-def _stage_demand(model: ModelSpec, stage: Stage, platform: Platform,
+def _stage_demand(model: ModelSpec, stage: Stage, tables: PlatformTables,
                   handoff: bool) -> StageDemand:
     """One stage's demand, computed afresh (a memo miss)."""
-    latencies = block_latencies(model, platform.component(stage.component))
+    latencies, layers = tables.block_costs(model, stage.component)
     seconds = sum(latencies[stage.block_start : stage.block_end])
     if handoff:
         nbytes = model.blocks[stage.block_start].input_bytes
-        seconds += platform.link.transfer_time(nbytes)
-    kernels = sum(
-        len(model.blocks[b].layers)
-        for b in range(stage.block_start, stage.block_end)
-    )
+        seconds += tables.platform.link.transfer_time(nbytes)
+    kernels = sum(layers[stage.block_start : stage.block_end])
     return StageDemand(stage, seconds, kernels)
 
 
@@ -73,19 +69,19 @@ def compute_stage_demands(workload: list[ModelSpec], mapping: Mapping,
         tables = PlatformTables(platform)
     memo = tables.demands
     demands: list[StageDemand] = []
-    dnn_index, prev_comp = -1, None
+    dnn_index = -1
     for stage in mapping.stages():
-        if stage.dnn_index != dnn_index:
-            dnn_index = stage.dnn_index
-            model = workload[dnn_index]
-            prev_comp = None
-        comp = stage.component
-        handoff = prev_comp is not None and prev_comp != comp
-        key = (dnn_index, model.name, comp, stage.block_start,
-               stage.block_end, handoff)
+        index, comp, start, end = stage
+        if index != dnn_index:
+            # A DNN's first stage receives no feature-map handoff.
+            dnn_index, prev_comp = index, comp
+            model = workload[index]
+            name = model.name
+        handoff = prev_comp != comp
+        key = (index, name, comp, start, end, handoff)
         demand = memo.get(key)
         if demand is None:
-            demand = _stage_demand(model, stage, platform, handoff)
+            demand = _stage_demand(model, stage, tables, handoff)
             tables.remember(key, demand)
         demands.append(demand)
         prev_comp = comp

@@ -6,6 +6,7 @@ on the mapping lives on one :class:`PlatformTables`:
 * the interference table ``gamma[c, n]`` (one per workload size);
 * the per-component sharing biases κ and head-of-line coefficients;
 * the GPU-solo ideal rate of each model (the paper's ``t_ideal``);
+* each model's per-block latencies and layer counts on each component;
 * a memo of :class:`~repro.sim.demands.StageDemand` objects, filled by
   :func:`~repro.sim.demands.compute_stage_demands`.
 
@@ -35,6 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..hw.latency import block_latencies
 from ..hw.platform import Platform
 from ..zoo.layers import ModelSpec
 
@@ -73,6 +75,7 @@ class PlatformTables:
         self.demands: dict[tuple, StageDemand] = {}
         self._gamma: dict[int, np.ndarray] = {}
         self._ideal: dict[str, float] = {}
+        self._blocks: dict[tuple, tuple[list[float], list[int]]] = {}
 
     def gamma(self, num_dnns: int) -> np.ndarray:
         """The interference table for workloads of ``num_dnns`` DNNs."""
@@ -81,6 +84,19 @@ class PlatformTables:
             table = self._gamma[num_dnns] = _interference_table(
                 self.platform, num_dnns)
         return table
+
+    def block_costs(self, model: ModelSpec,
+                    component: int) -> tuple[list[float], list[int]]:
+        """``(latencies, layers)`` of each block of ``model`` on
+        ``component``: the latency list :func:`block_latencies` returns
+        and the layer (kernel launch) counts."""
+        key = (model.name, component)
+        costs = self._blocks.get(key)
+        if costs is None:
+            costs = self._blocks[key] = (
+                block_latencies(model, self.platform.component(component)),
+                [len(block.layers) for block in model.blocks])
+        return costs
 
     def ideal_rates(self, workload: list[ModelSpec]) -> np.ndarray:
         """GPU-solo rate of each model of ``workload``, a fresh array."""

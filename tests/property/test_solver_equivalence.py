@@ -9,7 +9,10 @@ equal rates, stage allocations, stage demands and utilisation under
 
 Randomized demand sets cover both platform presets, heterogeneous stage
 counts inside one batch, limit-cycle instances driven past the burn-in,
-truncated ``max_iter`` budgets, empty elements and non-positive demands.
+rollout-shaped mappings of five-DNN plan mixes, truncated ``max_iter``
+budgets, empty elements and non-positive demands.  The limit-cycle
+batches must hold both a cycle-averaged convergence and a capped solve,
+so the kernel's window check is compared on both of its outcomes.
 The kernel tests skip only on a host with no C compiler; where ``cc``
 exists, a failed build or load fails them.  The no-compiler fallback
 (scalar oracle after a one-time ``RuntimeWarning``) is tested everywhere.
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.hw import jetson_class, orange_pi_5
 from repro.mapping import random_partition_mapping, uniform_block_mapping
+from repro.search import MCTS, MCTSConfig
 from repro.sim import (
     _cext,
     compute_stage_demands,
@@ -41,6 +45,14 @@ PLATFORMS = {"orange_pi_5": orange_pi_5(), "jetson_class": jetson_class()}
 SMALL_POOL = ("alexnet", "squeezenet_v2", "mobilenet", "resnet12")
 #: A mix that reliably drives the fixed point into limit-cycle territory.
 CYCLE_POOL = ("squeezenet_v2", "inception_v4", "resnet50")
+#: Five-DNN mixes shaped like the benchmark's cold plans: one model from
+#: each of five block-count strata of the zoo.
+PLAN_MIXES = (
+    ("yolo_v3", "inception_v3", "shufflenet", "vgg19", "squeezenet_v2"),
+    ("vgg16", "alexnet", "mobilenet_v2", "mobilenet", "efficientnet_b2"),
+    ("resnet50_v2", "inception_resnet_v2", "efficientnet_b1", "googlenet",
+     "inception_v4"),
+)
 
 needs_compiler = pytest.mark.skipif(
     _cext._compiler() is None, reason="no C compiler on this host")
@@ -58,6 +70,26 @@ def _demand_batch(pool, num_models, seed, batch_size, platform):
         mapping = maker(workload, platform.num_components, rng)
         sets.append(compute_stage_demands(workload, mapping, platform))
     return workload, sets
+
+
+def _rollout_batch(names, seed, batch_size, platform):
+    """Demand sets of MCTS rollouts from the empty prefix: the mappings a
+    cold plan actually solves."""
+    workload = [get_model(n) for n in names]
+    search = MCTS(workload, platform.num_components, None,
+                  MCTSConfig(seed=seed))
+    return workload, [compute_stage_demands(workload, search._complete([]),
+                                            platform)
+                      for _ in range(batch_size)]
+
+
+def _assert_cycle_and_cap(solutions, max_iter):
+    """At least one solve settled on the limit-cycle average and one ran
+    into the iteration cap."""
+    assert any(s.converged and s.iterations >= _CYCLE_BURN_IN
+               for s in solutions)
+    assert any(not s.converged and s.iterations == max_iter
+               for s in solutions)
 
 
 def _assert_bit_identical(want, got):
@@ -109,8 +141,17 @@ class TestKernel:
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(CYCLE_POOL, 3, 0, 16, platform)
         oracle = _assert_matches_oracle(sets, len(workload), platform)
-        # The mix must actually exercise the cycle-resolution path.
-        assert any(s.iterations >= _CYCLE_BURN_IN for s in oracle)
+        _assert_cycle_and_cap(oracle, _MAX_ITER)
+
+    @pytest.mark.parametrize("max_iter", [200, _MAX_ITER])
+    def test_rollout_limit_cycles_bit_identical(self, max_iter):
+        platform = PLATFORMS["orange_pi_5"]
+        oracle = []
+        for names in PLAN_MIXES:
+            workload, sets = _rollout_batch(names, 0, 8, platform)
+            oracle += _assert_matches_oracle(sets, len(workload), platform,
+                                             max_iter=max_iter)
+        _assert_cycle_and_cap(oracle, max_iter)
 
     def test_empty_elements_mixed_in(self):
         platform = PLATFORMS["orange_pi_5"]
@@ -153,8 +194,7 @@ class TestKernel:
         platform = PLATFORMS["orange_pi_5"]
         _, sets = _demand_batch(SMALL_POOL, 2, 2, 1, platform)
         first = sets[0][0]
-        stage = dataclasses.replace(first.stage, component=component,
-                                    dnn_index=dnn)
+        stage = first.stage._replace(component=component, dnn_index=dnn)
         bad = [dataclasses.replace(first, stage=stage), *sets[0][1:]]
         with pytest.raises((ValueError, IndexError), match="out of"):
             solve_steady_state_batch([sets[0], bad], 2, platform)

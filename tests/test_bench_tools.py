@@ -165,6 +165,20 @@ class TestGitSha:
              "test_bench_estimator_predict[batch]": row(0.05)})
         assert len(flags) == 1 and "estimator_forward" in flags[0]
 
+    def test_cold_plan_benches_guarded(self):
+        """The cold-plan rows (a whole oracle plan, a rollout, stage-demand
+        assembly and long limit-cycle solves) are guarded hot paths."""
+        rb = _load_record_bench()
+        rows = ("test_bench_rankmap_plan_oracle", "test_bench_mcts_rollout",
+                "test_bench_stage_demands[cold]",
+                "test_bench_stage_demands[warm]",
+                "test_bench_simulator_limit_cycle")
+        previous = {name: row(1e-3) for name in rows}
+        for name in rows:
+            current = dict(previous, **{name: row(1.5e-3)})
+            flags = rb.flag_regressions(previous, current)
+            assert len(flags) == 1 and name in flags[0]
+
 
 class TestLastHistoryEntry:
     def test_reads_final_line(self, tmp_path):
