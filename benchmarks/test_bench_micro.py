@@ -15,7 +15,7 @@ from repro.core import OraclePredictor, RankMap, RankMapConfig
 from repro.estimator import EstimatorConfig, ThroughputEstimator
 from repro.hw import orange_pi_5
 from repro.mapping import (
-    build_q_tensor,
+    build_q_tensor_batch,
     gpu_only_mapping,
     random_partition_mapping,
     uniform_block_mapping,
@@ -171,12 +171,14 @@ def test_bench_cached_reevaluation(benchmark, rollout_mappings):
 
 
 def test_bench_q_tensor_assembly(benchmark, mappings):
+    """Q-tensor assembly of one mapping, as training featurizes a
+    dataset row."""
     vqvae = LayerVQVAE(np.random.default_rng(0))
     embedder = EmbeddingCache(vqvae)
     embeddings = embedder.for_workload(WORKLOAD)
 
-    benchmark(lambda: build_q_tensor(WORKLOAD, mappings[0], embeddings,
-                                     3, 5, 96))
+    benchmark(lambda: build_q_tensor_batch(WORKLOAD, mappings[:1],
+                                           embeddings, 3, 5, 96))
 
 
 def test_bench_estimator_forward(benchmark):
@@ -229,13 +231,20 @@ def test_bench_vqvae_embed(benchmark):
 
 def test_bench_rankmap_plan_oracle(benchmark):
     """A cold RankMap plan on the simulator: search, demands and solves
-    together.  Guarded by ``record_bench.py``."""
-    manager = RankMap(
-        PLATFORM, OraclePredictor(PLATFORM),
-        RankMapConfig(mode="dynamic",
-                      mcts=MCTSConfig(iterations=15, rollouts_per_leaf=2)),
-    )
-    benchmark.pedantic(lambda: manager.plan(WORKLOAD), rounds=2, iterations=1)
+    together.  Every round plans on a fresh manager and oracle predictor,
+    so no round replays an earlier plan from the evaluation cache.
+    Guarded by ``record_bench.py``."""
+    def fresh_manager():
+        manager = RankMap(
+            PLATFORM, OraclePredictor(PLATFORM),
+            RankMapConfig(mode="dynamic",
+                          mcts=MCTSConfig(iterations=15,
+                                          rollouts_per_leaf=2)),
+        )
+        return (manager,), {}
+
+    benchmark.pedantic(lambda manager: manager.plan(WORKLOAD),
+                       setup=fresh_manager, rounds=2, iterations=1)
 
 
 def test_bench_block_latency_model(benchmark):
@@ -423,10 +432,12 @@ def test_bench_serve_scale(benchmark, n):
     sized so the expected arrival count is ``n`` (rate 1/4 s against
     capacity 4, preemption on, ``record_timeline=False`` so the output
     ledger is the only O(arrivals) term).  The three rows pin the
-    near-linear scaling of the keyed waiting room + scheduled-timeout
-    event core: per-arrival cost must stay flat from 1e3 to 1e5 (asserted
-    below), with 1e6 as the headline row.  The 1e6 row runs only under
-    ``make bench`` — at ~1 min it is too heavy for tier-1 smoke mode.
+    near-linear scaling of the event core: timeouts are scheduled events,
+    a segment never holds more than 4 residents and the waiting room at
+    most 16 live stays (measured at 2e4 sessions), so per-arrival cost
+    must stay flat from 1e3 to 1e5 (asserted below), with 1e6 as the
+    headline row.  The 1e6 row runs only under ``make bench`` — at ~1 min
+    it is too heavy for tier-1 smoke mode.
     """
     import time
 

@@ -90,9 +90,9 @@ class EstimatorPredictor(RatePredictor):
                       mappings: list[Mapping]) -> np.ndarray:
         """Fused batch scoring: one stacked Q assembly + one forward pass.
 
-        Bit-compatible with per-mapping Q-tensor assembly (the scalar
-        :func:`~repro.mapping.qtensor.build_q_tensor` reference), locked
-        by ``tests/property/test_estimator_batch_equivalence.py``.
+        Bit-compatible with per-mapping Q-tensor assembly (the oracle in
+        ``tests/oracles/qtensor_reference.py``), locked by
+        ``tests/property/test_estimator_batch_equivalence.py``.
         """
         cfg = self.estimator.config
         if len(workload) > cfg.max_dnns:

@@ -19,7 +19,7 @@ import numpy as np
 from ..hw.platform import Platform
 from ..mapping import (
     Mapping,
-    build_q_tensor,
+    build_q_tensor_batch,
     random_partition_mapping,
     uniform_block_mapping,
 )
@@ -80,10 +80,10 @@ class EstimatorDataset:
             sample = self.samples[idx]
             workload = [get_model(n) for n in sample.names]
             embeddings = embedder.for_workload(workload)
-            q[row] = build_q_tensor(
-                workload, sample.mapping, embeddings, cfg.num_components,
+            q[row] = build_q_tensor_batch(
+                workload, [sample.mapping], embeddings, cfg.num_components,
                 cfg.max_dnns, cfg.max_layers,
-            )
+            )[0]
             k = len(sample.names)
             y[row, :k] = np.log1p(sample.rates)
             mask[row, :k] = 1.0

@@ -7,12 +7,7 @@ from .mapping import (
     gpu_only_mapping,
     single_component_mapping,
 )
-from .qtensor import (
-    build_q_tensor,
-    build_q_tensor_batch,
-    layer_component_vector,
-    scatter_layers,
-)
+from .qtensor import build_q_tensor_batch
 from .random_map import random_partition_mapping, uniform_block_mapping
 from .space import log10_solution_space, solution_space_size
 
@@ -24,10 +19,7 @@ __all__ = [
     "single_component_mapping",
     "random_partition_mapping",
     "uniform_block_mapping",
-    "build_q_tensor",
     "build_q_tensor_batch",
-    "layer_component_vector",
-    "scatter_layers",
     "solution_space_size",
     "log10_solution_space",
 ]

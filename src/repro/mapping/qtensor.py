@@ -8,6 +8,11 @@ The throughput estimator consumes Q as an image-like tensor.
 Models longer than ``max_layers`` are bucket-averaged row-wise (the scatter
 into component column blocks happens first, so placement information is
 preserved proportionally).
+
+:func:`build_q_tensor_batch` is the one assembler: inference scores
+candidate rosters through it, and training featurizes each dataset row
+as a batch of one.  The per-mapping assembly it is checked against lives
+in ``tests/oracles/qtensor_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,66 +22,18 @@ import numpy as np
 from ..zoo.layers import ModelSpec
 from .mapping import Mapping
 
-__all__ = ["layer_component_vector", "scatter_layers", "build_q_tensor",
-           "build_q_tensor_batch"]
-
-
-def layer_component_vector(model: ModelSpec, assignment: tuple[int, ...]) -> np.ndarray:
-    """Expand a per-block assignment to a per-layer component index array."""
-    if len(assignment) != model.num_blocks:
-        raise ValueError(
-            f"{model.name}: {len(assignment)} assignments for "
-            f"{model.num_blocks} blocks"
-        )
-    per_layer = np.empty(model.num_layers, dtype=np.int64)
-    pos = 0
-    for block, comp in zip(model.blocks, assignment):
-        per_layer[pos : pos + len(block.layers)] = comp
-        pos += len(block.layers)
-    return per_layer
-
-
-def scatter_layers(embeddings: np.ndarray, components: np.ndarray,
-                   num_components: int) -> np.ndarray:
-    """Place per-layer embeddings into their component's column block.
-
-    ``embeddings`` is (layers, E); returns (layers, num_components * E).
-    """
-    n_layers, dim = embeddings.shape
-    if components.shape != (n_layers,):
-        raise ValueError("components must align with embeddings rows")
-    out = np.zeros((n_layers, num_components * dim), dtype=embeddings.dtype)
-    for comp in range(num_components):
-        rows = components == comp
-        out[rows, comp * dim : (comp + 1) * dim] = embeddings[rows]
-    return out
-
-
-def _resample_rows(matrix: np.ndarray, target_rows: int) -> np.ndarray:
-    """Average ``matrix`` rows into ``target_rows`` contiguous buckets."""
-    n = matrix.shape[0]
-    if n == target_rows:
-        return matrix
-    out = np.zeros((target_rows, matrix.shape[1]), dtype=matrix.dtype)
-    if n < target_rows:
-        out[:n] = matrix
-        return out
-    bounds = np.linspace(0, n, target_rows + 1).astype(int)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        out[i] = matrix[lo:hi].mean(axis=0) if hi > lo else 0.0
-    return out
+__all__ = ["build_q_tensor_batch"]
 
 
 def _resample_rows_batch(matrix: np.ndarray, target_rows: int) -> np.ndarray:
-    """Batched :func:`_resample_rows`: ``matrix`` is (B, n, W).
+    """Average the rows of ``matrix`` (B, n, W) into ``target_rows``
+    contiguous buckets, or zero-pad them up to it.
 
-    Bit-identical to resampling each batch element through the scalar
-    helper — the bucket means reduce over the same row slices in the same
-    order, only batched over the leading axis.  The two implementations
-    are *deliberately* independent twins: the scalar one is the oracle
-    ``tests/property/test_estimator_batch_equivalence.py`` locks this one
-    against, so any edit to the bucketing must land in both (the property
-    suite fails loudly if they drift).
+    Bit-identical to the oracle's per-mapping ``_resample_rows`` on each
+    batch element: the bucket means reduce over the same row slices in
+    the same order, only batched over the leading axis.  An edit to the
+    bucketing must land in both (the property suite fails loudly if they
+    drift).
     """
     b, n, width = matrix.shape
     if n == target_rows:
@@ -91,37 +48,16 @@ def _resample_rows_batch(matrix: np.ndarray, target_rows: int) -> np.ndarray:
     return out
 
 
-def build_q_tensor(workload: list[ModelSpec], mapping: Mapping,
-                   embeddings: list[np.ndarray], num_components: int,
-                   max_dnns: int, max_layers: int) -> np.ndarray:
-    """Assemble the Q tensor: (max_dnns, max_layers, num_components * E)."""
-    if len(workload) > max_dnns:
-        raise ValueError(f"workload of {len(workload)} exceeds max_dnns={max_dnns}")
-    if len(embeddings) != len(workload):
-        raise ValueError("need one embedding matrix per DNN")
-    dim = embeddings[0].shape[1]
-    q = np.zeros((max_dnns, max_layers, num_components * dim), dtype=np.float64)
-    for i, (model, emb) in enumerate(zip(workload, embeddings)):
-        if emb.shape[0] != model.num_layers:
-            raise ValueError(
-                f"{model.name}: embedding rows {emb.shape[0]} != layers "
-                f"{model.num_layers}"
-            )
-        comps = layer_component_vector(model, mapping.assignments[i])
-        scattered = scatter_layers(emb, comps, num_components)
-        q[i] = _resample_rows(scattered, max_layers)
-    return q
-
-
 def build_q_tensor_batch(workload: list[ModelSpec], mappings: list[Mapping],
                          embeddings: list[np.ndarray], num_components: int,
                          max_dnns: int, max_layers: int) -> np.ndarray:
     """Assemble Q tensors for a whole candidate batch in one fused pass.
 
     Returns (B, max_dnns, max_layers, num_components * E), bit-identical
-    to ``np.stack([build_q_tensor(workload, m, ...) for m in mappings])``
-    (locked by ``tests/property/test_estimator_batch_equivalence.py``) but
-    without the per-mapping Python work: the per-layer component expansion
+    to stacking the per-mapping oracle assemblies of
+    ``tests/oracles/qtensor_reference.py`` (locked by
+    ``tests/property/test_estimator_batch_equivalence.py``) but without
+    the per-mapping Python work: the per-layer component expansion
     and the embedding scatter vectorize across the batch, and the
     row-bucket resampling loops over buckets once instead of once per
     mapping.  This is the estimator-path analogue of
@@ -155,7 +91,8 @@ def build_q_tensor_batch(workload: list[ModelSpec], mappings: list[Mapping],
                     f"for {model.num_blocks} blocks"
                 )
         # (B, blocks) per-block assignments -> (B, layers) via the shared
-        # block-of-layer expansion (the batched layer_component_vector).
+        # block-of-layer expansion (the oracle's layer_component_vector,
+        # batched).
         assignments = np.array([m.assignments[i] for m in mappings],
                                dtype=np.int64)
         if assignments.size and (assignments.min() < 0
@@ -171,10 +108,10 @@ def build_q_tensor_batch(workload: list[ModelSpec], mappings: list[Mapping],
         block_of_layer = np.repeat(np.arange(model.num_blocks),
                                    [len(b.layers) for b in model.blocks])
         per_layer = assignments[:, block_of_layer]
-        # Batched scatter_layers: place each layer's embedding into the
-        # column block of its assigned component via one fancy-indexed
-        # write per model instead of num_components masked writes per
-        # mapping.
+        # The oracle's scatter_layers, batched: place each layer's
+        # embedding into the column block of its assigned component via
+        # one fancy-indexed write per model instead of num_components
+        # masked writes per mapping.
         scattered = np.zeros((batch, model.num_layers, num_components, dim),
                              dtype=emb.dtype)
         scattered[batch_index, np.arange(model.num_layers)[None, :],

@@ -8,7 +8,6 @@ from ..mapping.mapping import Mapping
 from ..mapping.random_map import uniform_block_mapping
 from ..zoo.layers import ModelSpec
 from .mcts import Evaluator
-from .reward import DISQUALIFIED
 
 __all__ = ["random_search"]
 
@@ -39,7 +38,4 @@ def random_search(workload: list[ModelSpec], num_components: int,
         done += take
     if best_mapping is None:  # pragma: no cover
         raise RuntimeError("no mapping evaluated")
-    if best_reward <= DISQUALIFIED:
-        # Nothing qualified; the least-bad mapping is still returned.
-        pass
     return best_mapping, best_reward

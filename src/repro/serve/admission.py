@@ -124,10 +124,13 @@ class AdmissionController:
         """
         return min(self._tiers.values(), key=lambda t: t.priority)
 
-    def decide(self, tier_name: str, active_count: int, queue_len: int,
-               can_place: bool,
-               live: Sequence[LiveView] | None = None) -> str:
-        """One arrival's fate given the node's current occupancy.
+    def decide_with_plan(self, tier_name: str, active_count: int,
+                         queue_len: int, can_place: bool,
+                         live: Sequence[LiveView] | None = None,
+                         ) -> tuple[str, PreemptionDecision | None]:
+        """One arrival's fate given the node's current occupancy: the
+        verdict, with the concrete preemption to execute on
+        :data:`PREEMPT` (None otherwise).
 
         ``can_place`` tells the controller whether a pool model name is
         free for immediate admission (the event engine identifies DNNs by
@@ -135,19 +138,8 @@ class AdmissionController:
         capacity cap).  ``live`` — views of the running sessions — feeds
         the preemption policy; without it (or with the ``"none"``
         policy) the verdict degrades to the accept/queue/reject ladder.
-        """
-        return self.decide_with_plan(tier_name, active_count, queue_len,
-                                     can_place, live)[0]
-
-    def decide_with_plan(self, tier_name: str, active_count: int,
-                         queue_len: int, can_place: bool,
-                         live: Sequence[LiveView] | None = None,
-                         ) -> tuple[str, PreemptionDecision | None]:
-        """Like :meth:`decide`, but returns the verdict *with* the
-        concrete preemption to execute on :data:`PREEMPT`.
-
-        The serving loop uses this form so the executed preemption is
-        exactly the decision that produced the verdict — victim
+        Returning the plan with the verdict makes the executed
+        preemption exactly the decision that produced it — victim
         selection runs once per arrival, and a future stateful policy
         cannot diverge between deciding and executing.
         """

@@ -21,20 +21,25 @@ The loop is architected for traces far longer than memory:
   the event heap, so a generator-fed multi-day trace is never
   materialised.  Lists and tuples are sorted (and tier-validated) up
   front, exactly as before.
-* **Keyed waiting room** — a lazy-deletion heap on
-  :meth:`~repro.serve.admission.AdmissionController.queue_order_key`
-  makes every drain admission O(log n) instead of a full re-sort.
+* **Plain waiting room** — an insertion-ordered dict maps each stay to
+  its :meth:`~repro.serve.admission.AdmissionController.queue_order_key`,
+  frozen at enqueue; a drain admits the smallest key, and a drain or a
+  timeout deletes the stay.  The room holds at most ``queue_limit``
+  fresh arrivals plus parked evictions (16 live stays at most on a
+  2e4-session ``test_bench_serve_scale`` trace), so a linear ``min`` per
+  freed slot needs no heap and no lazy-deletion sweep.
 * **Scheduled queue timeouts** — each enqueue schedules an explicit
   timeout event at
   :meth:`~repro.serve.admission.AdmissionController.queue_deadline`, so
   abandonments fire (and are stamped) at their true time even through
   quiet stretches, instead of whenever the next unrelated event happened
   to scan the queue.
-* **Vectorized accounting** — served/delivered/gap/violation accumulate
-  in shared numpy arrays with a per-state precomputed index, one
-  fancy-indexed add per segment instead of a python loop over residents;
-  ``ServeConfig.record_timeline=False`` additionally drops the O(events)
-  segment list for scale runs.
+* **Per-record accounting** — a segment never has more residents than
+  ``capacity`` (one more under ``renegotiate``), so served/delivered/
+  gap/violation are plain floats on each session's record, added over
+  one precomputed ``(record, rate, is_gap, is_violating)`` row per
+  resident; ``ServeConfig.record_timeline=False`` additionally drops the
+  O(events) segment list for scale runs.
 
 An independent, deliberately naive reference loop is kept as a test-only
 oracle in ``tests/oracles/serve_reference.py``; the property suite pins
@@ -59,7 +64,6 @@ simulated board, the stand-in for what actually runs on the hardware.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -143,83 +147,51 @@ class ServeConfig:
             raise ValueError("pool must not be empty")
 
 
-class _Accumulators:
-    """Growable numpy columns of per-session service accounting.
-
-    One row per admitted session (``_Live.acc`` is the row index); a
-    segment update is a single fancy-indexed add per column over the
-    resident rows.  Kept float64 elementwise so every accumulated value
-    is bit-identical to the seed loop's per-record python-float adds.
-    """
-
-    __slots__ = ("served", "delivered", "gap", "violation", "rows")
-
-    def __init__(self, capacity: int = 64):
-        self.rows = 0
-        self.served = np.zeros(capacity)
-        self.delivered = np.zeros(capacity)
-        self.gap = np.zeros(capacity)
-        self.violation = np.zeros(capacity)
-
-    def add_row(self) -> int:
-        """Claim the next row, doubling the columns when full."""
-        if self.rows == self.served.shape[0]:
-            grown = self.rows * 2
-            for name in self.__slots__[:4]:
-                column = np.zeros(grown)
-                column[:self.rows] = getattr(self, name)
-                setattr(self, name, column)
-        self.rows += 1
-        return self.rows - 1
-
-
 class _Live:
     """Mutable accounting record of one admitted session.
 
     A record survives eviction: it is parked in the waiting room with
     its remaining duration and carried back into the live set on
-    resumption, so served/delivered/violation accounting accumulates
+    resumption, so served/delivered/gap/violation accounting accumulates
     across suspensions.  ``epoch`` (unique per admission, set with
     ``last_admit_s`` and ``depart_s``) guards the heap against stale
     departure/shift events of an earlier service interval.
     ``pending_shift`` is the not-yet-fired tier shift, as an offset
     relative to ``last_admit_s`` — suspended time does not advance it,
     mirroring how the remaining duration freezes while evicted.
-    ``acc`` is the session's row in the loop's :class:`_Accumulators`
-    columns, where the served/delivered/gap/violation totals live.
     """
 
     __slots__ = ("request", "model", "tier", "admitted_s", "queue_wait_s",
+                 "served", "delivered", "gap", "violation",
                  "last_admit_s", "depart_s", "epoch", "pending_shift",
-                 "evictions", "demotions", "resumptions", "acc")
+                 "evictions", "demotions", "resumptions")
 
     def __init__(self, request: SessionRequest, model, admitted_s: float,
-                 queue_wait_s: float, acc: int):
+                 queue_wait_s: float):
         self.request = request
         self.model = model
         self.tier = request.tier
         self.admitted_s = admitted_s
         self.queue_wait_s = queue_wait_s
+        self.served = 0.0
+        self.delivered = 0.0
+        self.gap = 0.0
+        self.violation = 0.0
         self.pending_shift = request.tier_shift
         self.evictions = 0
         self.demotions = 0
         self.resumptions = 0
-        self.acc = acc
 
     def outcome(self, state: str, departed_s: float | None,
-                acc: _Accumulators,
                 abandoned_s: float | None = None) -> SessionOutcome:
-        """Freeze this record (plus its accumulator row) as an outcome."""
-        row = self.acc
+        """Freeze this record as an outcome."""
         return SessionOutcome(
             session_id=self.request.session_id, tier=self.tier,
             arrival_s=self.request.arrival_s, outcome=state,
             model=self.model.name, admitted_s=self.admitted_s,
             departed_s=departed_s, queue_wait_s=self.queue_wait_s,
-            served_seconds=float(acc.served[row]),
-            delivered_inferences=float(acc.delivered[row]),
-            gap_seconds=float(acc.gap[row]),
-            violation_seconds=float(acc.violation[row]),
+            served_seconds=self.served, delivered_inferences=self.delivered,
+            gap_seconds=self.gap, violation_seconds=self.violation,
             evictions=self.evictions, demotions=self.demotions,
             resumptions=self.resumptions, abandoned_s=abandoned_s,
         )
@@ -228,13 +200,13 @@ class _Live:
 class _WaitEntry:
     """One stay in the waiting room (fresh arrival or parked eviction).
 
-    Lazy heap deletion: draining or timing out flips ``active`` instead
-    of searching the heap; stale heap items and stale timeout events
-    recognise the flag and miss.  A re-parked session gets a fresh entry,
-    so the timeout of an earlier stay can never touch it.
+    A drain or a timeout deletes the stay from the room, so the timeout
+    of a stay that was drained finds it gone and misses.  A re-parked
+    session gets a fresh entry, so the timeout of an earlier stay can
+    never touch it.
     """
 
-    __slots__ = ("request", "enqueue_s", "record", "remaining", "active")
+    __slots__ = ("request", "enqueue_s", "record", "remaining")
 
     def __init__(self, request: SessionRequest, enqueue_s: float,
                  record: _Live | None, remaining: float):
@@ -242,7 +214,6 @@ class _WaitEntry:
         self.enqueue_s = enqueue_s
         self.record = record
         self.remaining = remaining
-        self.active = True
 
 
 def _manager_name(policy: ReplanPolicy) -> str:
@@ -349,13 +320,10 @@ class _ServeLoop(EventCore):
         self.stream = iter(requests)
         self.last_key = None
 
-        self.acc = _Accumulators()
-        # Waiting room: keyed min-heap over queue_order_key with lazy
-        # deletion; counters track the active (and active-fresh) entries
-        # so admission decisions never scan it.
-        self.wait_heap: list[tuple[tuple, int, _WaitEntry]] = []
-        self.wait_seq = 0
-        self.queued_total = 0
+        # Waiting room: each stay -> its drain key, in enqueue order, so
+        # `min` breaks key ties first-come; `queued_fresh` counts the
+        # fresh-arrival stays so admission decisions never scan it.
+        self.waiting: dict[_WaitEntry, tuple] = {}
         self.queued_fresh = 0
         self.epoch_seq = 0                     # admission epochs, see _Live
         self.kinds: dict[str, int] = {}
@@ -429,8 +397,8 @@ class _ServeLoop(EventCore):
     # ----------------------------------------------------------- segments
     # Per-segment state is a pure function of (live set, tiers, deployed
     # mapping), which only change on a replan; the core rebuilds it only
-    # then, so a burst of rejected arrivals re-uses the same rates, index
-    # vector and violation mask across all its segments.
+    # then, so a burst of rejected arrivals re-uses the same per-resident
+    # rows across all its segments.
     def segment_state(self) -> tuple:
         names, rates, pots, result = super().segment_state()
         live = self.residents
@@ -444,64 +412,38 @@ class _ServeLoop(EventCore):
                 key = (result.workload_names, self.deployed[1].assignments,
                        tuple(float(r) for r in result.rates))
                 seg_cell = self.seg_cells[id(result)] = [result, key, 0.0]
-        count = len(names)
-        idx = np.fromiter((r.acc for r in live.values()),
-                          dtype=np.intp, count=count)
-        rate_vec = np.fromiter((rates[n] for n in names),
-                               dtype=np.float64, count=count)
-        gap_rows = idx[rate_vec <= 0.0]
         tier = self.controller.tier
-        violating = np.fromiter(
-            (pots[n] < tier(r.tier).min_potential for n, r in live.items()),
-            dtype=bool, count=count)
-        viol_rows = idx[violating]
-        return (names, rates, pots, result, idx, rate_vec, gap_rows,
-                viol_rows, seg_cell)
+        rows = tuple((record, rates[n], rates[n] <= 0.0,
+                      pots[n] < tier(record.tier).min_potential)
+                     for n, record in live.items())
+        return names, rates, pots, result, rows, seg_cell
 
     def account(self, state: tuple, duration: float) -> None:
-        _, _, _, _, idx, rate_vec, gap_rows, viol_rows, seg_cell = state
+        _, _, _, _, rows, seg_cell = state
         if seg_cell is not None:          # set only when recording
             seg_cell[2] += duration
-        if idx.size:
-            acc = self.acc
-            acc.served[idx] += duration
-            acc.delivered[idx] += rate_vec * duration
-            if gap_rows.size:
-                acc.gap[gap_rows] += duration
-            if viol_rows.size:
-                acc.violation[viol_rows] += duration
+        for record, rate, is_gap, is_violating in rows:
+            record.served += duration
+            record.delivered += rate * duration
+            if is_gap:
+                record.gap += duration
+            if is_violating:
+                record.violation += duration
 
     # ------------------------------------------------------- waiting room
     def enqueue(self, request: SessionRequest, t: float,
                 record: _Live | None, remaining: float) -> None:
         entry = _WaitEntry(request, t, record, remaining)
         tier = record.tier if record is not None else request.tier
-        heapq.heappush(self.wait_heap, (
-            self.controller.queue_order_key(tier, t, request.session_id),
-            self.wait_seq, entry))
-        self.wait_seq += 1
-        self.queued_total += 1
+        self.waiting[entry] = self.controller.queue_order_key(
+            tier, t, request.session_id)
         if record is None:
             self.queued_fresh += 1
         if self.recording:
             self.tick(QUEUE_ENQUEUED, tier)
-            self.depth_gauge = (t, self.queued_total)
+            self.depth_gauge = (t, len(self.waiting))
         self.push(self.controller.queue_deadline(t), QUIET_RANK,
                   self.timeout, entry)
-
-    def deactivate(self, entry: _WaitEntry) -> None:
-        entry.active = False
-        self.queued_total -= 1
-        if entry.record is None:
-            self.queued_fresh -= 1
-
-    def compact_wait_heap(self) -> None:
-        """Drop lazily deleted entries once they dominate the heap, so
-        its footprint tracks the live waiting room, not total churn."""
-        wait_heap = self.wait_heap
-        if len(wait_heap) > 64 and len(wait_heap) > 2 * self.queued_total:
-            wait_heap[:] = [item for item in wait_heap if item[2].active]
-            heapq.heapify(wait_heap)
 
     def admit(self, request: SessionRequest, t: float, queue_wait: float,
               duration: float, record: _Live | None = None) -> None:
@@ -511,8 +453,7 @@ class _ServeLoop(EventCore):
         free = [n for n in self.pool if n not in live]
         name = str(self.rng.choice(free))
         if record is None:
-            record = _Live(request, get_model(name), t, queue_wait,
-                           self.acc.add_row())
+            record = _Live(request, get_model(name), t, queue_wait)
         else:
             # Resumption: the suspended record re-admits with its
             # remainder, possibly under a different free pool name.
@@ -542,20 +483,20 @@ class _ServeLoop(EventCore):
         """Admit waiting sessions into freed capacity, best key first.
 
         Keys are frozen at enqueue time — a parked record's tier cannot
-        change while suspended — so each admission is one (amortised)
-        heap pop, not a re-sort of the room.
+        change while suspended — so each admission is one ``min`` over the
+        room's keys, not a re-sort of the room.
         """
-        live, wait_heap = self.residents, self.wait_heap
+        live, waiting = self.residents, self.waiting
         limit = min(self.capacity, self.pool_size)
-        while self.queued_total and len(live) < limit:
-            while not wait_heap[0][2].active:
-                heapq.heappop(wait_heap)
-            _, _, entry = heapq.heappop(wait_heap)
-            self.deactivate(entry)
+        while waiting and len(live) < limit:
+            entry = min(waiting, key=waiting.__getitem__)
+            del waiting[entry]
+            if entry.record is None:
+                self.queued_fresh -= 1
             self.admit(entry.request, t, t - entry.enqueue_s,
                        entry.remaining, entry.record)
             if self.recording:             # the gauge keeps its last write
-                self.depth_gauge = (t, self.queued_total)
+                self.depth_gauge = (t, len(waiting))
 
     def evict(self, name: str, t: float) -> None:
         """Suspend the named session: park its record (and remainder) in
@@ -570,7 +511,7 @@ class _ServeLoop(EventCore):
             # completes here instead of parking an empty remainder (and
             # being misreported as eviction collateral).
             self.results[victim.request.session_id] = victim.outcome(
-                SERVED, departed_s=t, acc=self.acc)
+                SERVED, departed_s=t)
             return
         victim.evictions += 1
         if victim.pending_shift is not None:
@@ -586,13 +527,12 @@ class _ServeLoop(EventCore):
         controller = self.controller
         free = len(live) < self.pool_size
         if self.preempting and not controller.can_admit(len(live), free):
-            acc = self.acc
             views = tuple(
                 LiveView(name=n, session_id=r.request.session_id,
                          tier=r.tier,
                          priority=controller.tier(r.tier).priority,
                          admitted_s=r.last_admit_s,
-                         served_s=float(acc.served[r.acc]))
+                         served_s=r.served)
                 for n, r in live.items())
             # Suspended (evicted) sessions park in the waiting room but
             # do not consume its bounded slots — only fresh arrivals count
@@ -605,7 +545,7 @@ class _ServeLoop(EventCore):
             # the verdict reads neither value: skip the per-arrival view
             # build either way.
             views = None
-            queue_len = self.queued_total
+            queue_len = len(self.waiting)
         decision, plan = controller.decide_with_plan(
             request.tier, len(live), queue_len, free, views)
         if self.recording:
@@ -652,7 +592,7 @@ class _ServeLoop(EventCore):
         if self.recording:
             self.live_gauge = (t, len(live))
         self.results[record.request.session_id] = record.outcome(
-            SERVED, departed_s=t, acc=self.acc)
+            SERVED, departed_s=t)
         self.drain(t)
         return True
 
@@ -673,14 +613,14 @@ class _ServeLoop(EventCore):
         A quiet event: an abandonment changes no live session, so alone
         at its timestamp it emits no segment and does not move the clock.
         """
-        if not entry.active:
+        if self.waiting.pop(entry, None) is None:
             return False           # drained into a slot before the bell
-        self.deactivate(entry)
-        self.compact_wait_heap()
+        if entry.record is None:
+            self.queued_fresh -= 1
         if self.recording:
             tier = entry.record.tier if entry.record else entry.request.tier
             self.tick(QUEUE_ABANDONED, tier)
-            self.depth_gauge = (t, self.queued_total)
+            self.depth_gauge = (t, len(self.waiting))
         self.close_stay(entry, self.max_wait, ABANDONED, abandoned_s=t)
         return False
 
@@ -695,7 +635,7 @@ class _ServeLoop(EventCore):
                                   abandoned_s=abandoned_s)
         else:
             record.queue_wait_s += wait
-            outcome = record.outcome(EVICTED, departed_s=None, acc=self.acc,
+            outcome = record.outcome(EVICTED, departed_s=None,
                                      abandoned_s=abandoned_s)
         self.results[entry.request.session_id] = outcome
 
@@ -723,18 +663,17 @@ class _ServeLoop(EventCore):
     # ------------------------------------------------------------ finalize
     def report(self) -> ServeReport:
         """Close every open session's ledger and flush the telemetry."""
-        horizon, acc, results = self.horizon, self.acc, self.results
+        horizon, results = self.horizon, self.results
         for record in self.residents.values():
             results[record.request.session_id] = record.outcome(
-                SERVING, departed_s=None, acc=acc)
-        for _, _, entry in self.wait_heap:
-            if entry.active:
-                # Still waiting at the horizon: the timeout event would
-                # have fired inside the horizon, so the stay is shorter
-                # than max_wait.
-                self.close_stay(
-                    entry, min(horizon - entry.enqueue_s, self.max_wait),
-                    QUEUED)
+                SERVING, departed_s=None)
+        for entry in self.waiting:
+            # Still waiting at the horizon: the timeout event would have
+            # fired inside the horizon, so the stay is shorter than
+            # max_wait.
+            self.close_stay(
+                entry, min(horizon - entry.enqueue_s, self.max_wait),
+                QUEUED)
 
         if self.recording:
             # Flush the locally accumulated hot-path telemetry (see

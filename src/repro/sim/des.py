@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..hw.energy import interference_inflation
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
@@ -116,13 +117,8 @@ def _build_stages(workload: list[ModelSpec], mapping: Mapping,
                   platform: Platform,
                   apply_interference: bool) -> list[_Stage]:
     demands = compute_stage_demands(workload, mapping, platform)
-
-    inflation = np.ones(platform.num_components)
-    if apply_interference:
-        for c in range(platform.num_components):
-            contexts = len({d.dnn_index for d in demands
-                            if d.component == c})
-            inflation[c] = platform.component(c).interference_factor(contexts)
+    inflation = (interference_inflation(platform, demands)
+                 if apply_interference else np.ones(platform.num_components))
 
     stages: list[_Stage] = []
     per_dnn: dict[int, list[_Stage]] = {}

@@ -57,10 +57,10 @@ class _Live:
 
     The streaming loop keeps the same lifecycle (eviction parks the
     record, ``epoch`` guards stale events, ``pending_shift`` freezes
-    while suspended) but accumulates service time in shared numpy
-    arrays; this copy accumulates on the instance, one float op per
-    resident per segment, exactly as the seed did — which is what makes
-    the bit-identity property meaningful.
+    while suspended) and the same per-record floats, but adds them over
+    rows it precomputes once per plan; this copy re-derives every
+    resident's rate and SLA check in each segment, exactly as the seed
+    did.
     """
 
     __slots__ = ("request", "model", "tier", "admitted_s", "queue_wait_s",
@@ -276,7 +276,8 @@ def serve_trace_reference(requests, policy: ReplanPolicy,
             if all(n in live for n in config.pool):
                 break
             # The oracle's deliberately naive O(n log n)-per-admission
-            # re-sort the streaming loop's keyed heap is checked against.
+            # re-sort the streaming loop's keyed waiting room is checked
+            # against.
             queue.sort(key=lambda item: controller.queue_order_key(
                 queue_tier(item), item[1], item[0].session_id))
             request, enqueued, record, remaining, _ = queue.pop(0)

@@ -4,7 +4,8 @@ scalar reference over arbitrary workloads and mapping batches.
 The learned-path analogue of ``test_solver_equivalence.py``: the fast path
 (:func:`repro.mapping.build_q_tensor_batch` feeding
 :meth:`EstimatorPredictor.predict_batch`) must *bit*-match per-mapping
-Q-tensor assembly — same scatter, same bucket means, same float32 cast —
+Q-tensor assembly (the oracle in ``tests/oracles/qtensor_reference.py``)
+— same scatter, same bucket means, same float32 cast —
 so a batched candidate roster scores exactly as the stacked scalar
 assemblies would.  The inference forward shapes every contraction per
 batch row, so a mapping's scores are also bit-identical whatever roster
@@ -19,13 +20,13 @@ from hypothesis import strategies as st
 from repro.core import EstimatorPredictor
 from repro.estimator import EstimatorConfig, ThroughputEstimator
 from repro.mapping import (
-    build_q_tensor,
     build_q_tensor_batch,
     random_partition_mapping,
     uniform_block_mapping,
 )
 from repro.vqvae import EmbeddingCache, LayerVQVAE
 from repro.zoo import get_model
+from tests.oracles.qtensor_reference import build_q_tensor
 
 #: Mixes short models, a >96-layer model (bucket averaging) and a
 #: <96-layer model (zero padding), so resampling hits all three regimes.

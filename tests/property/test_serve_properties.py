@@ -25,6 +25,7 @@ not an MCTS search.
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,12 +267,14 @@ def test_renegotiation_spares_bronze_sessions():
 
 
 # ------------------------------------------------------------ bit identity
-# The streaming rewrite of the serving loop (generator arrivals, keyed
-# waiting room, scheduled queue timeouts, vectorized accounting) must be
-# observationally *identical* to the pre-streaming loop kept in
-# ``tests/oracles/serve_reference.py`` — same event total order, same rng
-# consumption, last-ulp-equal float accounting.  These properties pin
-# that equivalence across randomized traces and every preemption policy.
+# The streaming serving loop (generator arrivals, a waiting room keyed at
+# enqueue, scheduled queue timeouts, per-record float accounting over
+# precomputed resident rows) must be observationally *identical* to the
+# pre-streaming loop kept in ``tests/oracles/serve_reference.py`` — same
+# event total order, same rng consumption, last-ulp-equal float
+# accounting.  These properties pin that equivalence across randomized
+# traces and every preemption policy; the deep-room case below drives the
+# waiting room past a hundred stays.
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000),
@@ -323,6 +326,39 @@ def test_streamed_sampler_end_to_end_matches_reference():
     reference = serve_trace_reference(requests, FullReplan(GpuBaseline()),
                                       PLATFORM, config, cache=CACHE)
     assert streamed == reference
+
+
+@pytest.mark.parametrize("preemption",
+                         ["none", "evict_lowest_tier", "renegotiate"])
+def test_deep_waiting_room_matches_reference(preemption):
+    """A saturated node whose waiting room holds about a hundred stays —
+    the randomized traces above allow six fresh ones — drains, times
+    out, evicts or demotes exactly as the reference loop does."""
+    horizon = 3000.0
+    requests = sample_trace(5, 1 / 2, ("gold", "silver", "bronze"),
+                            horizon=horizon, mean_session=300.0,
+                            shift_prob=0.3)
+    config = ServeConfig(
+        horizon_s=horizon,
+        admission=AdmissionConfig(capacity=3, queue_limit=100,
+                                  max_queue_wait_s=400.0,
+                                  preemption=preemption),
+        pool=POOL, seed=0)
+    streamed = serve_trace((r for r in requests), FullReplan(GpuBaseline()),
+                           PLATFORM, config, cache=CACHE)
+    reference = serve_trace_reference(requests, FullReplan(GpuBaseline()),
+                                      PLATFORM, config, cache=CACHE)
+    assert streamed == reference
+    counts = Counter(s.outcome for s in streamed.sessions)
+    # Every stay still queued at the horizon is in the room at once.
+    assert counts["queued"] > 64
+    assert counts["abandoned"] > 0                       # timeouts
+    assert any(s.admitted_s is not None and s.queue_wait_s > 0
+               for s in streamed.sessions)               # drains
+    if preemption == "evict_lowest_tier":
+        assert streamed.evictions > 0
+    if preemption == "renegotiate":
+        assert sum(s.demotions for s in streamed.sessions) > 0
 
 
 @settings(max_examples=4, deadline=None, derandomize=True)

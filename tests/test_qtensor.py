@@ -1,16 +1,20 @@
-"""Unit tests for Q-tensor assembly."""
+"""Unit tests for Q-tensor assembly: the fused assembler in ``src/`` on one
+mapping, and the helpers of the per-mapping oracle it is checked against."""
 
 import numpy as np
 import pytest
 
-from repro.mapping import (
-    Mapping,
-    build_q_tensor,
-    gpu_only_mapping,
+from repro.mapping import Mapping, build_q_tensor_batch, gpu_only_mapping
+from repro.zoo import get_model
+from tests.oracles.qtensor_reference import (
     layer_component_vector,
     scatter_layers,
 )
-from repro.zoo import get_model
+
+
+def assemble_one(workload, mapping, *args, **kwargs):
+    """The fused assembler on a batch of one mapping."""
+    return build_q_tensor_batch(workload, [mapping], *args, **kwargs)[0]
 
 
 class TestLayerComponentVector:
@@ -59,56 +63,56 @@ class TestBuildQ:
 
     def test_shape(self):
         wl = [get_model("alexnet"), get_model("squeezenet_v2")]
-        q = build_q_tensor(wl, gpu_only_mapping(wl), self._embeddings(wl),
-                           num_components=3, max_dnns=5, max_layers=64)
+        q = assemble_one(wl, gpu_only_mapping(wl), self._embeddings(wl),
+                         num_components=3, max_dnns=5, max_layers=64)
         assert q.shape == (5, 64, 12)
 
     def test_unused_channels_zero(self):
         wl = [get_model("alexnet")]
-        q = build_q_tensor(wl, gpu_only_mapping(wl), self._embeddings(wl),
-                           3, max_dnns=5, max_layers=64)
+        q = assemble_one(wl, gpu_only_mapping(wl), self._embeddings(wl),
+                         3, max_dnns=5, max_layers=64)
         assert np.abs(q[1:]).max() == 0.0
 
     def test_component_column_blocks(self):
         wl = [get_model("alexnet")]
         m = Mapping((tuple([2] * wl[0].num_blocks),))
-        q = build_q_tensor(wl, m, self._embeddings(wl, dim=4), 3,
-                           max_dnns=2, max_layers=32)
+        q = assemble_one(wl, m, self._embeddings(wl, dim=4), 3,
+                         max_dnns=2, max_layers=32)
         # All mass must be in the third column block.
         assert np.abs(q[0, :, :8]).max() == 0.0
         assert np.abs(q[0, :, 8:]).sum() > 0
 
     def test_long_model_resampled(self):
         wl = [get_model("densenet169")]  # 256 layers
-        q = build_q_tensor(wl, gpu_only_mapping(wl), self._embeddings(wl),
-                           3, max_dnns=1, max_layers=64)
+        q = assemble_one(wl, gpu_only_mapping(wl), self._embeddings(wl),
+                         3, max_dnns=1, max_layers=64)
         assert q.shape[1] == 64
         # Bucket-averaging preserves total mass approximately.
         assert q.sum() > 0
 
     def test_short_model_padded(self):
         wl = [get_model("alexnet")]  # 13 layers
-        q = build_q_tensor(wl, gpu_only_mapping(wl), self._embeddings(wl),
-                           3, max_dnns=1, max_layers=64)
+        q = assemble_one(wl, gpu_only_mapping(wl), self._embeddings(wl),
+                         3, max_dnns=1, max_layers=64)
         assert np.abs(q[0, 13:]).max() == 0.0
 
     def test_too_many_dnns_rejected(self):
         wl = [get_model("alexnet")] * 3
         with pytest.raises(ValueError):
-            build_q_tensor(wl, gpu_only_mapping(wl), self._embeddings(wl),
-                           3, max_dnns=2, max_layers=16)
+            assemble_one(wl, gpu_only_mapping(wl), self._embeddings(wl),
+                         3, max_dnns=2, max_layers=16)
 
     def test_mismatched_embeddings_rejected(self):
         wl = [get_model("alexnet")]
         with pytest.raises(ValueError):
-            build_q_tensor(wl, gpu_only_mapping(wl),
-                           [np.ones((5, 4))], 3, max_dnns=1, max_layers=16)
+            assemble_one(wl, gpu_only_mapping(wl),
+                         [np.ones((5, 4))], 3, max_dnns=1, max_layers=16)
 
     def test_placement_changes_tensor(self):
         wl = [get_model("alexnet")]
         emb = self._embeddings(wl)
-        q_gpu = build_q_tensor(wl, gpu_only_mapping(wl), emb, 3, 1, 32)
-        q_big = build_q_tensor(
+        q_gpu = assemble_one(wl, gpu_only_mapping(wl), emb, 3, 1, 32)
+        q_big = assemble_one(
             wl, Mapping((tuple([1] * wl[0].num_blocks),)), emb, 3, 1, 32
         )
         assert not np.allclose(q_gpu, q_big)

@@ -78,29 +78,30 @@ def live_view(name, sid, tier, priority, admitted=0.0, served=0.0):
 class TestAdmissionController:
     def test_admits_below_capacity(self):
         c = AdmissionController(AdmissionConfig(capacity=2))
-        assert c.decide("bronze", 1, 0, can_place=True) == ADMIT
+        assert c.decide_with_plan("bronze", 1, 0, can_place=True)[0] == ADMIT
 
     def test_queues_high_tier_at_capacity(self):
         c = AdmissionController(AdmissionConfig(capacity=2, queue_limit=4))
-        assert c.decide("gold", 2, 0, can_place=True) == QUEUE
-        assert c.decide("silver", 2, 0, can_place=True) == QUEUE
+        assert c.decide_with_plan("gold", 2, 0, can_place=True)[0] == QUEUE
+        assert c.decide_with_plan("silver", 2, 0, can_place=True)[0] == QUEUE
 
     def test_rejects_low_tier_at_capacity(self):
         c = AdmissionController(AdmissionConfig(capacity=2))
-        assert c.decide("bronze", 2, 0, can_place=True) == REJECT
+        assert c.decide_with_plan("bronze", 2, 0,
+                                  can_place=True)[0] == REJECT
 
     def test_rejects_when_queue_full(self):
         c = AdmissionController(AdmissionConfig(capacity=1, queue_limit=1))
-        assert c.decide("gold", 1, 1, can_place=True) == REJECT
+        assert c.decide_with_plan("gold", 1, 1, can_place=True)[0] == REJECT
 
     def test_pool_exhaustion_blocks_placement(self):
         c = AdmissionController(AdmissionConfig(capacity=8, queue_limit=2))
-        assert c.decide("gold", 3, 0, can_place=False) == QUEUE
+        assert c.decide_with_plan("gold", 3, 0, can_place=False)[0] == QUEUE
 
     def test_unknown_tier_rejected(self):
         c = AdmissionController()
         with pytest.raises(ValueError, match="unknown SLA tier"):
-            c.decide("platinum", 0, 0, can_place=True)
+            c.decide_with_plan("platinum", 0, 0, can_place=True)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -383,7 +384,7 @@ class TestServeLoop:
 
 # -------------------------------------------------------------- preempt
 class TestPreemptionController:
-    """Verdict-level behaviour of decide()/plan_preemption()."""
+    """Verdict-level behaviour of decide_with_plan()/plan_preemption()."""
 
     def _controller(self, preemption, capacity=2, queue_limit=4):
         return AdmissionController(AdmissionConfig(
@@ -398,12 +399,12 @@ class TestPreemptionController:
 
     def test_no_preempt_without_live_views(self):
         c = self._controller("evict_lowest_tier")
-        assert c.decide("gold", 2, 0, can_place=True) == QUEUE
+        assert c.decide_with_plan("gold", 2, 0, can_place=True)[0] == QUEUE
 
     def test_gold_preempts_bronze(self):
         c = self._controller("evict_lowest_tier")
         live = (live_view("a", 0, "gold", 0.7), live_view("b", 1, "bronze", 0.1))
-        assert c.decide("gold", 2, 0, True, live) == PREEMPT
+        assert c.decide_with_plan("gold", 2, 0, True, live)[0] == PREEMPT
         plan = c.plan_preemption("gold", 2, True, live)
         assert plan.action == "evict" and plan.victim == "b"
 
@@ -411,13 +412,13 @@ class TestPreemptionController:
         """Gold-vs-gold contention: equal tiers never preempt each other."""
         c = self._controller("evict_lowest_tier")
         live = (live_view("a", 0, "gold", 0.7), live_view("b", 1, "gold", 0.7))
-        assert c.decide("gold", 2, 0, True, live) == QUEUE
+        assert c.decide_with_plan("gold", 2, 0, True, live)[0] == QUEUE
         assert c.plan_preemption("gold", 2, True, live) is None
 
     def test_bronze_cannot_preempt_upward(self):
         c = self._controller("evict_lowest_tier", queue_limit=0)
         live = (live_view("a", 0, "gold", 0.7), live_view("b", 1, "silver", 0.2))
-        assert c.decide("bronze", 2, 0, True, live) == REJECT
+        assert c.decide_with_plan("bronze", 2, 0, True, live)[0] == REJECT
 
     def test_victim_is_lowest_tier_then_least_served(self):
         c = self._controller("evict_lowest_tier", capacity=3)
@@ -443,7 +444,7 @@ class TestPreemptionController:
     def test_renegotiate_demotes_to_floor(self):
         c = self._controller("renegotiate")
         live = (live_view("a", 0, "silver", 0.2), live_view("b", 1, "gold", 0.7))
-        assert c.decide("gold", 2, 0, True, live) == PREEMPT
+        assert c.decide_with_plan("gold", 2, 0, True, live)[0] == PREEMPT
         plan = c.plan_preemption("gold", 2, True, live)
         assert plan.action == "demote"
         assert plan.victim == "a" and plan.demote_to == "bronze"
@@ -452,7 +453,7 @@ class TestPreemptionController:
         """A victim already at the ladder floor cannot be demoted."""
         c = self._controller("renegotiate")
         live = (live_view("a", 0, "bronze", 0.1), live_view("b", 1, "bronze", 0.1))
-        assert c.decide("gold", 2, 0, True, live) == QUEUE
+        assert c.decide_with_plan("gold", 2, 0, True, live)[0] == QUEUE
 
     def test_renegotiate_needs_free_name_and_headroom(self):
         c = self._controller("renegotiate", capacity=2)
@@ -689,8 +690,9 @@ class TestCustomLadderRenegotiation:
 
 # ------------------------------------------------------------ streaming
 class TestStreamingLoop:
-    """The streaming rearchitecture: generator-fed arrivals, keyed
-    waiting room, scheduled queue timeouts, vectorized accounting."""
+    """The streaming rearchitecture: generator-fed arrivals, a waiting
+    room keyed at enqueue, scheduled queue timeouts, per-record
+    accounting."""
 
     @staticmethod
     def _fast_policy():
