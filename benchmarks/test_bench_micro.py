@@ -510,9 +510,11 @@ def test_bench_serve_obs(benchmark, mode):
     contracts of the subsystem: the reports are **bit-identical** (the
     recorder is a pure side channel) and the on-path wall clock stays
     within 10% of the off-path (plus a 20 ms absolute floor so a
-    sub-second off row cannot flake the ratio on scheduler noise).  Both
-    rows land in ``BENCH_history.jsonl`` and are guarded against silent
-    regression by ``benchmarks/record_bench.py``.
+    sub-second off row cannot flake the ratio on scheduler noise).  The
+    overhead check compares the fastest of three runs per mode: single
+    ~50 ms runs swing by about 25 ms with the host.  Both rows (each
+    timing one run) land in ``BENCH_history.jsonl`` and are guarded
+    against silent regression by ``benchmarks/record_bench.py``.
     """
     import gc
     import time
@@ -548,10 +550,11 @@ def test_bench_serve_obs(benchmark, mode):
                             pool=pool, seed=0, record_timeline=False),
                 cache=cache)
 
-    recorder = (TelemetryRecorder(where="bench") if mode == "on"
-                else NULL_RECORDER)
+    walls: list[float] = []
 
     def run():
+        recorder = (TelemetryRecorder(where="bench") if mode == "on"
+                    else NULL_RECORDER)
         stream = iter_session_requests(np.random.default_rng(7), trace,
                                        tier_shift_prob=0.2)
         # A gen-2 collection left over from earlier tests takes 40-90 ms,
@@ -560,10 +563,13 @@ def test_bench_serve_obs(benchmark, mode):
         t0 = time.perf_counter()
         report = serve_trace(stream, policy, PLATFORM, config, cache=cache,
                              recorder=recorder)
-        _OBS_WALL[mode] = time.perf_counter() - t0
-        return report
+        walls.append(time.perf_counter() - t0)
+        return report, recorder
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, recorder = benchmark.pedantic(run, rounds=1, iterations=1)
+    for _ in range(2):
+        run()
+    _OBS_WALL[mode] = min(walls)
     _OBS_REPORTS[mode] = report
     assert 0.9 * n <= report.arrivals <= 1.1 * n
     if mode == "on":

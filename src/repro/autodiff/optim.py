@@ -6,7 +6,11 @@ import numpy as np
 
 from .nn import Parameter
 
-__all__ = ["Adam", "clip_grad_norm", "CosineSchedule"]
+__all__ = ["Adam", "clip_grad_norm", "CosineSchedule", "GRAD_CLIP_NORM"]
+
+#: The global gradient-norm bound every training loop here clips to (the
+#: VQ-VAE, the estimator and its fine-tuning).
+GRAD_CLIP_NORM = 5.0
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:

@@ -24,6 +24,13 @@ from ..zoo.layers import ModelSpec
 
 __all__ = ["GeneticManager", "GAConfig"]
 
+#: Tournament size, crossover and per-gene mutation odds, and how many of
+#: the fittest chromosomes survive each generation unchanged.
+_TOURNAMENT = 3
+_CROSSOVER_RATE = 0.9
+_MUTATION_RATE = 0.05
+_ELITES = 2
+
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -31,10 +38,6 @@ class GAConfig:
 
     population: int = 20
     generations: int = 12
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.05
-    elites: int = 2
     seed: int = 0
 
 
@@ -77,15 +80,15 @@ class GeneticManager(Manager):
             order = np.argsort(-scores)
             population = population[order]
             scores = scores[order]
-            next_pop = [population[i].copy() for i in range(cfg.elites)]
+            next_pop = [population[i].copy() for i in range(_ELITES)]
             while len(next_pop) < cfg.population:
                 a = self._tournament(population, scores, rng)
                 b = self._tournament(population, scores, rng)
                 child = a.copy()
-                if rng.random() < cfg.crossover_rate:
+                if rng.random() < _CROSSOVER_RATE:
                     take_b = rng.random(genome_len) < 0.5
                     child[take_b] = b[take_b]
-                mutate = rng.random(genome_len) < cfg.mutation_rate
+                mutate = rng.random(genome_len) < _MUTATION_RATE
                 child[mutate] = rng.integers(d, size=int(mutate.sum()))
                 next_pop.append(child)
             population = np.stack(next_pop)
@@ -100,7 +103,7 @@ class GeneticManager(Manager):
     # ------------------------------------------------------------------
     def _tournament(self, population: np.ndarray, scores: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(len(population), size=self.config.tournament)
+        idx = rng.integers(len(population), size=_TOURNAMENT)
         return population[idx[np.argmax(scores[idx])]]
 
     @staticmethod

@@ -34,15 +34,14 @@ class Mosaic(Manager):
     #: Modeled on-device decision latency (Sec. V-D: ~1 s).
     MODELED_DECISION_S = 0.9
 
-    def __init__(self, platform: Platform, max_stages: int = 3,
-                 profile_models: list[ModelSpec] | None = None,
-                 noise_seed: int = 0):
+    #: Most pipeline slices one DNN is cut into.
+    MAX_STAGES = 3
+
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self.max_stages = max_stages
-        rng = np.random.default_rng(noise_seed)
         self.latency_model = LinearLatencyModel(platform).fit(
-            profile_models or pool_models(),
-            noise_rng=rng, noise_std=0.05,
+            pool_models(), noise_rng=np.random.default_rng(0),
+            noise_std=0.05,
         )
 
     # ------------------------------------------------------------------
@@ -69,7 +68,7 @@ class Mosaic(Manager):
 
         best_cost = np.inf
         best: tuple[int, ...] = tuple([0] * n)
-        max_stages = min(self.max_stages, n, d)
+        max_stages = min(self.MAX_STAGES, n, d)
         for n_stages in range(1, max_stages + 1):
             placements = list(itertools.permutations(range(d), n_stages))
             for cuts in itertools.combinations(range(1, n), n_stages - 1):

@@ -43,10 +43,12 @@ class Odmdef(Manager):
     #: Modeled on-device decision latency (Sec. V-D: ~1 s).
     MODELED_DECISION_S = 1.1
 
-    def __init__(self, platform: Platform, k_neighbors: int = 7,
-                 profiling_runs: int = 60, seed: int = 0):
+    #: Profiled samples the k-NN corrector averages per block.
+    K_NEIGHBORS = 7
+
+    def __init__(self, platform: Platform, profiling_runs: int = 60,
+                 seed: int = 0):
         self.platform = platform
-        self.k_neighbors = k_neighbors
         #: Per-DNN rates its regression+kNN core predicted for the last
         #: plan — the quantity whose accuracy hinges on the profiling
         #: corpus (scored by the sample-efficiency study).
@@ -94,7 +96,7 @@ class Odmdef(Manager):
             return 1.0
         candidates = self._knn_matrix[mask]
         dists = ((candidates - feats) ** 2).sum(axis=1)
-        k = min(self.k_neighbors, len(dists))
+        k = min(self.K_NEIGHBORS, len(dists))
         nearest = np.argpartition(dists, k - 1)[:k]
         return float(self._knn_inflation_arr[mask][nearest].mean())
 

@@ -28,7 +28,7 @@ from ..search.reward import (
 )
 from ..sim.dynamic import MappingDecision
 from ..zoo.layers import ModelSpec
-from .predictor import RatePredictor
+from .predictor import MEASUREMENT_WINDOW_S, RatePredictor
 from .priorities import dynamic_priorities, normalize_priorities
 
 __all__ = ["CandidateObjective", "Manager", "RankMap", "RankMapConfig"]
@@ -87,7 +87,6 @@ class RankMapConfig:
     # reward.  Protects the no-starvation guarantee against estimator
     # error; 0 disables (the paper's pure estimator-trusting flow).
     board_validation_top_k: int = 0
-    board_measurement_window_s: float = 2.0
 
     def __post_init__(self):
         if self.mode not in ("static", "dynamic"):
@@ -182,7 +181,7 @@ class RankMap(Manager):
             mapping, validated = self._validate_on_board(
                 workload, stats.top_candidates[:k], objective,
                 fallback=mapping)
-            modeled += validated * self.config.board_measurement_window_s
+            modeled += validated * MEASUREMENT_WINDOW_S
 
         self.last_stats = stats
         self.last_wall_seconds = time.perf_counter() - t0

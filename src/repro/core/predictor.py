@@ -24,7 +24,12 @@ from ..sim.cache import EvaluationCache
 from ..vqvae.train import EmbeddingCache
 from ..zoo.layers import ModelSpec
 
-__all__ = ["RatePredictor", "EstimatorPredictor", "OraclePredictor"]
+__all__ = ["RatePredictor", "EstimatorPredictor", "OraclePredictor",
+           "MEASUREMENT_WINDOW_S"]
+
+#: Seconds a mapping runs on the board to measure its rates: the cost of
+#: one oracle evaluation and of each board-validation re-measurement.
+MEASUREMENT_WINDOW_S = 2.0
 
 
 class RatePredictor:
@@ -132,10 +137,8 @@ class OraclePredictor(RatePredictor):
     """
 
     def __init__(self, platform: Platform,
-                 measurement_window_s: float = 2.0,
                  cache: EvaluationCache | None = None):
         self.platform = platform
-        self.measurement_window_s = measurement_window_s
         self.cache = cache if cache is not None else EvaluationCache(platform)
         if self.cache.platform != platform:
             raise ValueError("cache is bound to a different platform")
@@ -149,4 +152,4 @@ class OraclePredictor(RatePredictor):
     @property
     def board_latency_per_eval(self) -> float:
         """Measuring a mapping on the device means running it for a window."""
-        return self.measurement_window_s
+        return MEASUREMENT_WINDOW_S

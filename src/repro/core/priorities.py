@@ -15,6 +15,9 @@ from ..zoo.layers import ModelSpec
 
 __all__ = ["normalize_priorities", "static_priorities", "dynamic_priorities"]
 
+#: The critical DNN's share of a static priority vector.
+CRITICAL_WEIGHT = 0.7
+
 
 def normalize_priorities(priorities) -> np.ndarray:
     """Scale a non-negative vector to sum to 1."""
@@ -29,18 +32,16 @@ def normalize_priorities(priorities) -> np.ndarray:
     return p / total
 
 
-def static_priorities(num_dnns: int, critical_index: int,
-                      critical_weight: float = 0.7) -> np.ndarray:
-    """The paper's static scheme: one critical DNN, the rest uniform."""
+def static_priorities(num_dnns: int, critical_index: int) -> np.ndarray:
+    """The paper's static scheme: one critical DNN at
+    :data:`CRITICAL_WEIGHT`, the rest uniform."""
     if not 0 <= critical_index < num_dnns:
         raise ValueError("critical_index out of range")
-    if not 0.0 < critical_weight < 1.0:
-        raise ValueError("critical_weight must be in (0, 1)")
     if num_dnns == 1:
         return np.ones(1)
-    rest = (1.0 - critical_weight) / (num_dnns - 1)
+    rest = (1.0 - CRITICAL_WEIGHT) / (num_dnns - 1)
     p = np.full(num_dnns, rest)
-    p[critical_index] = critical_weight
+    p[critical_index] = CRITICAL_WEIGHT
     return p
 
 

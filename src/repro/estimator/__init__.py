@@ -27,7 +27,7 @@ from .finetune import (
     refresh_artifact,
     segment_rows_to_samples,
 )
-from .metrics import l2_loss, pairwise_ranking_accuracy, spearman_r
+from .metrics import l2_loss, spearman_r
 from .model import EstimatorConfig, ThroughputEstimator
 from .train import (
     EstimatorTrainConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "EstimatorSample",
     "generate_dataset",
     "l2_loss",
-    "pairwise_ranking_accuracy",
     "spearman_r",
     "EstimatorConfig",
     "ThroughputEstimator",

@@ -197,7 +197,6 @@ class FinetuneConfig:
     epochs: int = 4
     batch_size: int = 16
     lr: float = 2e-4
-    grad_clip: float = 5.0
     channel_shuffle: bool = True
     seed: int = 0
 

@@ -1,15 +1,15 @@
 """Estimator quality metrics: regression error plus rank quality.
 
 MCTS only needs the estimator to *order* mappings correctly, so alongside
-the paper's L2 loss we track Spearman rank correlation and pairwise
-ordering accuracy against the simulator's ground truth.
+the paper's L2 loss we track Spearman rank correlation against the
+simulator's ground truth.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["l2_loss", "spearman_r", "pairwise_ranking_accuracy"]
+__all__ = ["l2_loss", "spearman_r"]
 
 
 def l2_loss(pred: np.ndarray, target: np.ndarray,
@@ -54,19 +54,3 @@ def spearman_r(pred, target) -> float:
     ranks = np.column_stack((_average_ranks(pred), _average_ranks(target)))
     rho = np.corrcoef(ranks, rowvar=False)[1, 0]
     return float(0.0 if np.isnan(rho) else rho)
-
-
-def pairwise_ranking_accuracy(pred, target, rng: np.random.Generator,
-                              n_pairs: int = 2000) -> float:
-    """Fraction of random pairs whose predicted order matches the truth."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    target = np.asarray(target, dtype=np.float64).ravel()
-    if pred.size < 2:
-        raise ValueError("need at least two points")
-    i = rng.integers(pred.size, size=n_pairs)
-    j = rng.integers(pred.size, size=n_pairs)
-    keep = target[i] != target[j]
-    if not keep.any():
-        return 0.5
-    agree = (pred[i] > pred[j]) == (target[i] > target[j])
-    return float(agree[keep].mean())

@@ -26,7 +26,6 @@ class EstimatorTrainConfig:
     lr_min: float = 2e-4          # cosine-decayed floor
     val_fraction: float = 0.1     # paper: 10 % held out for feedback
     channel_shuffle: bool = True  # paper's augmentation step
-    grad_clip: float = 5.0
     seed: int = 0
 
 
@@ -70,8 +69,9 @@ def train_epochs(model: ThroughputEstimator, dataset: EstimatorDataset,
                  schedule: optim.CosineSchedule | None = None):
     """The epoch loop :func:`train_estimator` and
     :func:`~repro.estimator.finetune.finetune` share; yields each epoch's
-    mean training loss.  ``config`` supplies ``epochs``, ``batch_size``,
-    ``channel_shuffle`` and ``grad_clip``."""
+    mean training loss.  ``config`` supplies ``epochs``, ``batch_size``
+    and ``channel_shuffle``; gradients clip at
+    :data:`~repro.autodiff.optim.GRAD_CLIP_NORM`."""
     n = len(dataset)
     for _ in range(config.epochs):
         model.train()
@@ -87,7 +87,7 @@ def train_epochs(model: ThroughputEstimator, dataset: EstimatorDataset,
             pred = model(Tensor(q))
             loss = _masked_mse(pred, y, mask)
             loss.backward()
-            optim.clip_grad_norm(model.parameters(), config.grad_clip)
+            optim.clip_grad_norm(model.parameters(), optim.GRAD_CLIP_NORM)
             if schedule is not None:
                 schedule.step()
             optimizer.step()

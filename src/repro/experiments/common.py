@@ -35,6 +35,7 @@ from ..hw import orange_pi_5
 from ..hw.platform import Platform
 from ..search import MCTSConfig
 from ..sim.cache import platform_fingerprint
+from ..utils import lookup
 from ..vqvae import EmbeddingCache, VQVAETrainConfig, train_vqvae
 from ..workloads import sample_mix
 
@@ -360,13 +361,13 @@ class ExperimentContext:
         entry).  A node platform that is not a runner preset is refused
         first, before any training.
         """
-        from ..runner.runner import PLATFORM_SPECS, _preset
+        from ..runner import PLATFORM_SPECS
 
         if node_platforms is None:
             node_platforms = {fields.setdefault("platform",
                                                 self.platform.name)}
         for key in sorted(node_platforms):
-            _preset(PLATFORM_SPECS, key)
+            lookup(PLATFORM_SPECS, key, "platform")
         fields.setdefault("search_iterations", self.preset.mcts_iterations)
         fields.setdefault("search_rollouts", self.preset.mcts_rollouts)
         if fields.get("predictor") == "estimator" \

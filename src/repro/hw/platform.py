@@ -45,12 +45,6 @@ class Platform:
     def component(self, index: int) -> ComputeComponent:
         return self.components[index]
 
-    def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.components):
-            if c.name == name:
-                return i
-        raise KeyError(f"no component named {name!r}")
-
     def ideal_throughput(self, model: ModelSpec) -> float:
         """Paper's t_ideal: the model alone and unpartitioned on the GPU."""
         return solo_throughput(model, self.gpu)

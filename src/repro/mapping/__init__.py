@@ -1,4 +1,4 @@
-"""Mapping representation, random generators, Q tensors, space accounting."""
+"""Mapping representation, random generators and Q tensors."""
 
 from .mapping import (
     Mapping,
@@ -9,7 +9,6 @@ from .mapping import (
 )
 from .qtensor import build_q_tensor_batch
 from .random_map import random_partition_mapping, uniform_block_mapping
-from .space import log10_solution_space, solution_space_size
 
 __all__ = [
     "Mapping",
@@ -20,6 +19,4 @@ __all__ = [
     "random_partition_mapping",
     "uniform_block_mapping",
     "build_q_tensor_batch",
-    "solution_space_size",
-    "log10_solution_space",
 ]

@@ -54,11 +54,6 @@ class Mapping:
             if min(a) < 0:
                 raise ValueError(f"DNN {i} has a negative component index")
 
-    @classmethod
-    def from_lists(cls, assignments) -> "Mapping":
-        return cls(tuple(tuple(int(c) for c in a) for a in assignments))
-
-    # ------------------------------------------------------------------
     @property
     def num_dnns(self) -> int:
         return len(self.assignments)
@@ -94,9 +89,6 @@ class Mapping:
             out.extend(extract_stages(i, assignment))
         return out
 
-    def num_stages(self) -> int:
-        return len(self.stages())
-
     def __repr__(self) -> str:
         body = "; ".join("".join(str(c) for c in a) for a in self.assignments)
         return f"Mapping({body})"
@@ -125,6 +117,7 @@ def single_component_mapping(workload: list[ModelSpec],
     ))
 
 
-def gpu_only_mapping(workload: list[ModelSpec], gpu_index: int = 0) -> Mapping:
-    """The paper's baseline: every DNN whole on the GPU."""
-    return single_component_mapping(workload, gpu_index)
+def gpu_only_mapping(workload: list[ModelSpec]) -> Mapping:
+    """The paper's baseline: every DNN whole on the GPU, which every
+    :class:`~repro.hw.platform.Platform` puts at component index 0."""
+    return single_component_mapping(workload, 0)

@@ -1,27 +1,14 @@
 """Evaluation metrics: T, P, starvation, priority correlation."""
 
 from .correlation import pearson_r
-from .starvation import (
-    STARVATION_EPSILON,
-    any_starved,
-    count_starved,
-    starved_mask,
-)
-from .throughput import (
-    average_throughput,
-    baseline_result,
-    normalized_throughput,
-    potential_throughput,
-)
+from .starvation import STARVATION_EPSILON
+from .throughput import (average_throughput, baseline_result,
+                         normalized_throughput)
 
 __all__ = [
     "pearson_r",
     "STARVATION_EPSILON",
-    "any_starved",
-    "count_starved",
-    "starved_mask",
     "average_throughput",
     "baseline_result",
     "normalized_throughput",
-    "potential_throughput",
 ]

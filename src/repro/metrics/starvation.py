@@ -1,4 +1,4 @@
-"""Starvation detection.
+"""The starvation threshold.
 
 The paper declares a DNN starved when its measured potential throughput P
 is 0 — i.e. it makes no observable progress on the board over the
@@ -10,29 +10,7 @@ the paper's Fig. 7 histogram.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..sim.engine import SimResult
-
-__all__ = ["STARVATION_EPSILON", "starved_mask", "count_starved", "any_starved"]
+__all__ = ["STARVATION_EPSILON"]
 
 #: P below this fraction of ideal counts as starved (measurement resolution).
 STARVATION_EPSILON = 0.02
-
-
-def starved_mask(result: SimResult,
-                 epsilon: float = STARVATION_EPSILON) -> np.ndarray:
-    """Boolean mask of starved DNNs in ``result``."""
-    return result.potentials < epsilon
-
-
-def count_starved(result: SimResult,
-                  epsilon: float = STARVATION_EPSILON) -> int:
-    """Number of starved DNNs in ``result``."""
-    return int(starved_mask(result, epsilon).sum())
-
-
-def any_starved(result: SimResult,
-                epsilon: float = STARVATION_EPSILON) -> bool:
-    """True when at least one DNN in ``result`` is starved."""
-    return bool(starved_mask(result, epsilon).any())

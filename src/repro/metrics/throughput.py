@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..hw.platform import Platform
 from ..mapping.mapping import gpu_only_mapping
 from ..sim.engine import SimResult, simulate
@@ -18,7 +16,6 @@ from ..zoo.layers import ModelSpec
 __all__ = [
     "average_throughput",
     "normalized_throughput",
-    "potential_throughput",
     "baseline_result",
 ]
 
@@ -38,8 +35,3 @@ def normalized_throughput(result: SimResult, baseline: SimResult) -> float:
     if baseline.average_throughput <= 0:
         raise ValueError("baseline throughput must be positive")
     return result.average_throughput / baseline.average_throughput
-
-
-def potential_throughput(result: SimResult) -> np.ndarray:
-    """Per-DNN potential P = t_current / t_ideal."""
-    return result.potentials

@@ -16,16 +16,18 @@ Every spec is a few registry keys and scalars, so it ships to a worker
 as bytes and every result is bit-identical for any worker count.
 """
 
-from .runner import (
+from .managers import (
     MANAGER_SPECS,
     PLATFORM_SPECS,
+    build_manager,
+    resolve_predictor,
+)
+from .runner import (
     FleetNodeTask,
     ScenarioRunner,
-    build_manager,
     execute_dynamic_scenario,
     execute_fleet_node,
     execute_scenario,
-    resolve_predictor,
     sample_fleet_requests,
 )
 from .scenario import (

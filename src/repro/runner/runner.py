@@ -23,27 +23,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..baselines import GAConfig, GeneticManager, GpuBaseline, Mosaic, Odmdef, OmniBoost
-from ..core.manager import Manager, RankMap, RankMapConfig
-from ..core.predictor import EstimatorPredictor, OraclePredictor, RatePredictor
-from ..estimator import (ArtifactPlatformMismatch,
-                         artifact_generation_candidates,
-                         load_estimator_artifact)
-from ..hw import (dvfs_ladder, jetson_class, jetson_class_power,
-                  orange_pi_5, orange_pi_5_power)
-from ..hw.energy import PlatformPower
-from ..hw.platform import Platform
 from ..obs import NULL_RECORDER, Recorder, TelemetryRecorder, merge_snapshots
-from ..obs.registry import EVAL_CACHE_DOWNGRADES, PREDICTOR_DOWNGRADES
-from ..search import MCTSConfig
-from ..serve import AdmissionConfig, ServeConfig, build_replan_policy, serve_trace
-from ..serve.fleet import (FleetPowerConfig, FleetRounds, NodeSpec,
-                           node_speed)
+from ..obs.registry import EVAL_CACHE_DOWNGRADES
+from ..serve import ServeConfig, build_replan_policy, serve_trace
+from ..serve.fleet import FleetRounds, NodeSpec, node_speed
 from ..sim import EvaluationCache, simulate
-from ..sim.cache import platform_fingerprint
-from ..workloads import (SessionRequest, TraceConfig, iter_session_requests,
+from ..workloads import (SessionRequest, iter_session_requests,
                          sample_session_requests)
 from ..zoo import MODEL_POOL, get_model
+from .managers import PLATFORM_SPECS, build_manager
 from .scenario import (
     DynamicResult,
     DynamicScenario,
@@ -53,232 +41,13 @@ from .scenario import (
     ScenarioResult,
 )
 
-__all__ = ["ScenarioRunner", "MANAGER_SPECS", "PLATFORM_SPECS",
-           "POWER_SPECS", "DVFS_MULTIPLIERS",
-           "build_manager", "resolve_predictor", "execute_scenario",
-           "execute_dynamic_scenario", "FleetNodeTask", "execute_fleet_node",
-           "sample_fleet_requests"]
-
-PLATFORM_SPECS: dict[str, Callable[[], Platform]] = {
-    "orange_pi_5": orange_pi_5,
-    "jetson_class": jetson_class,
-}
-
-#: Platform-key → power-envelope preset, mirroring :data:`PLATFORM_SPECS`
-#: so a power-capped fleet node prices energy with the same board its
-#: speed came from.
-POWER_SPECS: dict[str, Callable[[], PlatformPower]] = {
-    "orange_pi_5": orange_pi_5_power,
-    "jetson_class": jetson_class_power,
-}
-
-#: Speed multipliers the runner's DVFS ladders are cut from;
-#: ``FleetScenario.power_dvfs_levels`` takes a prefix of this tuple.
-DVFS_MULTIPLIERS: tuple[float, ...] = (1.0, 0.8, 0.65, 0.5)
-
-
-def _preset(specs: dict[str, Callable], key: str):
-    """Build the ``specs`` preset (a platform or its power envelope) that
-    the platform key ``key`` names; a key with no preset raises."""
-    try:
-        return specs[key]()
-    except KeyError:
-        raise ValueError(f"unknown platform {key!r}; "
-                         f"choose from {sorted(specs)}") from None
-
-
-#: Per-process memo of loaded estimator artifacts, keyed by
-#: (path, mtime_ns, size, platform fingerprint) so every scenario a pool
-#: worker executes against the same artifact file shares one rebuilt
-#: estimator instead of unpickling per scenario.  Safe for determinism:
-#: the loaded weights are a pure function of the key.
-_ARTIFACT_MEMO: dict[tuple, object] = {}
-
-
-def resolve_predictor(scenario, platform: Platform,
-                      cache: EvaluationCache,
-                      recorder: Recorder = NULL_RECORDER) -> RatePredictor:
-    """Build the candidate-scoring predictor a scenario's spec names.
-
-    ``"oracle"`` (and any spec without a ``predictor`` field, e.g. the
-    static :class:`~repro.runner.Scenario`) measures candidates on the
-    simulated board through the shared evaluation ``cache``.
-    ``"estimator"`` loads the trained artifact at
-    ``scenario.estimator_path`` and scores through the learned path.
-
-    Fine-tuned **generations** are preferred automatically: when
-    ``estimator_path`` names a family base, the newest compatible
-    ``<stem>.gen<N><suffix>`` sibling
-    (:func:`repro.estimator.artifact_generation_candidates`) wins over
-    the base file, so a node picks up the latest
-    :func:`repro.estimator.refresh_artifact` output without any spec
-    change.  Naming a generation file directly pins that exact
-    generation.  A generation trained for a different platform falls
-    through to the next older candidate; only when *every* existing
-    candidate mismatches does the scenario downgrade.
-
-    Mirroring the ``cache_path`` rules, an artifact trained for a
-    *different platform* downgrades to the oracle with a warning (whose
-    message carries the artifact path and both platform fingerprints)
-    plus a :data:`~repro.obs.registry.PREDICTOR_DOWNGRADES` counter tick
-    on ``recorder`` — a heterogeneous fleet sharing one artifact path
-    legitimately warms only the matching nodes — while a corrupt or
-    missing artifact raises: the predictor choice changes reports, so a
-    broken file must fail loudly rather than silently serve the wrong
-    study (a corrupt *newer generation* therefore blocks the whole
-    family rather than silently serving stale weights).  The returned
-    predictor reports its scoring metrics to ``recorder``.
-    """
-    kind = getattr(scenario, "predictor", "oracle")
-    if kind == "oracle":
-        predictor = OraclePredictor(platform, cache=cache)
-        predictor.recorder = recorder
-        return predictor
-    path = Path(scenario.estimator_path)
-    fingerprint = platform_fingerprint(platform)
-    artifact = None
-    mismatch: ArtifactPlatformMismatch | None = None
-    for candidate in artifact_generation_candidates(path):
-        try:
-            stat = candidate.stat()
-        except FileNotFoundError:
-            continue
-        key = (str(candidate), stat.st_mtime_ns, stat.st_size, fingerprint)
-        loaded = _ARTIFACT_MEMO.get(key)
-        if loaded is None:
-            try:
-                loaded = load_estimator_artifact(candidate, platform)
-            except ArtifactPlatformMismatch as exc:
-                # Negative-memoise the mismatch too: the verdict is a pure
-                # function of the key, and a heterogeneous fleet
-                # re-resolves the same (artifact, platform) pair once per
-                # node slice — no point re-unpickling the full weight
-                # payload each time.  Memoise a *fresh* exception carrying
-                # only the message: the raised one's traceback frames
-                # would pin the unpickled weight arrays in the memo for
-                # the process lifetime.
-                loaded = ArtifactPlatformMismatch(str(exc))
-            _ARTIFACT_MEMO[key] = loaded
-        if isinstance(loaded, ArtifactPlatformMismatch):
-            # Keep the newest mismatch for the downgrade warning but try
-            # the next older generation — a heterogeneous fleet fine-tunes
-            # per platform, so an incompatible child must not shadow a
-            # compatible base.
-            if mismatch is None:
-                mismatch = loaded
-            continue
-        artifact = loaded
-        break
-    if artifact is None and mismatch is None:
-        path.stat()             # missing artifact: FileNotFoundError
-        raise FileNotFoundError(   # pragma: no cover - stat raises first
-            f"no estimator artifact found for {path}")
-    if artifact is None:
-        artifact = mismatch
-    if isinstance(artifact, ArtifactPlatformMismatch):
-        # Force emission per call: fleet sweeps reuse node names across
-        # cells, and the default warnings filter would dedupe the
-        # byte-identical message after the first downgrade — silencing
-        # exactly the substitution this warning exists to surface.  The
-        # mismatch message carries the artifact path and both platform
-        # fingerprints, so the warning pinpoints which file lost to
-        # which board.
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.warn(
-                f"scenario {scenario.name!r}: {artifact}; downgrading to "
-                "the oracle predictor", stacklevel=2)
-        if recorder.enabled:
-            recorder.count(PREDICTOR_DOWNGRADES)
-        predictor = OraclePredictor(platform, cache=cache)
-        predictor.recorder = recorder
-        return predictor
-    if artifact.config.num_components != platform.num_components:
-        # The fingerprint covers the platform only, not the estimator's
-        # shapes — a Q tensor laid out for a different component count
-        # would crash (or silently mis-place) deep inside the scatter.
-        raise ValueError(
-            f"estimator artifact {path} featurizes "
-            f"{artifact.config.num_components} components but platform "
-            f"{platform.name!r} has {platform.num_components}")
-    capacity = getattr(scenario, "capacity", None)
-    if capacity is not None:
-        # Overcommitting preemption policies (renegotiation) admit past
-        # capacity, so the live set can exceed it by the policy's
-        # headroom — ask the policy itself rather than duplicating it.
-        from ..serve.preempt import build_preemption_policy
-
-        policy = build_preemption_policy(
-            getattr(scenario, "preemption", "none"))
-        peak = capacity + policy.max_overcommit
-        if peak > artifact.config.max_dnns:
-            raise ValueError(
-                f"scenario {scenario.name!r} can reach {peak} concurrent "
-                f"DNNs but the estimator artifact caps at "
-                f"max_dnns={artifact.config.max_dnns}")
-    predictor = EstimatorPredictor(artifact.estimator, artifact.embedder)
-    predictor.recorder = recorder
-    return predictor
-
-
-def _mcts(scenario: Scenario) -> MCTSConfig:
-    return MCTSConfig(iterations=scenario.search_iterations,
-                      rollouts_per_leaf=scenario.search_rollouts,
-                      seed=scenario.seed)
-
-
-def _rankmap(mode: str):
-    def build(platform: Platform, scenario: Scenario,
-              cache: EvaluationCache,
-              recorder: Recorder = NULL_RECORDER) -> Manager:
-        return RankMap(platform,
-                       resolve_predictor(scenario, platform, cache,
-                                         recorder=recorder),
-                       RankMapConfig(mode=mode, mcts=_mcts(scenario)))
-    return build
-
-
-MANAGER_SPECS: dict[str, Callable[..., Manager]] = {
-    "baseline": lambda platform, scenario, cache, recorder=NULL_RECORDER:
-        GpuBaseline(),
-    "mosaic": lambda platform, scenario, cache, recorder=NULL_RECORDER:
-        Mosaic(platform),
-    "odmdef": lambda platform, scenario, cache, recorder=NULL_RECORDER:
-        Odmdef(platform, seed=scenario.seed),
-    "ga": lambda platform, scenario, cache, recorder=NULL_RECORDER:
-        GeneticManager(platform, GAConfig(seed=scenario.seed)),
-    "omniboost": lambda platform, scenario, cache, recorder=NULL_RECORDER:
-        OmniBoost(platform,
-                  resolve_predictor(scenario, platform, cache,
-                                    recorder=recorder),
-                  _mcts(scenario)),
-    "rankmap_s": _rankmap("static"),
-    "rankmap_d": _rankmap("dynamic"),
-}
-
-
-def build_manager(scenario: Scenario, platform: Platform,
-                  cache: EvaluationCache,
-                  recorder: Recorder = NULL_RECORDER) -> Manager:
-    """Build the scenario's planning manager from its roster key.
-
-    Every worker constructs its manager fresh from the spec (seeded by
-    the scenario), which is what makes pool results order- and
-    worker-count-independent.  ``recorder`` reaches the manager's rate
-    predictor (:mod:`repro.obs`); planning decisions never depend on it.
-    """
-    try:
-        spec = MANAGER_SPECS[scenario.manager]
-    except KeyError:
-        raise ValueError(
-            f"unknown manager {scenario.manager!r}; "
-            f"choose from {sorted(MANAGER_SPECS)}") from None
-    return spec(platform, scenario, cache, recorder)
+__all__ = ["ScenarioRunner", "execute_scenario", "execute_dynamic_scenario",
+           "FleetNodeTask", "execute_fleet_node", "sample_fleet_requests"]
 
 
 def execute_scenario(scenario: Scenario) -> ScenarioResult:
     """Run one scenario start-to-finish (also the process-pool worker)."""
-    platform = _preset(PLATFORM_SPECS, scenario.platform)
+    platform = PLATFORM_SPECS[scenario.platform]()
     workload = [get_model(n) for n in scenario.workload]
     cache = EvaluationCache(platform)
     manager = build_manager(scenario, platform, cache)
@@ -324,7 +93,7 @@ def _serve_requests(spec: DynamicScenario,
     the file matches.  ``eval_cache_preloaded == 0`` on the result is the
     signal that nothing was loaded.
     """
-    platform = _preset(PLATFORM_SPECS, spec.platform)
+    platform = PLATFORM_SPECS[spec.platform]()
     recorder: Recorder = (TelemetryRecorder(where=spec.name)
                           if spec.observe else NULL_RECORDER)
     preloaded = 0
@@ -354,14 +123,9 @@ def _serve_requests(spec: DynamicScenario,
     manager = build_manager(spec, platform, cache, recorder=recorder)
     policy = build_replan_policy(spec.policy, manager)
 
-    pool = spec.pool if spec.pool else MODEL_POOL
     serve_config = ServeConfig(
-        horizon_s=horizon_s,
-        admission=AdmissionConfig(
-            capacity=spec.capacity, queue_limit=spec.queue_limit,
-            max_queue_wait_s=spec.max_queue_wait_s,
-            preemption=spec.preemption),
-        pool=pool, seed=spec.seed,
+        horizon_s=horizon_s, admission=spec.admission_config(),
+        pool=spec.pool or MODEL_POOL, seed=spec.seed,
     )
 
     t0 = time.perf_counter()
@@ -384,19 +148,12 @@ def execute_dynamic_scenario(spec: DynamicScenario) -> DynamicResult:
     :func:`_serve_requests`; the report is a pure function of the spec
     regardless of which worker runs it or how warm its cache starts.
     """
-    pool = spec.pool if spec.pool else MODEL_POOL
-    trace_config = TraceConfig(
-        horizon_s=spec.horizon_s,
-        arrival_rate_per_s=spec.arrival_rate_per_s,
-        mean_session_s=spec.mean_session_s,
-        max_concurrent=spec.capacity, pool=pool,
-    )
     # Trace seed is decoupled from the search seed so policy/manager cells
     # of a sweep sharing `seed` see the same arrival process.  The demand
     # streams straight into the serving loop — a multi-day scenario never
     # holds its full trace in worker memory.
     requests = iter_session_requests(
-        np.random.default_rng(spec.seed + 17), trace_config,
+        np.random.default_rng(spec.seed + 17), spec.trace_config(),
         tier_shift_prob=spec.tier_shift_prob)
     return _serve_requests(spec, requests, spec.horizon_s)
 
@@ -438,12 +195,7 @@ def sample_fleet_requests(fleet: FleetScenario) -> list[SessionRequest]:
     shift instant (the drift is a change of *regime*, not a continuation
     of the old one).
     """
-    trace_config = TraceConfig(
-        horizon_s=fleet.horizon_s,
-        arrival_rate_per_s=fleet.arrival_rate_per_s,
-        mean_session_s=fleet.mean_session_s,
-        max_concurrent=max(1, sum(n.capacity for n in fleet.nodes)),
-    )
+    trace_config = fleet.trace_config()
     rng = np.random.default_rng(fleet.seed + 17)
     if fleet.rate_shift is None:
         return sample_session_requests(
@@ -474,35 +226,12 @@ def _fleet_node_specs(fleet: FleetScenario) -> list[NodeSpec]:
     fail_by_index = dict(fleet.fail_at)
     specs = []
     for index, node in enumerate(fleet.nodes):
-        platform = _preset(PLATFORM_SPECS, node.platform)
-        pool = node.pool if node.pool else MODEL_POOL
+        platform = PLATFORM_SPECS[node.platform]()
         specs.append(NodeSpec(
             name=node.name, capacity=node.capacity,
-            speed=node_speed(platform, pool),
+            speed=node_speed(platform, node.pool or MODEL_POOL),
             fail_at_s=fail_by_index.get(index)))
     return specs
-
-
-def _fleet_power_config(fleet: FleetScenario) -> FleetPowerConfig | None:
-    """The dispatcher power budget a scenario's power knobs describe.
-
-    ``None`` when the fleet is not power-capped.  Each node's DVFS
-    ladder is cut from its platform's :data:`POWER_SPECS` preset at the
-    first ``power_dvfs_levels`` :data:`DVFS_MULTIPLIERS` operating
-    points, so heterogeneous fleets throttle against heterogeneous
-    envelopes.
-    """
-    if fleet.power_cap_w is None:
-        return None
-    multipliers = DVFS_MULTIPLIERS[:fleet.power_dvfs_levels]
-    ladders = tuple(dvfs_ladder(_preset(POWER_SPECS, node.platform),
-                                multipliers)
-                    for node in fleet.nodes)
-    return FleetPowerConfig(ladders=ladders,
-                            cap_w=fleet.power_cap_w,
-                            cap_shift=fleet.power_cap_shift,
-                            shed_tiers=fleet.power_shed_tiers,
-                            enforce=fleet.power_enforce)
 
 
 class ScenarioRunner:
@@ -555,7 +284,8 @@ class ScenarioRunner:
         reports — are a pure function of the scenario list.
 
         Power-capped fleets (``power_cap_w`` set) plan every round under
-        the :func:`_fleet_power_config` budget; the final round's
+        the :meth:`~repro.runner.FleetScenario.power_config` budget; the
+        final round's
         :class:`~repro.serve.fleet.FleetPowerReport` ledger lands on
         ``FleetReport.power``.  Because the governor runs entirely in
         phase 1, the power path inherits the same any-worker-count
@@ -567,7 +297,7 @@ class ScenarioRunner:
                                   [node.platform for node in fleet.nodes],
                                   fleet.routing, fleet.horizon_s,
                                   fleet.feedback_rounds,
-                                  _fleet_power_config(fleet))
+                                  fleet.power_config())
                       for fleet in fleets]
         dispatch_snaps: list = [None] * len(fleets)
         node_results: list[list[DynamicResult]] = [[] for _ in fleets]

@@ -16,7 +16,9 @@ aggregate demand through the :mod:`repro.serve.fleet` dispatcher.  All
 spec kinds are a few strings and floats, so the same process pool sweeps
 static planning, dynamic-traffic and fleet studies alike; dict-shaped
 specs parse strictly through the ``from_dict`` classmethods (unknown keys
-raise).
+raise).  Every spec refuses at construction what its worker would refuse:
+roster keys and model names are looked up, and the admission and trace
+configs the worker builds are built once to check them.
 """
 
 from __future__ import annotations
@@ -25,12 +27,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..hw import dvfs_ladder
 from ..mapping.mapping import Mapping
 from ..obs import TelemetrySnapshot
+from ..serve.admission import AdmissionConfig
+from ..serve.fleet.power import FleetPowerConfig
 from ..serve.fleet.report import FleetReport
-from ..serve.preempt import PREEMPTION_POLICIES
+from ..serve.fleet.routing import ROUTING_POLICIES
+from ..serve.replan import REPLAN_POLICIES
 from ..serve.report import ServeReport
-from ..workloads import sample_mix
+from ..utils import lookup
+from ..workloads import TraceConfig, check_tier_shift_prob, sample_mix
+from ..zoo.registry import MODEL_BUILDERS, MODEL_POOL
+from .managers import (DVFS_MULTIPLIERS, MANAGER_SPECS, PLATFORM_SPECS,
+                       POWER_SPECS)
 
 __all__ = [
     "Scenario",
@@ -77,6 +87,14 @@ def _tupled(value):
     return tuple(tuple(v) if isinstance(v, list) else v for v in value)
 
 
+def _check_keys(spec, models: tuple[str, ...]) -> None:
+    """Look up a spec's manager and platform keys and its model names."""
+    lookup(MANAGER_SPECS, spec.manager, "manager")
+    lookup(PLATFORM_SPECS, spec.platform, "platform")
+    for name in models:
+        lookup(MODEL_BUILDERS, name, "model")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One (workload, platform, manager) planning problem."""
@@ -96,6 +114,7 @@ class Scenario:
         if self.priorities is not None \
                 and len(self.priorities) != len(self.workload):
             raise ValueError("priorities must match workload size")
+        _check_keys(self, self.workload)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
@@ -198,20 +217,11 @@ class DynamicScenario:
     observe: bool = False               # collect repro.obs telemetry
 
     def __post_init__(self):
-        if self.horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        if self.arrival_rate_per_s <= 0:
-            raise ValueError("arrival_rate_per_s must be positive")
-        if self.mean_session_s <= 0:
-            raise ValueError("mean_session_s must be positive")
-        if isinstance(self.capacity, bool) \
-                or not isinstance(self.capacity, int) or self.capacity < 1:
-            raise ValueError(
-                f"capacity must be an int >= 1, got {self.capacity!r}")
-        if self.preemption not in PREEMPTION_POLICIES:
-            raise ValueError(
-                f"unknown preemption policy {self.preemption!r}; "
-                f"choose from {sorted(PREEMPTION_POLICIES)}")
+        self.admission_config()
+        self.trace_config()
+        check_tier_shift_prob(self.tier_shift_prob)
+        _check_keys(self, self.pool)
+        lookup(REPLAN_POLICIES, self.policy, "replan policy")
         if self.predictor not in ("oracle", "estimator"):
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; "
@@ -225,6 +235,21 @@ class DynamicScenario:
                 "estimator_path is set but predictor is "
                 f"{self.predictor!r}; the artifact would be silently "
                 "ignored — set predictor='estimator' (or drop the path)")
+
+    def admission_config(self) -> AdmissionConfig:
+        """The node's admission control, as its worker serves with it."""
+        return AdmissionConfig(capacity=self.capacity,
+                               queue_limit=self.queue_limit,
+                               max_queue_wait_s=self.max_queue_wait_s,
+                               preemption=self.preemption)
+
+    def trace_config(self) -> TraceConfig:
+        """The node's own Poisson demand, as its worker samples it."""
+        return TraceConfig(horizon_s=self.horizon_s,
+                           arrival_rate_per_s=self.arrival_rate_per_s,
+                           mean_session_s=self.mean_session_s,
+                           max_concurrent=self.capacity,
+                           pool=self.pool or MODEL_POOL)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "DynamicScenario":
@@ -319,12 +344,9 @@ class FleetScenario:
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("fleet must have at least one node")
-        if self.horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        if self.arrival_rate_per_s <= 0:
-            raise ValueError("arrival_rate_per_s must be positive")
-        if self.mean_session_s <= 0:
-            raise ValueError("mean_session_s must be positive")
+        self.trace_config()
+        check_tier_shift_prob(self.tier_shift_prob)
+        lookup(ROUTING_POLICIES, self.routing, "routing policy")
         if not isinstance(self.feedback_rounds, int) \
                 or self.feedback_rounds < 0:
             raise ValueError(
@@ -365,11 +387,12 @@ class FleetScenario:
             if not new_cap > 0:
                 raise ValueError(
                     f"power_cap_shift cap must be positive, got {new_cap}")
+        depth = len(DVFS_MULTIPLIERS)
         if not isinstance(self.power_dvfs_levels, int) \
-                or not 1 <= self.power_dvfs_levels <= 4:
+                or not 1 <= self.power_dvfs_levels <= depth:
             raise ValueError(
-                f"power_dvfs_levels must be an int in 1..4 (the runner "
-                f"ladder depth), got {self.power_dvfs_levels!r}")
+                f"power_dvfs_levels must be an int in 1..{depth} (the "
+                f"runner ladder depth), got {self.power_dvfs_levels!r}")
         seen: set[int] = set()
         for index, fail_s in self.fail_at:
             if not 0 <= index < len(self.nodes):
@@ -382,6 +405,39 @@ class FleetScenario:
                     f"duplicate fail_at entry for node {index}; a node "
                     "fails at most once")
             seen.add(index)
+        self.power_config()
+
+    def power_config(self) -> FleetPowerConfig | None:
+        """The dispatcher's power budget, or ``None`` when the fleet is
+        not power-capped.
+
+        Each node's DVFS ladder is cut from its platform's
+        :data:`~repro.runner.managers.POWER_SPECS` preset at the first
+        ``power_dvfs_levels``
+        :data:`~repro.runner.managers.DVFS_MULTIPLIERS` operating points,
+        so heterogeneous fleets throttle against heterogeneous envelopes.
+        """
+        if self.power_cap_w is None:
+            return None
+        multipliers = DVFS_MULTIPLIERS[:self.power_dvfs_levels]
+        ladders = tuple(dvfs_ladder(POWER_SPECS[node.platform](),
+                                    multipliers)
+                        for node in self.nodes)
+        return FleetPowerConfig(ladders=ladders,
+                                cap_w=self.power_cap_w,
+                                cap_shift=self.power_cap_shift,
+                                shed_tiers=self.power_shed_tiers,
+                                enforce=self.power_enforce)
+
+    def trace_config(self) -> TraceConfig:
+        """The fleet's aggregate demand, as
+        :func:`~repro.runner.sample_fleet_requests` samples it (before any
+        ``rate_shift``)."""
+        return TraceConfig(
+            horizon_s=self.horizon_s,
+            arrival_rate_per_s=self.arrival_rate_per_s,
+            mean_session_s=self.mean_session_s,
+            max_concurrent=max(1, sum(n.capacity for n in self.nodes)))
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FleetScenario":

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.registry import ADMISSION_VERDICT, PREEMPT_PLAN
+from ..utils import lookup
 from ..workloads.sla import SLA_TIERS, SlaClass
 from .preempt import (
     EVICT,
@@ -38,16 +39,19 @@ QUEUE = "queue"
 REJECT = "reject"
 PREEMPT = "preempt"
 
+#: Tiers at or above this priority may wait for a slot on a saturated
+#: node; the rest are turned away outright.  With the default ladder gold
+#: and silver queue and bronze is rejected.
+MIN_QUEUE_PRIORITY = 0.15
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Admission-control knobs of one serving node.
 
     ``capacity`` is the multi-tenancy level (the paper evaluates up to 5
-    concurrent DNNs).  ``min_queue_priority`` draws the line between tiers
-    that may wait for a slot and tiers that are turned away outright when
-    the node is saturated — with the default ladder, gold and silver
-    queue, bronze is rejected.  ``preemption`` keys the
+    concurrent DNNs).  Only tiers at or above :data:`MIN_QUEUE_PRIORITY`
+    wait in the ``queue_limit``-slot waiting room.  ``preemption`` keys the
     :data:`~repro.serve.preempt.PREEMPTION_POLICIES` roster; the default
     ``"none"`` keeps the accept/queue/reject ladder untouched.
     """
@@ -55,7 +59,6 @@ class AdmissionConfig:
     capacity: int = 4
     queue_limit: int = 8
     max_queue_wait_s: float = 180.0
-    min_queue_priority: float = 0.15
     preemption: str = "none"
 
     def __post_init__(self):
@@ -67,10 +70,7 @@ class AdmissionConfig:
             raise ValueError("queue_limit must be non-negative")
         if self.max_queue_wait_s <= 0:
             raise ValueError("max_queue_wait_s must be positive")
-        if self.preemption not in PREEMPTION_POLICIES:
-            raise ValueError(
-                f"unknown preemption policy {self.preemption!r}; "
-                f"choose from {sorted(PREEMPTION_POLICIES)}")
+        lookup(PREEMPTION_POLICIES, self.preemption, "preemption policy")
 
 
 class AdmissionController:
@@ -102,12 +102,7 @@ class AdmissionController:
 
     def tier(self, name: str) -> SlaClass:
         """Resolve a tier name to its :class:`SlaClass` (or raise)."""
-        try:
-            return self._tiers[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown SLA tier {name!r}; "
-                f"choose from {sorted(self._tiers)}") from None
+        return lookup(self._tiers, name, "SLA tier")
 
     def can_admit(self, active_count: int, can_place: bool) -> bool:
         """The immediate-admission fast path: a free capacity slot and a
@@ -154,7 +149,7 @@ class AdmissionController:
             if plan is not None:
                 verdict = (PREEMPT, plan)
             elif queue_len < self.config.queue_limit \
-                    and tier.priority >= self.config.min_queue_priority:
+                    and tier.priority >= MIN_QUEUE_PRIORITY:
                 verdict = (QUEUE, None)
             else:
                 verdict = (REJECT, None)

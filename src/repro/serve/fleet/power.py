@@ -53,6 +53,8 @@ from ...obs.registry import (
     POWER_OVER_CAP_WS,
     POWER_SHED,
 )
+from ...utils import lookup
+from ...workloads.sla import SLA_TIERS
 
 __all__ = [
     "FleetPowerConfig",
@@ -70,8 +72,9 @@ class FleetPowerConfig:
     the node cannot be throttled.  ``cap_w`` is the fleet-wide draw
     budget (``inf`` = account only, never over cap) and ``cap_shift``
     optionally moves it mid-trace.  ``shed_tiers`` names the SLA tiers
-    the governor may drop when even ladder-floor throttling cannot fit
-    an arrival under the cap; ``hysteresis`` is the fraction of the cap
+    (of :data:`~repro.workloads.sla.SLA_TIERS`) the governor may drop
+    when even ladder-floor throttling cannot fit an arrival under the
+    cap; ``hysteresis`` is the fraction of the cap
     the draw must fall below before nodes step back up (guards against
     level flapping at the cap boundary).  ``enforce=False`` disables
     renegotiation and shedding but keeps the full ledger — the
@@ -111,6 +114,10 @@ class FleetPowerConfig:
                     f"cap_shift new cap must be positive, got {new_cap!r}")
         if not 0.0 < self.hysteresis <= 1.0:
             raise ValueError("hysteresis must be in (0, 1]")
+        # A tier off the ladder would never match a session: never shed.
+        ladder = {tier.name: tier for tier in SLA_TIERS}
+        for name in self.shed_tiers:
+            lookup(ladder, name, "SLA tier")
 
 
 @dataclass(frozen=True)

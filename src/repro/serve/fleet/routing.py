@@ -52,6 +52,7 @@ from typing import Mapping, Sequence
 
 from ...obs import NULL_RECORDER, Recorder
 from ...obs.registry import ROUTING_CHOICE
+from ...utils import lookup
 from ..report import ServeReport
 
 __all__ = [
@@ -263,11 +264,16 @@ class LeastLoadedRouter(RoutingPolicy):
         return _most_headroom(nodes)
 
 
+#: Share of the alive fleet, fastest first, that tier affinity reserves
+#: for gold sessions.
+_RESERVE_FRACTION = 1 / 3
+
+
 class TierAffinityRouter(RoutingPolicy):
     """Reserve the fastest nodes for gold sessions.
 
-    The fastest ``reserve_fraction`` of the alive fleet (at least one
-    node) is the *gold partition*.  Gold sessions go to the reserved node
+    The fastest third of the alive fleet (at least one node) is the
+    *gold partition*.  Gold sessions go to the reserved node
     with the most headroom; other tiers fill the unreserved nodes and
     spill onto a reserved node only when no unreserved node has a free
     slot — so a gold burst never queues behind bronze traffic, at the
@@ -276,17 +282,8 @@ class TierAffinityRouter(RoutingPolicy):
 
     name = "tier_affinity"
 
-    def __init__(self, reserve_fraction: float = 1 / 3,
-                 gold_tiers: tuple[str, ...] = ("gold",)):
-        if not 0.0 < reserve_fraction <= 1.0:
-            raise ValueError("reserve_fraction must be in (0, 1]")
-        if not gold_tiers:
-            raise ValueError("gold_tiers must not be empty")
-        self.reserve_fraction = reserve_fraction
-        self.gold_tiers = gold_tiers
-
     def _reserved(self, nodes: Sequence[NodeView]) -> set[int]:
-        count = max(1, round(len(nodes) * self.reserve_fraction))
+        count = max(1, round(len(nodes) * _RESERVE_FRACTION))
         count = min(count, len(nodes))
         fastest = sorted(nodes, key=lambda v: (-v.speed, v.index))
         return {view.index for view in fastest[:count]}
@@ -294,18 +291,18 @@ class TierAffinityRouter(RoutingPolicy):
     def _partition(self, tier: str, nodes: Sequence[NodeView],
                    ) -> tuple[list[NodeView], list[NodeView]]:
         """Split the alive views into the session's preferred partition
-        (reserved nodes for gold tiers, unreserved for the rest) and the
+        (reserved nodes for gold, unreserved for the rest) and the
         remainder — the one partition rule both affinity routers share."""
         reserved = self._reserved(nodes)
         preferred = [v for v in nodes if (v.index in reserved)
-                     == (tier in self.gold_tiers)]
+                     == (tier == "gold")]
         fallback = [v for v in nodes if v not in preferred]
         return preferred, fallback
 
     def choose(self, tier: str, nodes: Sequence[NodeView]) -> int:
         """Route gold to the reserved partition, other tiers around it."""
         preferred, fallback = self._partition(tier, nodes)
-        if tier in self.gold_tiers:
+        if tier == "gold":
             # Gold only leaves the reserved partition when it is gone
             # entirely (every reserved node dead): prefer always.
             return _most_headroom(preferred or fallback)
@@ -444,10 +441,4 @@ def build_routing_policy(key: str) -> RoutingPolicy:
     must start from a fresh instance — which is why scenario specs store
     the key, not the object.
     """
-    try:
-        factory = ROUTING_POLICIES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing policy {key!r}; "
-            f"choose from {sorted(ROUTING_POLICIES)}") from None
-    return factory()
+    return lookup(ROUTING_POLICIES, key, "routing policy")()

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from ..utils import lookup
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .admission import AdmissionController
 
@@ -171,35 +173,26 @@ class RenegotiateTier(PreemptionPolicy):
     """Demote the victim's tier instead of evicting it.
 
     The victim selection matches :class:`EvictLowestTier`, but a victim
-    already at the ladder floor (``floor_tier``) is not demotable — the
-    arrival then falls through to queue/reject, so an all-bronze node
-    renegotiates nothing.  Demotion voids the victim's old contract
-    entirely: a pending mid-session tier shift is cancelled with it —
-    the session stays at the floor instead of silently re-promoting
-    later.  The arrival is admitted by overcommitting the
-    node up to ``max_overcommit`` slots past its admission capacity
+    already at the ladder floor (the controller's lowest tier, whatever
+    the ladder) is not demotable — the arrival then falls through to
+    queue/reject, so an all-bronze node renegotiates nothing.  Demotion
+    voids the victim's old contract entirely: a pending mid-session tier
+    shift is cancelled with it — the session stays at the floor instead
+    of silently re-promoting later.  The arrival is admitted by
+    overcommitting the node up to ``max_overcommit`` slots past its
+    admission capacity
     (the contention solver handles the extra co-runner; everyone's
     potential drops while overcommitted, which is the policy's price).
     """
 
     name = "renegotiate"
-
-    def __init__(self, floor_tier: str | None = None,
-                 max_overcommit: int = 1):
-        if max_overcommit < 1:
-            raise ValueError("max_overcommit must be at least 1")
-        # None = the controller ladder's lowest tier, resolved per call,
-        # so the policy works on custom tier sets too.
-        self.floor_tier = floor_tier
-        self.max_overcommit = max_overcommit
+    max_overcommit = 1
 
     def consider(self, tier_name, live, controller):
         """Pick a victim demotable to the floor, strictly below the
         arrival's tier; ``None`` when everyone is already at the floor."""
         arrival = controller.tier(tier_name)
-        floor = (controller.tier(self.floor_tier)
-                 if self.floor_tier is not None
-                 else controller.floor_tier())
+        floor = controller.floor_tier()
         victim = _lowest_victim(live, below_priority=arrival.priority,
                                 above_priority=floor.priority)
         if victim is None:
@@ -223,10 +216,4 @@ def build_preemption_policy(key: str) -> PreemptionPolicy:
     Scenario specs store the key (like the replan and routing rosters);
     an unknown key raises with the known choices listed.
     """
-    try:
-        factory = PREEMPTION_POLICIES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown preemption policy {key!r}; "
-            f"choose from {sorted(PREEMPTION_POLICIES)}") from None
-    return factory()
+    return lookup(PREEMPTION_POLICIES, key, "preemption policy")()

@@ -32,6 +32,7 @@ import numpy as np
 from ..core.manager import Manager, RankMap
 from ..mapping.mapping import Mapping, gpu_only_mapping
 from ..search.reward import DISQUALIFIED
+from ..utils import lookup
 from ..zoo.layers import ModelSpec
 
 __all__ = [
@@ -251,10 +252,4 @@ def build_replan_policy(key: str, manager: Manager) -> ReplanPolicy:
     run must start from a fresh instance — scenario specs therefore store
     the key, not the object.
     """
-    try:
-        factory = REPLAN_POLICIES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown replan policy {key!r}; "
-            f"choose from {sorted(REPLAN_POLICIES)}") from None
-    return factory(manager)
+    return lookup(REPLAN_POLICIES, key, "replan policy")(manager)

@@ -76,10 +76,6 @@ class DesResult:
             return float("nan")
         return float(np.percentile(samples, q))
 
-    def mean_latency(self, name: str) -> float:
-        samples = self.latencies[name]
-        return float(samples.mean()) if samples.size else float("nan")
-
     @property
     def average_throughput(self) -> float:
         """The paper's T over the measured window."""

@@ -289,15 +289,17 @@ class EventCore:
         self.account(state, duration)
 
 
+#: Priority of a DNN that arrives before any priority event names it.
+_DEFAULT_PRIORITY = 0.1
+
+
 class _Replay(EventCore):
     """:func:`run_dynamic_scenario`'s handlers over the event core."""
 
     def __init__(self, events: list[ScenarioEvent], planner: Planner,
-                 platform: Platform, horizon: float,
-                 default_priority: float):
+                 platform: Platform, horizon: float):
         super().__init__(horizon, EvaluationCache(platform))
         self.planner = planner
-        self.default_priority = default_priority
         self.priorities: dict[str, float] = {}
         handlers = {"arrival": self.arrival, "departure": self.departure,
                     "priority": self.priority}
@@ -313,7 +315,7 @@ class _Replay(EventCore):
             raise ValueError(
                 f"{name!r} arrives at t={event.time} while already active")
         self.residents[name] = event.model
-        self.priorities.setdefault(name, self.default_priority)
+        self.priorities.setdefault(name, _DEFAULT_PRIORITY)
         return True
 
     def departure(self, event: ScenarioEvent, t: float) -> bool:
@@ -339,8 +341,7 @@ class _Replay(EventCore):
 
 
 def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
-                         platform: Platform, horizon: float,
-                         default_priority: float = 0.1) -> Timeline:
+                         platform: Platform, horizon: float) -> Timeline:
     """Simulate a scenario and return its piecewise-constant timeline.
 
     See the module docstring for the gap rules.  Raises ``ValueError``
@@ -351,6 +352,6 @@ def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
     """
     if not events:
         raise ValueError("scenario needs at least one event")
-    replay = _Replay(events, planner, platform, horizon, default_priority)
+    replay = _Replay(events, planner, platform, horizon)
     replay.run()
     return replay.timeline

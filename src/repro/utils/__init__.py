@@ -1,5 +1,6 @@
-"""Shared utilities (ASCII rendering, misc helpers)."""
+"""Shared utilities (ASCII rendering, roster lookup)."""
 
-from .ascii_plots import render_bars, render_histogram, render_table, to_csv
+from .ascii_plots import render_histogram, render_table, to_csv
+from .roster import lookup
 
-__all__ = ["render_bars", "render_histogram", "render_table", "to_csv"]
+__all__ = ["render_histogram", "render_table", "to_csv", "lookup"]

@@ -1,4 +1,4 @@
-"""ASCII rendering of tables, bar charts and histograms.
+"""ASCII rendering of tables and histograms.
 
 No plotting stack is available offline, so every figure is regenerated as
 text: the same series the paper plots, printed as aligned tables/bars and
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render_table", "render_bars", "render_histogram", "to_csv"]
+__all__ = ["render_table", "render_histogram", "to_csv"]
 
 
 def render_table(headers: list[str], rows: list[list], title: str = "") -> str:
@@ -32,19 +32,6 @@ def render_table(headers: list[str], rows: list[list], title: str = "") -> str:
     lines.append(sep)
     for row in cells:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def render_bars(labels: list[str], values, title: str = "",
-                width: int = 50, unit: str = "") -> str:
-    """Horizontal bar chart."""
-    values = np.asarray(values, dtype=np.float64)
-    top = values.max() if values.size and values.max() > 0 else 1.0
-    label_w = max((len(l) for l in labels), default=0)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / top)))
-        lines.append(f"{label.ljust(label_w)} | {bar} {value:.3f}{unit}")
     return "\n".join(lines)
 
 

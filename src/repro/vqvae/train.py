@@ -48,7 +48,7 @@ def train_vqvae(models: list[ModelSpec] | None = None,
             optimizer.zero_grad()
             total, recon_err = vqvae.loss(features)
             total.backward()
-            optim.clip_grad_norm(vqvae.parameters(), 5.0)
+            optim.clip_grad_norm(vqvae.parameters(), optim.GRAD_CLIP_NORM)
             optimizer.step()
             epoch_err += recon_err
         history.append(epoch_err / len(sequences))

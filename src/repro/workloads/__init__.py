@@ -16,14 +16,7 @@ as a public API:
   with satisfaction reporting over simulated timelines.
 """
 
-from .mixes import (
-    MOTIVATION_WORKLOAD,
-    mix_names,
-    motivation_workload,
-    paper_mixes,
-    sample_mix,
-    total_demand_macs,
-)
+from .mixes import MOTIVATION_WORKLOAD, motivation_workload, sample_mix
 from .scenarios import (
     FIG8_ARRIVALS,
     FIG8_HORIZON,
@@ -48,14 +41,12 @@ from .sla import (
     evaluate_sla,
 )
 from .traces import (
-    DroppedArrival,
     SessionRequest,
     TraceConfig,
-    TraceStats,
+    check_tier_shift_prob,
     fleet_demand_config,
     iter_session_requests,
     poisson_trace,
-    poisson_trace_with_stats,
     sample_session_requests,
     split_session_requests,
     trace_peak_concurrency,
@@ -65,9 +56,6 @@ __all__ = [
     "MOTIVATION_WORKLOAD",
     "motivation_workload",
     "sample_mix",
-    "paper_mixes",
-    "mix_names",
-    "total_demand_macs",
     "FIG8_ARRIVALS",
     "FIG8_HORIZON",
     "fig8_events",
@@ -78,11 +66,9 @@ __all__ = [
     "staggered_arrivals",
     "rotating_priority_schedule",
     "TraceConfig",
-    "TraceStats",
-    "DroppedArrival",
     "SessionRequest",
     "poisson_trace",
-    "poisson_trace_with_stats",
+    "check_tier_shift_prob",
     "iter_session_requests",
     "sample_session_requests",
     "trace_peak_concurrency",

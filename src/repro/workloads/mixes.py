@@ -11,9 +11,6 @@ __all__ = [
     "MOTIVATION_WORKLOAD",
     "motivation_workload",
     "sample_mix",
-    "paper_mixes",
-    "mix_names",
-    "total_demand_macs",
 ]
 
 #: The Sec. II motivation workload: four diverse, widely used DNNs.
@@ -39,31 +36,3 @@ def sample_mix(rng: np.random.Generator, size: int,
         raise ValueError(f"mix size {size} not in [1, {len(pool)}]")
     names = rng.choice(pool, size=size, replace=False)
     return [get_model(n) for n in names]
-
-
-def paper_mixes(rng: np.random.Generator, sizes: tuple[int, ...] = (3, 4, 5),
-                per_size: int = 6) -> dict[int, list[list[ModelSpec]]]:
-    """The Sec. V evaluation grid: ``per_size`` random mixes per size.
-
-    The paper uses 6 mixes each of 3, 4 and 5 concurrent DNNs (72 DNN
-    instances total).  Draw order is deterministic given ``rng``.
-    """
-    return {
-        size: [sample_mix(rng, size) for _ in range(per_size)]
-        for size in sizes
-    }
-
-
-def mix_names(mix: list[ModelSpec]) -> tuple[str, ...]:
-    """The model names of a mix, in workload order."""
-    return tuple(m.name for m in mix)
-
-
-def total_demand_macs(mix: list[ModelSpec]) -> int:
-    """Total per-inference MAC count of a mix.
-
-    The paper sorts its Fig. 9 workloads "from least to most
-    computationally demanding"; this is that ordering key, and also the
-    quantity RankMap_D's demand-proportional priorities are built from.
-    """
-    return sum(m.macs for m in mix)

@@ -82,7 +82,8 @@ def rotating_priority_schedule(models: list[ModelSpec],
 
 def fig8_events() -> list[ScenarioEvent]:
     """The paper's Fig. 8 dynamic scenario (arrivals every 150 s)."""
-    return [arrival(t, get_model(name)) for t, name in FIG8_ARRIVALS]
+    return staggered_arrivals([get_model(name) for _, name in FIG8_ARRIVALS],
+                              period=150.0)
 
 
 def fig10_events(high: float = 0.7, low: float = 0.1) -> list[ScenarioEvent]:

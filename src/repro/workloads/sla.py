@@ -3,16 +3,15 @@
 Sec. I of the paper: "Users are categorized into different SLA groups,
 leading to multi-DNN workloads where each DNN has a different priority
 level."  This module makes that concrete: a small tier ladder
-(gold/silver/bronze), a deterministic tier assignment for a workload, the
-induced RankMap priority vector, and a satisfaction report over a simulated
-timeline (each tier demands a minimum potential throughput P).
+(gold/silver/bronze) whose priorities weight RankMap's search, a
+deterministic tier assignment for a workload, and a satisfaction report
+over a simulated timeline (each tier demands a minimum potential
+throughput P).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..sim.dynamic import Timeline
 from ..zoo.layers import ModelSpec
@@ -56,17 +55,12 @@ SLA_TIERS: tuple[SlaClass, ...] = (GOLD, SILVER, BRONZE)
 
 @dataclass(frozen=True)
 class SlaAssignment:
-    """Tier per DNN name, plus the induced normalised priority vector."""
+    """Tier per DNN name."""
 
     tiers: dict[str, SlaClass]
 
     def tier_of(self, name: str) -> SlaClass:
         return self.tiers[name]
-
-    def priority_vector(self, workload: list[ModelSpec]) -> np.ndarray:
-        """Normalised priorities in workload order (RankMap_S input)."""
-        raw = np.array([self.tiers[m.name].priority for m in workload])
-        return raw / raw.sum()
 
 
 def assign_tiers(workload: list[ModelSpec],

@@ -10,10 +10,8 @@ timeline the SLA report (:mod:`repro.workloads.sla`) scores.
 Two consumers read these traces:
 
 * :func:`poisson_trace` applies ``TraceConfig.max_concurrent`` as a blind
-  admission cap and emits a ready-to-replay event list.
-  :func:`poisson_trace_with_stats` is the same sampler but additionally
-  returns the arrivals the cap (or pool exhaustion) dropped, so
-  admission-control studies have a baseline to compare against.
+  admission cap and emits a ready-to-replay event list; arrivals the cap
+  (or pool exhaustion) turns away leave no trace.
 * :func:`sample_session_requests` emits the *uncapped* raw demand — every
   would-be session with its arrival time, duration and SLA tier — for the
   online serving loop (:mod:`repro.serve`), whose admission controller
@@ -35,11 +33,9 @@ from ..zoo.registry import MODEL_POOL, get_model
 
 __all__ = [
     "TraceConfig",
-    "DroppedArrival",
-    "TraceStats",
     "SessionRequest",
     "poisson_trace",
-    "poisson_trace_with_stats",
+    "check_tier_shift_prob",
     "iter_session_requests",
     "sample_session_requests",
     "trace_peak_concurrency",
@@ -82,32 +78,6 @@ class TraceConfig:
 
 
 @dataclass(frozen=True)
-class DroppedArrival:
-    """One arrival the blind cap discarded, and why.
-
-    ``reason`` is ``"capacity"`` (cap reached) or ``"pool"`` (every pool
-    model already live; the event engine identifies DNNs by name, so a
-    duplicate cannot be admitted).
-    """
-
-    time: float
-    reason: str
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    """Admission ledger of one sampled trace."""
-
-    arrivals: int                          # total would-be sessions
-    admitted: int
-    dropped: tuple[DroppedArrival, ...]
-
-    @property
-    def drop_rate(self) -> float:
-        return len(self.dropped) / self.arrivals if self.arrivals else 0.0
-
-
-@dataclass(frozen=True)
 class SessionRequest:
     """One raw (uncapped) session request for the online serving loop.
 
@@ -132,43 +102,22 @@ def poisson_trace(rng: np.random.Generator,
     duration ends before the horizon) a departure.  Model names are drawn
     uniformly from the pool *without* replacement among concurrently active
     sessions — the dynamic-scenario engine identifies DNNs by name, so two
-    live sessions must not share one.
-    """
-    events, _ = poisson_trace_with_stats(rng, config)
-    return events
-
-
-def poisson_trace_with_stats(
-        rng: np.random.Generator,
-        config: TraceConfig | None = None,
-) -> tuple[list[ScenarioEvent], TraceStats]:
-    """Like :func:`poisson_trace` but also returns the drop ledger.
-
-    Same sampler, same rng consumption for admitted sessions: for any
-    ``(rng state, config)`` the event list is identical to what
-    :func:`poisson_trace` yields.  The extra :class:`TraceStats` records
-    every arrival the cap or the name pool discarded, giving
-    admission-control comparisons (queue instead of drop, tier-aware
-    rejection) their blind-drop baseline.
+    live sessions must not share one; an arrival the cap or a used-up
+    pool turns away is dropped.
     """
     config = config if config is not None else TraceConfig()
     events: list[ScenarioEvent] = []
-    dropped: list[DroppedArrival] = []
-    arrivals = 0
     active: dict[str, float] = {}    # name -> departure time
     t = 0.0
     while True:
         t += rng.exponential(1.0 / config.arrival_rate_per_s)
         if t >= config.horizon_s:
             break
-        arrivals += 1
         active = {n: end for n, end in active.items() if end > t}
         if len(active) >= config.max_concurrent:
-            dropped.append(DroppedArrival(t, "capacity"))
             continue
         free = [n for n in config.pool if n not in active]
         if not free:
-            dropped.append(DroppedArrival(t, "pool"))
             continue
         name = str(rng.choice(free))
         end = t + rng.exponential(config.mean_session_s)
@@ -176,9 +125,15 @@ def poisson_trace_with_stats(
         if end < config.horizon_s:
             events.append(departure(end, get_model(name)))
         active[name] = end
-    stats = TraceStats(arrivals=arrivals, admitted=arrivals - len(dropped),
-                       dropped=tuple(dropped))
-    return sorted(events, key=lambda e: e.time), stats
+    return sorted(events, key=lambda e: e.time)
+
+
+def check_tier_shift_prob(tier_shift_prob: float) -> None:
+    """Raise ``ValueError`` unless ``tier_shift_prob`` is a probability:
+    the rule :func:`iter_session_requests` applies, which scenario specs
+    check when they are built."""
+    if not 0.0 <= tier_shift_prob <= 1.0:
+        raise ValueError("tier_shift_prob must be within [0, 1]")
 
 
 def iter_session_requests(
@@ -215,8 +170,7 @@ def iter_session_requests(
     config = config if config is not None else TraceConfig()
     if not tiers:
         raise ValueError("tiers must not be empty")
-    if not 0.0 <= tier_shift_prob <= 1.0:
-        raise ValueError("tier_shift_prob must be within [0, 1]")
+    check_tier_shift_prob(tier_shift_prob)
 
     def generate():
         t = 0.0

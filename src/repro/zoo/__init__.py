@@ -2,7 +2,7 @@
 
 from .builder import NetBuilder
 from .layers import Activation, BlockSpec, LayerSpec, LayerType, ModelSpec
-from .registry import ALL_MODELS, MODEL_POOL, get_model, list_models, pool_models
+from .registry import ALL_MODELS, MODEL_POOL, get_model, pool_models
 from .vectorize import (
     LAYER_VECTOR_DIM,
     normalize_features,
@@ -20,7 +20,6 @@ __all__ = [
     "ALL_MODELS",
     "MODEL_POOL",
     "get_model",
-    "list_models",
     "pool_models",
     "LAYER_VECTOR_DIM",
     "normalize_features",

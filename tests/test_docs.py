@@ -35,6 +35,7 @@ API_MODULES = (
     "repro.serve.fleet.report",
     "repro.serve.fleet.power",
     "repro.runner",
+    "repro.runner.managers",
     "repro.runner.runner",
     "repro.runner.scenario",
     "repro.estimator",

@@ -17,7 +17,6 @@ from repro.estimator import (
     evaluate_estimator,
     generate_dataset,
     l2_loss,
-    pairwise_ranking_accuracy,
     spearman_r,
     train_estimator,
 )
@@ -209,17 +208,6 @@ class TestMetrics:
                                                       "from scipy"))
                             for line in path.read_text().splitlines())]
         assert offenders == []
-
-    def test_ranking_accuracy_perfect(self):
-        rng = np.random.default_rng(0)
-        x = np.arange(50.0)
-        assert pairwise_ranking_accuracy(x, x, rng) == 1.0
-
-    def test_ranking_accuracy_random_is_half(self):
-        rng = np.random.default_rng(0)
-        pred = rng.normal(size=500)
-        target = rng.normal(size=500)
-        assert abs(pairwise_ranking_accuracy(pred, target, rng) - 0.5) < 0.1
 
 
 class TestTraining:

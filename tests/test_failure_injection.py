@@ -132,8 +132,7 @@ class TestAdversarialEstimator:
     def test_validation_cost_appears_in_decision_latency(self):
         workload = wl("alexnet", "squeezenet")
         config = RankMapConfig(mode="dynamic", mcts=FAST_MCTS,
-                               board_validation_top_k=5,
-                               board_measurement_window_s=2.0)
+                               board_validation_top_k=5)
         manager = RankMap(PLATFORM, AdversarialPredictor(), config)
         with_k = manager.plan(workload).decision_seconds
         blind = RankMap(PLATFORM, AdversarialPredictor(),

@@ -93,23 +93,17 @@ class TestRouting:
         assert router.choose("gold", with_free) == 1
 
     def test_tier_affinity_reserves_fastest_for_gold(self):
-        router = TierAffinityRouter(reserve_fraction=1 / 3)
+        router = TierAffinityRouter()
         nodes = views((2, 1.0, 0), (2, 5.0, 0), (2, 1.0, 0))
         assert router.choose("gold", nodes) == 1
         assert router.choose("bronze", nodes) in (0, 2)
 
     def test_tier_affinity_bronze_spills_only_when_saturated(self):
-        router = TierAffinityRouter(reserve_fraction=1 / 3)
+        router = TierAffinityRouter()
         full = views((1, 1.0, 1), (2, 5.0, 0), (1, 1.0, 1))
         assert router.choose("bronze", full) == 1   # unreserved saturated
         free = views((1, 1.0, 0), (2, 5.0, 0), (1, 1.0, 1))
         assert router.choose("bronze", free) == 0
-
-    def test_tier_affinity_validates_config(self):
-        with pytest.raises(ValueError):
-            TierAffinityRouter(reserve_fraction=0.0)
-        with pytest.raises(ValueError):
-            TierAffinityRouter(gold_tiers=())
 
     def test_roster_builds_fresh_instances(self):
         assert set(ROUTING_POLICIES) == {"round_robin", "least_loaded",
@@ -361,7 +355,7 @@ class TestPreemptAwareRouting:
     def _router(self):
         from repro.serve.fleet import PreemptAwareTierRouter
 
-        return PreemptAwareTierRouter(reserve_fraction=1 / 3)
+        return PreemptAwareTierRouter()
 
     def test_gold_prefers_reserved_free_slot(self):
         router = self._router()
@@ -386,7 +380,7 @@ class TestPreemptAwareRouting:
         from repro.serve.fleet import TierAffinityRouter
 
         router = self._router()
-        plain = TierAffinityRouter(reserve_fraction=1 / 3)
+        plain = TierAffinityRouter()
         nodes = views((2, 1.0, 3), (2, 5.0, 2), (2, 1.0, 2))
         for tier in ("gold", "bronze"):
             assert router.choose(tier, nodes) == plain.choose(tier, nodes)
@@ -704,6 +698,14 @@ class TestFleetPowerConfig:
             FleetPowerConfig(ladders=(ladder,), cap_shift=(10.0, math.nan))
         assert FleetPowerConfig(ladders=(ladder,), cap_w=math.inf,
                                 cap_shift=(10.0, math.inf)).cap_w == math.inf
+
+    def test_rejects_shed_tiers_off_the_ladder(self):
+        ladder = dvfs_ladder(orange_pi_5_power(), (1.0,))
+        with pytest.raises(ValueError, match="unknown SLA tier 'platinum'"):
+            FleetPowerConfig(ladders=(ladder,), shed_tiers=("platinum",))
+        config = FleetPowerConfig(ladders=(ladder,),
+                                  shed_tiers=("silver", "bronze"))
+        assert config.shed_tiers == ("silver", "bronze")
 
     def test_ladder_count_must_match_fleet(self):
         requests = [request(0, 1.0, 5.0)]

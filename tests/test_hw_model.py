@@ -141,12 +141,6 @@ class TestPlatform:
         assert p.components[LITTLE].kind == "little"
         assert p.gpu is p.components[0]
 
-    def test_index_of(self):
-        p = orange_pi_5()
-        assert p.index_of("big") == BIG
-        with pytest.raises(KeyError):
-            p.index_of("npu")
-
     def test_duplicate_names_rejected(self):
         c = make_component()
         with pytest.raises(ValueError):

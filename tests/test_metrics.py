@@ -7,14 +7,10 @@ from repro.hw import orange_pi_5
 from repro.mapping import gpu_only_mapping
 from repro.metrics import (
     STARVATION_EPSILON,
-    any_starved,
     average_throughput,
     baseline_result,
-    count_starved,
     normalized_throughput,
     pearson_r,
-    potential_throughput,
-    starved_mask,
 )
 from repro.sim import simulate
 from repro.zoo import get_model
@@ -47,28 +43,10 @@ class TestThroughputMetrics:
     def test_average_and_potential_passthrough(self):
         r = result_for(["alexnet", "resnet50"])
         assert average_throughput(r) == r.average_throughput
-        np.testing.assert_array_equal(potential_throughput(r), r.potentials)
+        np.testing.assert_array_equal(r.potentials, r.rates / r.ideal_rates)
 
 
 class TestStarvation:
-    def test_solo_dnn_never_starved(self):
-        r = result_for(["resnet50"])
-        assert not any_starved(r)
-        assert count_starved(r) == 0
-
-    def test_mask_thresholding(self):
-        r = result_for(["resnet50"])
-        # Force a potential below epsilon.
-        object.__setattr__(r, "rates",
-                           r.ideal_rates * (STARVATION_EPSILON / 2))
-        assert starved_mask(r).all()
-        assert count_starved(r) == 1
-        assert any_starved(r)
-
-    def test_custom_epsilon(self):
-        r = result_for(["resnet50"])
-        assert any_starved(r, epsilon=2.0)  # everything below 200 % of ideal
-
     def test_epsilon_documented_value(self):
         assert STARVATION_EPSILON == 0.02
 

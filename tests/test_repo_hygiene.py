@@ -1,13 +1,18 @@
-"""Repo hygiene gate: generated artifacts must never be tracked.
+"""Repo hygiene gates: generated artifacts must never be tracked, and
+``src/`` exports only what production code uses.
 
 PR 8 accidentally committed 89 ``__pycache__/*.pyc`` files; this tier-1
 test makes that class of mistake fail CI instead of slipping through
 review.  It asks git for the tracked file list (the working tree will
 legitimately contain bytecode), so it only runs inside a git checkout
-and skips in tarball exports.
+and skips in tarball exports.  The export gate reads the sources alone:
+every name in an ``__all__`` under ``src/repro`` needs a use in
+``src/``, ``examples/``, ``tools/``, ``benchmarks/`` or ``perfbench/``.
 """
 
+import ast
 import fnmatch
+import re
 import subprocess
 from pathlib import Path
 
@@ -60,3 +65,73 @@ def test_gitignore_covers_cache_patterns():
                      ".hypothesis/", ".benchmarks/",
                      "src/repro/sim/_build/"):
         assert required in rules, f".gitignore lost the {required!r} rule"
+
+
+#: Directories whose code counts as a production use of an exported name.
+PRODUCTION_DIRS = ("src", "examples", "tools", "benchmarks", "perfbench")
+
+#: A perfbench boundary target, ``"module:attr"`` or ``"module:Cls.attr"``.
+_PERFBENCH_TARGET = re.compile(r"^repro(?:\.\w+)*:([\w.]+)$")
+
+#: Exported names kept although nothing outside tests uses them, with why.
+UNUSED_EXPORT_ALLOWLIST: dict[str, str] = {
+    "__version__": "package metadata, read by people and packaging tools",
+    "GPU": "names a component index of the mapping alphabet for readers "
+           "and tests; the platform convention puts the GPU at 0",
+    "BIG": "names a component index of the mapping alphabet",
+    "LITTLE": "names a component index of the mapping alphabet",
+}
+
+
+def _exports():
+    """``(module path, name)`` for every ``__all__`` entry under src/repro,
+    leaving out entries that name a submodule of the package."""
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                continue
+            for elt in node.value.elts:
+                name = elt.value
+                here = path.parent
+                if (path.name == "__init__.py"
+                        and ((here / f"{name}.py").is_file()
+                             or (here / name / "__init__.py").is_file())):
+                    continue
+                yield path.relative_to(REPO_ROOT), name
+
+
+def _production_uses() -> set[str]:
+    """Every name read, attribute read or perfbench target in production
+    code.  Definitions, imports, ``__all__`` strings and docstrings are
+    not reads, so they do not count."""
+    used: set[str] = set()
+    for top in PRODUCTION_DIRS:
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif (top == "perfbench" and isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    match = _PERFBENCH_TARGET.match(node.value)
+                    if match:
+                        used.update(match.group(1).split("."))
+    return used
+
+
+def test_every_export_has_a_production_use():
+    """``src/`` ships only code that a production path runs: a name in an
+    ``__all__`` that only tests reach belongs in the tests, or nowhere."""
+    used = _production_uses()
+    unused = sorted(f"{module}:{name}" for module, name in _exports()
+                    if name not in used
+                    and name not in UNUSED_EXPORT_ALLOWLIST)
+    assert unused == [], (
+        f"{len(unused)} exported name(s) have no use outside tests: "
+        f"{unused}; delete them, or allowlist one with its reason")

@@ -54,6 +54,50 @@ class TestScenarioSpec:
         assert pickle.loads(pickle.dumps(s)) == s
 
 
+#: Spec fields a worker would refuse, each refused when the spec is built:
+#: (spec kind, field overrides, expected message).
+_REFUSED_SPECS = (
+    ("scenario", {"manager": "nope"}, "unknown manager 'nope'"),
+    ("scenario", {"platform": "nope"}, "unknown platform 'nope'"),
+    ("scenario", {"workload": ("alexnet", "nosuchnet")},
+     "unknown model 'nosuchnet'"),
+    ("dynamic", {"tier_shift_prob": 1.5}, "tier_shift_prob"),
+    ("dynamic", {"queue_limit": -1}, "queue_limit"),
+    ("dynamic", {"max_queue_wait_s": 0}, "max_queue_wait_s"),
+    ("dynamic", {"pool": ("alexnet", "nosuchnet")},
+     "unknown model 'nosuchnet'"),
+    ("dynamic", {"policy": "nope"}, "unknown replan policy 'nope'"),
+    ("dynamic", {"platform": "nope"}, "unknown platform 'nope'"),
+    ("dynamic", {"manager": "nope"}, "unknown manager 'nope'"),
+    ("fleet", {"routing": "nope"}, "unknown routing policy 'nope'"),
+    ("fleet", {"tier_shift_prob": -0.5}, "tier_shift_prob"),
+    # A shed tier off the SLA ladder matches no session: the fleet would
+    # run and never shed.
+    ("fleet", {"power_cap_w": 10.0, "power_shed_tiers": ("platinum",)},
+     "unknown SLA tier 'platinum'"),
+)
+
+
+def _spec(kind, **fields):
+    if kind == "scenario":
+        return Scenario(**{"name": "s", "workload": ("alexnet",), **fields})
+    if kind == "dynamic":
+        return DynamicScenario(**{"name": "d", **fields})
+    return FleetScenario(**{"name": "f", "nodes": (DynamicScenario("n"),),
+                            **fields})
+
+
+@pytest.mark.parametrize(
+    "kind,fields,message", _REFUSED_SPECS,
+    ids=["-".join((kind, *fields)) for kind, fields, _ in _REFUSED_SPECS])
+def test_spec_refuses_what_its_worker_rejects(kind, fields, message):
+    """A typo'd key fails when the sweep is built, not in the pool after
+    the earlier cells ran."""
+    _spec(kind)
+    with pytest.raises(ValueError, match=message):
+        _spec(kind, **fields)
+
+
 class TestExecuteScenario:
     def test_baseline_scenario(self):
         s = Scenario(name="b", workload=("alexnet", "mobilenet"),
@@ -497,7 +541,7 @@ class TestStrictScenarioDicts:
             DynamicScenario.from_dict({"name": "d",
                                        "arival_rate_per_s": 0.1})
 
-    @pytest.mark.parametrize("capacity", [2.5, True])
+    @pytest.mark.parametrize("capacity", [2.5, True, 0])
     def test_dynamic_capacity_must_be_int(self, capacity):
         with pytest.raises(ValueError, match="capacity must be an int"):
             DynamicScenario.from_dict({"name": "d", "capacity": capacity})

@@ -174,7 +174,7 @@ class TestMCTS:
             counts = []
 
             def record(mappings):
-                counts.extend(m.num_stages() for m in mappings)
+                counts.extend(len(m.stages()) for m in mappings)
                 return np.zeros(len(mappings))
 
             search.evaluator = record

@@ -48,7 +48,7 @@ class TestEvaluationCache:
         """Two Mapping objects with equal assignments share one entry."""
         workload = wl("alexnet", "mobilenet")
         mapping = gpu_only_mapping(workload)
-        clone = Mapping.from_lists([list(a) for a in mapping.assignments])
+        clone = Mapping(tuple(tuple(list(a)) for a in mapping.assignments))
         assert clone is not mapping
         cache = EvaluationCache(PLATFORM)
         first = cache.simulate_one(workload, mapping)

@@ -72,7 +72,6 @@ class TestDesBasics:
             p95 = result.latency_percentile(name, 95)
             p99 = result.latency_percentile(name, 99)
             assert 0 < p50 <= p95 <= p99
-            assert result.mean_latency(name) > 0
 
     def test_latency_bounded_below_by_service_chain(self):
         """One inference must spend at least its total service time."""
@@ -94,7 +93,6 @@ class TestDesBasics:
                               single_component_mapping(workload, 2),
                               PLATFORM, config)
         assert np.isnan(result.latency_percentile("inception_v4", 50))
-        assert np.isnan(result.mean_latency("inception_v4"))
         assert result.rates[0] == 0.0
 
     def test_interference_toggle_monotone(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils import render_bars, render_histogram, render_table, to_csv
+from repro.utils import render_histogram, render_table, to_csv
 
 
 class TestRenderTable:
@@ -22,22 +22,6 @@ class TestRenderTable:
     def test_numpy_floats_formatted(self):
         out = render_table(["v"], [[np.float64(0.123456)]])
         assert "0.123" in out
-
-
-class TestRenderBars:
-    def test_bar_lengths_proportional(self):
-        out = render_bars(["a", "b"], [1.0, 2.0], width=10)
-        line_a, line_b = out.splitlines()
-        assert line_b.count("#") == 10
-        assert line_a.count("#") == 5
-
-    def test_zero_values(self):
-        out = render_bars(["a"], [0.0])
-        assert "0.000" in out
-
-    def test_unit_suffix(self):
-        out = render_bars(["a"], [3.0], unit=" inf/s")
-        assert "3.000 inf/s" in out
 
 
 class TestRenderHistogram:

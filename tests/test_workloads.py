@@ -20,14 +20,11 @@ from repro.workloads import (
     evaluate_sla,
     fig8_events,
     fig10_events,
-    mix_names,
     motivation_workload,
-    paper_mixes,
     poisson_trace,
     rotating_priority_schedule,
     sample_mix,
     staggered_arrivals,
-    total_demand_macs,
     trace_peak_concurrency,
 )
 from repro.zoo import get_model
@@ -45,7 +42,7 @@ class TestMixes:
         rng = np.random.default_rng(7)
         for _ in range(20):
             mix = sample_mix(rng, 5)
-            names = mix_names(mix)
+            names = [m.name for m in mix]
             assert len(set(names)) == 5
 
     def test_sample_mix_size_validation(self):
@@ -59,28 +56,7 @@ class TestMixes:
         rng = np.random.default_rng(0)
         pool = ("alexnet", "vgg16")
         mix = sample_mix(rng, 2, pool=pool)
-        assert set(mix_names(mix)) == set(pool)
-
-    def test_paper_mixes_grid_shape(self):
-        rng = np.random.default_rng(3)
-        grid = paper_mixes(rng)
-        assert sorted(grid) == [3, 4, 5]
-        assert all(len(mixes) == 6 for mixes in grid.values())
-        total_instances = sum(size * len(mixes)
-                              for size, mixes in grid.items())
-        assert total_instances == 72  # the paper's Fig. 7 population
-
-    def test_paper_mixes_deterministic_given_seed(self):
-        a = paper_mixes(np.random.default_rng(11))
-        b = paper_mixes(np.random.default_rng(11))
-        for size in a:
-            assert [mix_names(m) for m in a[size]] == \
-                   [mix_names(m) for m in b[size]]
-
-    def test_total_demand_macs_is_sum(self):
-        models = motivation_workload()
-        assert total_demand_macs(models) == sum(m.macs for m in models)
-        assert total_demand_macs(models[:1]) == models[0].macs
+        assert {m.name for m in mix} == set(pool)
 
 
 # ------------------------------------------------------------ scenarios
@@ -172,33 +148,6 @@ class TestTraces:
             TraceConfig(max_concurrent=0)
         with pytest.raises(ValueError):
             TraceConfig(pool=())
-
-    def test_stats_expose_dropped_arrivals(self):
-        from repro.workloads import poisson_trace_with_stats
-
-        config = TraceConfig(horizon_s=3000.0, arrival_rate_per_s=1 / 10,
-                             mean_session_s=600.0, max_concurrent=2,
-                             pool=("alexnet", "vgg16", "resnet50"))
-        events, stats = poisson_trace_with_stats(
-            np.random.default_rng(9), config)
-        admitted_events = sum(1 for e in events if e.kind == "arrival")
-        assert stats.admitted == admitted_events
-        assert stats.arrivals == stats.admitted + len(stats.dropped)
-        # Saturated config: the blind cap must have dropped something.
-        assert stats.dropped
-        assert 0.0 < stats.drop_rate < 1.0
-        assert all(d.reason in ("capacity", "pool") for d in stats.dropped)
-        assert all(0.0 <= d.time < config.horizon_s for d in stats.dropped)
-
-    def test_stats_variant_matches_plain_trace(self):
-        from repro.workloads import poisson_trace_with_stats
-
-        config = TraceConfig(horizon_s=1500.0, arrival_rate_per_s=1 / 20)
-        plain = poisson_trace(np.random.default_rng(21), config)
-        with_stats, _ = poisson_trace_with_stats(
-            np.random.default_rng(21), config)
-        assert [(e.time, e.kind, e.model.name) for e in plain] == \
-               [(e.time, e.kind, e.model.name) for e in with_stats]
 
 
 class TestSessionRequests:
@@ -352,17 +301,6 @@ class TestSla:
             assign_tiers(models, {})
         with pytest.raises(ValueError, match="unknown tier"):
             assign_tiers(models, {"alexnet": "platinum"})
-
-    def test_priority_vector_normalised_and_ordered(self):
-        models = [get_model("alexnet"), get_model("vgg16"),
-                  get_model("resnet50")]
-        assignment = assign_tiers(models, {"alexnet": "gold",
-                                           "vgg16": "silver",
-                                           "resnet50": "bronze"})
-        p = assignment.priority_vector(models)
-        assert p.sum() == pytest.approx(1.0)
-        assert p[0] > p[1] > p[2]
-        assert p[0] / p[2] == pytest.approx(GOLD.priority / BRONZE.priority)
 
     def test_evaluate_sla_on_simulated_timeline(self):
         platform = orange_pi_5()
