@@ -39,7 +39,7 @@ def _oracle_reward_evaluator():
     thresholds = thresholds_for(WORKLOAD, PLATFORM, cfg, p)
 
     def evaluate(mappings):
-        rates = oracle.predict(WORKLOAD, mappings)
+        rates = oracle.predict_batch(WORKLOAD, mappings)
         return np.array([
             mapping_reward(r, p, thresholds, kind="floor") for r in rates
         ])

@@ -213,7 +213,8 @@ def test_bench_estimator_predict(benchmark, mode, rollout_mappings):
     if mode == "scalar":
         def step():
             return np.concatenate(
-                [predictor.predict(WORKLOAD, [m]) for m in rollout_mappings])
+                [predictor.predict_batch(WORKLOAD, [m])
+                 for m in rollout_mappings])
     else:
         def step():
             return predictor.predict_batch(WORKLOAD, rollout_mappings)

@@ -62,7 +62,7 @@ def main() -> None:
     )
     decision = manager.plan(workload)
     result = simulate(workload, decision.mapping, platform)
-    predicted = EstimatorPredictor(estimator, embedder).predict(
+    predicted = EstimatorPredictor(estimator, embedder).predict_batch(
         workload, [decision.mapping])[0]
     print("   DNN            predicted   measured (inf/s)")
     for model, pred, true in zip(workload, predicted, result.rates):

@@ -71,7 +71,7 @@ class GeneticManager(Manager):
         def fitness(batch: np.ndarray) -> np.ndarray:
             nonlocal evaluations
             mappings = [self._decode(g, block_counts) for g in batch]
-            rates = self.oracle.predict(workload, mappings)
+            rates = self.oracle.predict_batch(workload, mappings)
             evaluations += len(mappings)
             return rates.mean(axis=1)  # average throughput objective
 

@@ -45,22 +45,14 @@ class RatePredictor:
     #: Telemetry sink for scoring metrics; no-op unless a run observes.
     recorder: Recorder = NULL_RECORDER
 
-    def predict(self, workload: list[ModelSpec],
-                mappings: list[Mapping]) -> np.ndarray:  # pragma: no cover
-        """Per-DNN rates, one row per candidate mapping: (B, len(workload))."""
-        raise NotImplementedError
-
     def predict_batch(self, workload: list[ModelSpec],
                       mappings: list[Mapping]) -> np.ndarray:
-        """Batched entry point for the search/replan hot paths.
+        """Per-DNN rates, one row per candidate mapping: (B, len(workload)).
 
-        The base implementation defers to :meth:`predict` (which already
-        takes a candidate list); implementations with a genuinely fused
-        fast path — stacked Q-tensor assembly, one batched forward pass —
-        override this, and the hot callers (MCTS rollout scoring,
-        warm-start candidate rosters) call it explicitly.
+        The one scoring method: MCTS rollout batches, warm-start candidate
+        rosters and single-mapping queries all pass a candidate list.
         """
-        return self.predict(workload, mappings)
+        raise NotImplementedError  # pragma: no cover
 
     @property
     def board_latency_per_eval(self) -> float:
@@ -85,11 +77,6 @@ class EstimatorPredictor(RatePredictor):
                  embedder: EmbeddingCache):
         self.estimator = estimator
         self.embedder = embedder
-
-    def predict(self, workload: list[ModelSpec],
-                mappings: list[Mapping]) -> np.ndarray:
-        """Per-DNN rates for ``mappings``; defers to :meth:`predict_batch`."""
-        return self.predict_batch(workload, mappings)
 
     def predict_batch(self, workload: list[ModelSpec],
                       mappings: list[Mapping]) -> np.ndarray:
@@ -143,8 +130,8 @@ class OraclePredictor(RatePredictor):
         if self.cache.platform != platform:
             raise ValueError("cache is bound to a different platform")
 
-    def predict(self, workload: list[ModelSpec],
-                mappings: list[Mapping]) -> np.ndarray:
+    def predict_batch(self, workload: list[ModelSpec],
+                      mappings: list[Mapping]) -> np.ndarray:
         """Measured rates for ``mappings``: one cached batched solve."""
         results = self.cache.simulate(workload, mappings)
         return np.stack([r.rates for r in results])

@@ -13,7 +13,7 @@ trade fidelity for runtime:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,6 @@ class ExperimentResult:
     headers: list[str]
     rows: list[list]
     text: str
-    extras: dict = field(default_factory=dict)
 
     def save(self, directory: Path) -> None:
         from ..utils import to_csv

@@ -78,6 +78,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         experiment="des_validation",
         headers=["metric", "value", "note"],
         rows=rows, text=text,
-        extras={"analytical_t": analytical_t, "des_t": des_t,
-                "mean_deviation": mean_dev, "spearman": rho},
     )

@@ -70,5 +70,5 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(
         experiment="estimator_table",
         headers=["augmentation", "val_l2", "val_spearman", "train_l2"],
-        rows=rows, text=text, extras={"improvement": improvement},
+        rows=rows, text=text,
     )

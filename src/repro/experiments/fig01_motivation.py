@@ -63,5 +63,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         experiment="fig01_motivation",
         headers=["metric", "measured", "paper", "note"],
         rows=rows, text=text,
-        extras={"normalized": normalized, "starved": starved_flags},
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..mapping import random_partition_mapping
-from ..metrics import baseline_result
 from ..sim import simulate
 from ..utils import render_table
 from ..workloads import MOTIVATION_WORKLOAD, motivation_workload
@@ -22,7 +21,6 @@ __all__ = ["run"]
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     workload = motivation_workload()
-    baseline_result(workload, ctx.platform)  # warm latency caches
     rng = np.random.default_rng(ctx.preset.seed + 1)
 
     potentials = []
@@ -53,5 +51,5 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(
         experiment="fig02_potential",
         headers=["dnn", "mean", "q25", "median", "q75", "max"],
-        rows=rows, text=text, extras={"potentials": potentials},
+        rows=rows, text=text,
     )

@@ -59,5 +59,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         "RankMap_D average-T ratios:\n" + "\n".join(ratio_lines),
     ])
     return ExperimentResult(experiment="fig05_throughput", headers=headers,
-                            rows=rows, text=text,
-                            extras={"ratio_lines": ratio_lines})
+                            rows=rows, text=text)

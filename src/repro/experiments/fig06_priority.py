@@ -44,5 +44,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         + "\n".join(ratio_lines),
     ])
     return ExperimentResult(experiment="fig06_priority", headers=headers,
-                            rows=rows, text=text,
-                            extras={"ratio_lines": ratio_lines})
+                            rows=rows, text=text)

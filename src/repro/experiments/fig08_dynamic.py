@@ -10,8 +10,6 @@ keeps every DNN progressing.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..metrics import STARVATION_EPSILON
 from ..sim import run_dynamic_scenario
 from ..utils import render_table
@@ -26,20 +24,15 @@ HORIZON = FIG8_HORIZON
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     managers = ctx.managers()
-    sample_times = np.arange(0.0, HORIZON, 10.0)
     rows: list[list] = []
-    series: dict[str, dict[str, np.ndarray]] = {}
     summaries: list[str] = []
 
     for manager_name in ("rankmap_d", "omniboost"):
         timeline = run_dynamic_scenario(fig8_events(),
                                         managers[manager_name].plan,
                                         ctx.platform, HORIZON)
-        series[manager_name] = {}
         starved_names = []
         for _, dnn in ARRIVALS:
-            s = timeline.potential_series(dnn, sample_times)
-            series[manager_name][dnn] = s
             final = timeline.final_potentials().get(dnn, float("nan"))
             min_p = timeline.min_potential(dnn)
             end_starved = final < STARVATION_EPSILON
@@ -64,6 +57,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(experiment="fig08_dynamic",
                             headers=["manager", "dnn", "min_P", "final_P",
                                      "starved_at_end"],
-                            rows=rows, text=text,
-                            extras={"series": series,
-                                    "sample_times": sample_times})
+                            rows=rows, text=text)

@@ -47,5 +47,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         paper_note,
     ])
     return ExperimentResult(experiment="fig09_correlation", headers=headers,
-                            rows=rows, text=text,
-                            extras={"averages": avg_rows})
+                            rows=rows, text=text)

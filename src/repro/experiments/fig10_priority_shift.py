@@ -10,8 +10,6 @@ no DNN ever starves.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..metrics import STARVATION_EPSILON
 from ..sim import run_dynamic_scenario
 from ..utils import render_table
@@ -56,11 +54,6 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         f"any starvation observed: {'YES' if ever_starved else 'no'} "
         "(paper: none)",
     ])
-    sample_times = np.arange(0.0, HORIZON, 10.0)
-    series = {n: timeline.potential_series(n, sample_times) for n in WORKLOAD}
     return ExperimentResult(experiment="fig10_priority_shift",
                             headers=["stage", "critical", "dnn", "P", "note"],
-                            rows=rows, text=text,
-                            extras={"series": series,
-                                    "sample_times": sample_times,
-                                    "ever_starved": ever_starved})
+                            rows=rows, text=text)

@@ -29,9 +29,7 @@ class MixOutcome:
 
     size: int
     mix_index: int
-    names: tuple[str, ...]
     critical_index: int                 # the user-prioritised DNN (heaviest)
-    static_priorities: np.ndarray
     dynamic_priorities: np.ndarray
     results: dict[str, SimResult]
 
@@ -90,9 +88,7 @@ def _run_one_mix(ctx: ExperimentContext, managers, workload: list[ModelSpec],
         results[name] = simulate(workload, decision.mapping, ctx.platform)
     return MixOutcome(
         size=size, mix_index=mix_index,
-        names=tuple(m.name for m in workload),
         critical_index=critical,
-        static_priorities=p_static,
         dynamic_priorities=p_dynamic,
         results=results,
     )

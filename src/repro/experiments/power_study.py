@@ -90,5 +90,5 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         experiment="power_study",
         headers=["lambda", "norm_T", "board_W", "inf_per_J", "min_P",
                  "starved"],
-        rows=rows, text=text, extras={"by_lambda": by_lambda},
+        rows=rows, text=text,
     )

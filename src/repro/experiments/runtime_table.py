@@ -62,5 +62,5 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(
         experiment="runtime_table",
         headers=["manager", "modeled_board_s", "wall_clock_s", "paper"],
-        rows=rows, text=text, extras={"ordering_ok": ordering_ok},
+        rows=rows, text=text,
     )

@@ -26,7 +26,6 @@ from ..estimator import (
     EstimatorConfig,
     EstimatorTrainConfig,
     ThroughputEstimator,
-    evaluate_estimator,
     generate_dataset,
     train_estimator,
 )
@@ -121,5 +120,4 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         headers=["model", "train_samples", "val_l2", "val_spearman",
                  "rate_rel_err"],
         rows=rows, text=text,
-        extras={"estimator": est_points, "odmdef": odm_points},
     )

@@ -112,5 +112,5 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         experiment="trace_study",
         headers=["manager", "sla_violation_frac", "gold_mean_P",
                  "starved_segments"],
-        rows=rows, text=text, extras={"summary": summary},
+        rows=rows, text=text,
     )

@@ -4,8 +4,9 @@ The paper optimises throughput only, but its sequel line of work
 (MapFormer, ICCAD 2024 — reference [2] of the paper) co-optimises
 throughput and power on the same class of boards.  This module adds the
 measurement side of that extension: a utilisation-driven power model per
-component and an energy report for any simulated mapping, which
-:class:`repro.core.power.PowerAwareRankMap` uses as its search signal.
+component and a steady-state power report for any simulated mapping,
+which :class:`repro.core.power.PowerAwareRankMap` uses as its search
+signal.
 
 Model shape: each component draws ``idle_w`` when powered plus a dynamic
 term that scales with its utilisation, ``P_c = idle + dyn · util^gamma``.
@@ -190,22 +191,17 @@ def jetson_class_power() -> PlatformPower:
 class EnergyReport:
     """Power/energy accounting for one mapping at steady state.
 
-    ``component_utilisation`` is clipped to [0, 1] — the busy fraction
-    the power model converts to watts (a component cannot draw more than
-    its 100 %-busy power).  ``component_raw_utilisation`` keeps the
-    solver's *unclipped* figure: anything above 1.0 there is
-    oversubscription the watts alone cannot show, which cap accounting
-    and search diagnostics need to see.
+    ``component_utilisation`` is the solver's utilisation clipped to
+    [0, 1] — the busy fraction the power model converts to watts (a
+    component cannot draw more than its 100 %-busy power).
     """
 
     component_names: tuple[str, ...]
     component_utilisation: np.ndarray
-    component_raw_utilisation: np.ndarray  # pre-clip; > 1 = oversubscribed
     component_watts: np.ndarray        # per component, incl. its idle term
     system_watts: float                # components + board overhead
     workload_names: tuple[str, ...]
     rates: np.ndarray                  # inferences/s per DNN
-    dnn_joules_per_inference: np.ndarray  # dynamic energy attribution
 
     @property
     def total_throughput(self) -> float:
@@ -255,11 +251,11 @@ def inflated_component_utilisation(demands, rates: np.ndarray,
     """Raw per-component busy fraction at given per-DNN rates.
 
     Sums ``rate x interference-inflated service demand`` over the
-    resident stages of each component — the single source of truth for
-    power-model utilisation, shared by :func:`energy_report` (with the
-    solver's measured rates) and
-    :meth:`repro.core.power.PowerAwareRankMap.estimated_watts` (with
-    predicted rates).  The result is *unclipped*: values above 1.0 mean
+    resident stages of each component — the solver's
+    ``component_utilisation`` sum, which :func:`energy_report` prices at
+    the solver's rates and
+    :meth:`repro.core.power.PowerAwareRankMap.estimated_watts` at
+    predicted rates.  The result is *unclipped*: values above 1.0 mean
     the rates oversubscribe the component.
     """
     inflation = interference_inflation(platform, demands)
@@ -272,63 +268,26 @@ def inflated_component_utilisation(demands, rates: np.ndarray,
 
 def energy_report(workload: list[ModelSpec], mapping: Mapping,
                   platform: Platform, power: PlatformPower) -> EnergyReport:
-    """Simulate ``mapping`` and account its steady-state power and energy.
+    """Simulate ``mapping`` and account its steady-state power draw.
 
-    Per-DNN energy attribution covers each component's *dynamic* draw,
-    split among resident stages by their share of the component's busy
-    time; idle and board overhead are shared infrastructure and appear
-    only in ``system_watts``.
+    Each component is priced at the solver's utilisation, clipped to
+    [0, 1]; ``system_watts`` adds the board overhead.
     """
-    from ..sim.demands import compute_stage_demands
     from ..sim.engine import simulate
 
     if not power.matches(platform):
         raise ValueError("power model does not match platform components")
 
-    result = simulate(workload, mapping, platform)
-    solution = result.solution
-    demands = compute_stage_demands(workload, mapping, platform)
-
-    raw_util = np.asarray(solution.component_utilisation, dtype=float)
-    util = np.clip(raw_util, 0.0, 1.0)
+    solution = simulate(workload, mapping, platform).solution
+    util = np.clip(np.asarray(solution.component_utilisation, dtype=float),
+                   0.0, 1.0)
     watts = np.array([c.watts(u)
                       for c, u in zip(power.components, util)])
-    system = power.system_watts(util)
-
-    # Stage busy time per second of wall clock: rate x service demand
-    # (interference-inflated execution only — head-of-line *waiting* burns
-    # no energy and is excluded, consistent with the solver's utilisation).
-    n = len(workload)
-    dyn_power_per_dnn = np.zeros(n)
-    inflation = interference_inflation(platform, demands)
-    busy = np.array([
-        solution.rates[d.dnn_index] * d.seconds_per_inference
-        * inflation[d.component]
-        for d in demands
-    ])
-    for c in range(platform.num_components):
-        stage_idx = [i for i, d in enumerate(demands) if d.component == c]
-        if not stage_idx:
-            continue
-        comp_busy = busy[stage_idx].sum()
-        if comp_busy <= 0:
-            continue
-        dyn_watts = power.components[c].dynamic_w * \
-            float(util[c]) ** power.components[c].util_exponent
-        for i in stage_idx:
-            share = busy[i] / comp_busy
-            dyn_power_per_dnn[demands[i].dnn_index] += dyn_watts * share
-
-    joules = np.where(solution.rates > 0,
-                      dyn_power_per_dnn / np.maximum(solution.rates, 1e-12),
-                      np.inf)
     return EnergyReport(
         component_names=tuple(c.name for c in power.components),
         component_utilisation=util,
-        component_raw_utilisation=raw_util,
         component_watts=watts,
-        system_watts=system,
+        system_watts=power.system_watts(util),
         workload_names=tuple(m.name for m in workload),
         rates=solution.rates,
-        dnn_joules_per_inference=joules,
     )

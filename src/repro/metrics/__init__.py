@@ -2,13 +2,10 @@
 
 from .correlation import pearson_r
 from .starvation import STARVATION_EPSILON
-from .throughput import (average_throughput, baseline_result,
-                         normalized_throughput)
+from .throughput import baseline_result
 
 __all__ = [
     "pearson_r",
     "STARVATION_EPSILON",
-    "average_throughput",
     "baseline_result",
-    "normalized_throughput",
 ]

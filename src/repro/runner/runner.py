@@ -13,7 +13,6 @@ scenarios or workers.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -87,7 +86,9 @@ def _serve_requests(spec: DynamicScenario,
     how warm it starts.
 
     An *incompatible* cache file (other platform's fingerprint, unknown
-    format) downgrades to a cold start instead of aborting: the cache
+    format, corrupt or malformed payload: every such refusal of
+    :meth:`EvaluationCache.load` is a ``ValueError``) downgrades to a
+    cold start instead of aborting: the cache
     only changes wall clock, never a report bit, and a heterogeneous
     fleet sharing one ``cache_path`` legitimately warms only the nodes
     the file matches.  ``eval_cache_preloaded == 0`` on the result is the
@@ -102,8 +103,7 @@ def _serve_requests(spec: DynamicScenario,
         try:
             cache = EvaluationCache.load(spec.cache_path, platform)
             preloaded = len(cache)
-        except (ValueError, KeyError, AttributeError, EOFError,
-                pickle.UnpicklingError) as exc:
+        except ValueError as exc:
             cache = None   # wrong platform / unknown or corrupt format:
             #                start cold instead of aborting the sweep
             # `exc` carries the artifact path and, for fingerprint

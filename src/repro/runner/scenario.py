@@ -14,9 +14,8 @@ the whole online serving loop (:mod:`repro.serve`) to a
 a cluster: N node descriptions (reused ``DynamicScenario``s) sharing one
 aggregate demand through the :mod:`repro.serve.fleet` dispatcher.  All
 spec kinds are a few strings and floats, so the same process pool sweeps
-static planning, dynamic-traffic and fleet studies alike; dict-shaped
-specs parse strictly through the ``from_dict`` classmethods (unknown keys
-raise).  Every spec refuses at construction what its worker would refuse:
+static planning, dynamic-traffic and fleet studies alike.  Every spec
+refuses at construction what its worker would refuse:
 roster keys and model names are looked up, and the admission and trace
 configs the worker builds are built once to check them.
 """
@@ -58,35 +57,6 @@ __all__ = [
 ]
 
 
-def _strict_from_dict(cls, spec: dict, convert: dict | None = None):
-    """Build a scenario dataclass from a plain dict, strictly.
-
-    Unknown keys raise instead of being silently dropped — a sweep config
-    with a typo (``arival_rate_per_s``) must fail loudly, not quietly run
-    the defaults.  ``convert`` optionally maps field names to coercions
-    (e.g. list-of-dict node specs into ``DynamicScenario`` tuples).
-    """
-    if not isinstance(spec, dict):
-        raise TypeError(f"{cls.__name__} spec must be a dict, "
-                        f"got {type(spec).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unexpected {cls.__name__} field(s) {unknown}; "
-            f"known fields: {sorted(allowed)}")
-    kwargs = dict(spec)
-    for name, coerce in (convert or {}).items():
-        if kwargs.get(name) is not None:
-            kwargs[name] = coerce(kwargs[name])
-    return cls(**kwargs)
-
-
-def _tupled(value):
-    """Coerce list-typed spec fields to the tuples the dataclasses expect."""
-    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
-
-
 def _check_keys(spec, models: tuple[str, ...]) -> None:
     """Look up a spec's manager and platform keys and its model names."""
     lookup(MANAGER_SPECS, spec.manager, "manager")
@@ -115,13 +85,6 @@ class Scenario:
                 and len(self.priorities) != len(self.workload):
             raise ValueError("priorities must match workload size")
         _check_keys(self, self.workload)
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Scenario":
-        """Build a :class:`Scenario` from a plain dict, rejecting unknown
-        keys (a typo'd sweep config must fail loudly, not run defaults)."""
-        return _strict_from_dict(cls, spec, convert={
-            "workload": tuple, "priorities": tuple})
 
 
 @dataclass(frozen=True)
@@ -250,12 +213,6 @@ class DynamicScenario:
                            mean_session_s=self.mean_session_s,
                            max_concurrent=self.capacity,
                            pool=self.pool or MODEL_POOL)
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "DynamicScenario":
-        """Build a :class:`DynamicScenario` from a plain dict, rejecting
-        unknown keys instead of silently ignoring them."""
-        return _strict_from_dict(cls, spec, convert={"pool": tuple})
 
 
 @dataclass(frozen=True)
@@ -438,21 +395,6 @@ class FleetScenario:
             arrival_rate_per_s=self.arrival_rate_per_s,
             mean_session_s=self.mean_session_s,
             max_concurrent=max(1, sum(n.capacity for n in self.nodes)))
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "FleetScenario":
-        """Build a :class:`FleetScenario` from a plain dict, rejecting
-        unknown keys; node entries may themselves be dicts (parsed
-        strictly through :meth:`DynamicScenario.from_dict`)."""
-        return _strict_from_dict(cls, spec, convert={
-            "nodes": lambda nodes: tuple(
-                DynamicScenario.from_dict(n) if isinstance(n, dict) else n
-                for n in nodes),
-            "fail_at": _tupled,
-            "rate_shift": tuple,
-            "power_cap_shift": tuple,
-            "power_shed_tiers": tuple,
-        })
 
 
 #: Keywords :func:`fleet_sweep_scenarios` routes to the fleet, not nodes.

@@ -65,7 +65,6 @@ class MCTSStats:
     evaluations: int = 0
     disqualified: int = 0
     best_reward: float = DISQUALIFIED
-    tree_nodes: int = 1
     # Best distinct mappings seen, sorted by reward (descending); used by
     # RankMap's optional board-validation pass.
     top_candidates: list = field(default_factory=list)
@@ -164,7 +163,6 @@ class MCTS:
                 node.visits += 1
                 node.value_sum += value
 
-        stats.tree_nodes = self._count_nodes(self._root)
         if best_mapping is None:  # pragma: no cover - iterations >= 1
             raise RuntimeError("search produced no mapping")
         return best_mapping, stats
@@ -293,6 +291,3 @@ class MCTS:
             return 0.0
         spread = max(self._hi - self._lo, 1e-9)
         return self._lo - 0.25 * spread
-
-    def _count_nodes(self, node: _Node) -> int:
-        return 1 + sum(self._count_nodes(ch) for ch in node.children.values())

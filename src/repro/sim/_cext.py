@@ -157,13 +157,13 @@ def buffer_lengths(n_batch: int, n_stages: int, num_dnns: int,
     For ``n_batch`` elements with ``n_stages`` stages in all:
 
     * ``ints`` (int64): ``offsets[n_batch + 1] | comp_of | dnn_of``;
-    * ``reals`` (float64): ``inflated | kernel_time | hol_k | weights``;
+    * ``reals`` (float64): ``inflated | kernel_time | hol_k | weights``,
+      per-stage arrays ``n_stages`` long;
     * ``out`` (float64): ``rates[n_batch, num_dnns] |
-      util[n_batch, num_comp] | iterations[n_batch] | converged[n_batch]
-      | alloc | eff``, per-stage arrays ``n_stages`` long.
+      util[n_batch, num_comp] | iterations[n_batch] | converged[n_batch]``.
     """
     return (n_batch + 1 + 2 * n_stages, 4 * n_stages,
-            n_batch * (num_dnns + num_comp + 2) + 2 * n_stages)
+            n_batch * (num_dnns + num_comp + 2))
 
 
 def input_views(ints: np.ndarray, reals: np.ndarray, n_batch: int,
@@ -176,19 +176,16 @@ def input_views(ints: np.ndarray, reals: np.ndarray, n_batch: int,
             reals[2 * n:3 * n], reals[3 * n:])
 
 
-def output_views(out: np.ndarray, n_batch: int, n_stages: int,
-                 num_dnns: int, num_comp: int) -> tuple[np.ndarray, ...]:
-    """``(rates, util, iterations, converged, alloc, eff)``: views of the
-    output buffer's regions; ``rates`` and ``util`` have one row per
-    element, ``alloc`` and ``eff`` one entry per stage."""
+def output_views(out: np.ndarray, n_batch: int, num_dnns: int,
+                 num_comp: int) -> tuple[np.ndarray, ...]:
+    """``(rates, util, iterations, converged)``: views of the output
+    buffer's regions; ``rates`` and ``util`` have one row per element,
+    ``iterations`` and ``converged`` one entry per element."""
     rates_end = n_batch * num_dnns
     util_end = rates_end + n_batch * num_comp
-    flags_end = util_end + 2 * n_batch
     return (out[:rates_end].reshape(n_batch, num_dnns),
             out[rates_end:util_end].reshape(n_batch, num_comp),
-            out[util_end:util_end + n_batch],
-            out[util_end + n_batch:flags_end],
-            out[flags_end:flags_end + n_stages], out[flags_end + n_stages:])
+            out[util_end:util_end + n_batch], out[util_end + n_batch:])
 
 
 def empty_buffers(n_batch: int, n_stages: int, num_dnns: int,

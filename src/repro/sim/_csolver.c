@@ -19,7 +19,9 @@
  *   reals (float64): inflated[n] | kernel_time[n] | hol_k[n] | weights[n]
  *   out   (float64): rates[n_batch * num_dnns] | util[n_batch * num_comp]
  *                    | iterations[n_batch] | converged[n_batch]
- *                    | alloc[n] | eff[n]
+ *
+ * The stage allocations and head-of-line waits are iteration state in
+ * scratch arrays; only the per-element results above leave the kernel.
  *
  * The limit-cycle check keeps, per DNN, monotonic deques of the window's
  * iterates, so the window's exact minimum and maximum cost O(1) a
@@ -80,8 +82,6 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
     double *out_util = out_rates + n_batch * num_dnns;
     double *out_iters = out_util + n_batch * num_comp;
     double *out_conv = out_iters + n_batch;
-    double *out_alloc = out_conv + n_batch;
-    double *out_eff = out_alloc + n_total;
 
     int64_t max_stages = 0;
     for (int64_t b = 0; b < n_batch; b++) {
@@ -307,11 +307,8 @@ int solve_packed(const int64_t *ints, const double *reals, double *out,
             out_rates[b * num_dnns + d] = rates[d];
         for (int64_t c = 0; c < num_comp; c++)
             out_util[b * num_comp + c] = 0.0;
-        for (int64_t s = 0; s < n_stages; s++) {
-            out_alloc[s0 + s] = alloc[s];
-            out_eff[s0 + s] = infl[s] + hol_wait[s];
+        for (int64_t s = 0; s < n_stages; s++)
             out_util[b * num_comp + comp[s]] += rates[dnn[s]] * infl[s];
-        }
         out_iters[b] = (double)iterations;
         out_conv[b] = converged ? 1.0 : 0.0;
     }

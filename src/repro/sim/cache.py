@@ -58,9 +58,10 @@ from .tables import PlatformTables
 __all__ = ["EvaluationCache", "platform_fingerprint"]
 
 #: On-disk format version; bump when the payload layout changes.
-#: v3: keys are ``(model names, assignments)``; v2 keys also named the
-#: solver implementation.  v1 and v2 files refuse to load.
-_CACHE_FORMAT_VERSION = 3
+#: v4: cached solutions hold no per-stage arrays; v3 keys are ``(model
+#: names, assignments)``; v2 keys also named the solver implementation.
+#: v1 to v3 files refuse to load.
+_CACHE_FORMAT_VERSION = 4
 
 
 def platform_fingerprint(platform: Platform) -> str:
@@ -213,12 +214,23 @@ class EvaluationCache:
 
         Refuses (``ValueError``) a file whose format version is unknown or
         whose platform fingerprint does not match ``platform`` — entries
-        solved on one board model must never answer for another.  When the
-        file holds more than ``maxsize`` entries the most recently used
-        ones survive.
+        solved on one board model must never answer for another — and,
+        with the underlying cause chained, a file that does not unpickle
+        or whose payload is not a dict of :meth:`save`'s keys.  A file
+        that cannot be opened raises the ``OSError`` of ``open`` (a
+        missing one ``FileNotFoundError``).  When the file holds more than
+        ``maxsize`` entries the most recently used ones survive.
         """
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+            try:
+                payload = pickle.load(fh)
+            except Exception as exc:   # whatever the bytes make it raise
+                raise ValueError(
+                    f"corrupt cache file {path}: {exc!r}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"corrupt cache file {path}: payload is "
+                f"{type(payload).__name__}, expected dict")
         version = payload.get("version")
         if version != _CACHE_FORMAT_VERSION:
             raise ValueError(
@@ -232,7 +244,11 @@ class EvaluationCache:
                 f"{payload.get('fingerprint')!r}); refusing to load it for "
                 f"{platform.name!r} (fingerprint {fingerprint!r})")
         cache = cls(platform, maxsize=maxsize)
-        entries = payload["entries"]
-        for key, result in entries[-maxsize:]:
-            cache._store[key] = result
+        try:
+            for key, result in payload["entries"][-maxsize:]:
+                cache._store[key] = result
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"corrupt cache file {path}: malformed entries ({exc!r})"
+            ) from exc
         return cache

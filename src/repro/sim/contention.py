@@ -34,10 +34,9 @@ Two entry points compute the same fixed point:
 * :func:`solve_steady_state_batch` — B mappings packed into flat arrays
   and solved by the C kernel ``_csolver.c`` (built on demand by
   :mod:`repro.sim._cext`).  The kernel repeats the oracle's operations in
-  the oracle's order, so the contract is bit identity: rates, stage
-  allocations, stage demands, utilisation, iteration counts and
-  convergence flags all equal the oracle's exactly
-  (``tests/property/test_solver_equivalence.py``).
+  the oracle's order, so the contract is bit identity: rates,
+  utilisation, iteration counts and convergence flags all equal the
+  oracle's exactly (``tests/property/test_solver_equivalence.py``).
 
 The batch path takes its per-platform constants (interference table, κ,
 head-of-line coefficients) from a :class:`~repro.sim.tables.PlatformTables`
@@ -83,8 +82,6 @@ class ContentionSolution:
     """Solver output: per-DNN rates plus diagnostics."""
 
     rates: np.ndarray              # inferences/s per DNN
-    stage_allocations: np.ndarray  # component-time fraction per stage
-    stage_demands: np.ndarray      # effective (interference-inflated) demands
     component_utilisation: np.ndarray
     iterations: int
     converged: bool
@@ -109,8 +106,7 @@ def _context_counts(comp_of: np.ndarray, dnn_of: np.ndarray,
 
 def _empty_solution(num_dnns: int, platform: Platform) -> ContentionSolution:
     return ContentionSolution(
-        rates=np.zeros(num_dnns), stage_allocations=np.zeros(0),
-        stage_demands=np.zeros(0),
+        rates=np.zeros(num_dnns),
         component_utilisation=np.zeros(platform.num_components),
         iterations=0, converged=True,
     )
@@ -229,10 +225,8 @@ def solve_steady_state(demands: list[StageDemand], num_dnns: int,
     utilisation = _segment_sum(rates[dnn_of] * inflated, comp_of, num_comp)
 
     return ContentionSolution(
-        rates=rates, stage_allocations=alloc,
-        stage_demands=inflated + hol_wait,
-        component_utilisation=utilisation, iterations=iterations,
-        converged=converged,
+        rates=rates, component_utilisation=utilisation,
+        iterations=iterations, converged=converged,
     )
 
 
@@ -245,10 +239,9 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
     head-of-line coefficients times launch counts, entitlement weights)
     over the whole batch at once, with the oracle's elementwise numpy
     expressions, so the packed quantities are bitwise identical to what
-    the oracle derives per mapping.  Returns ``(packed_rows, offsets,
-    ints, reals, out)``: ``packed_rows[i]`` is the batch index of packed
-    element ``i`` (empty demand sets are left out), whose stages are
-    ``offsets[i]:offsets[i + 1]``, and the buffers are laid out as
+    the oracle derives per mapping.  Returns ``(packed_rows, ints, reals,
+    out)``: ``packed_rows[i]`` is the batch index of packed element ``i``
+    (empty demand sets are left out), and the buffers are laid out as
     :func:`repro.sim._cext.buffer_lengths` says and checked by
     :func:`repro.sim._cext.check_buffers` before they are filled.
 
@@ -274,8 +267,7 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
     # would wrap a negative one below.
     if min(comps) < 0 or min(dnns) < 0:
         raise ValueError("stage component or DNN index out of range")
-    bounds = list(accumulate(lengths, initial=0))
-    offsets[:] = bounds
+    offsets[:] = list(accumulate(lengths, initial=0))
     comp_of[:] = comps
     dnn_of[:] = dnns
 
@@ -290,7 +282,7 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
     np.divide(base, kernels, out=kernel_time)
     np.multiply(tables.hol[comp_of], kernels, out=hol_k)
     np.power(inflated, tables.kappa[comp_of], out=weights)
-    return packed_rows, bounds, ints, reals, out
+    return packed_rows, ints, reals, out
 
 
 def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
@@ -316,8 +308,7 @@ def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
         return [_empty_solution(num_dnns, platform) for _ in demand_sets]
     if tables is None:
         tables = PlatformTables(platform)
-    packed_rows, offsets, ints, reals, out = _pack(demand_sets, num_dnns,
-                                                   tables)
+    packed_rows, ints, reals, out = _pack(demand_sets, num_dnns, tables)
     solutions = [None if demands else _empty_solution(num_dnns, platform)
                  for demands in demand_sets]
 
@@ -327,14 +318,12 @@ def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
         ints, reals, out, n_batch, num_dnns, num_comp, max_iter, _DAMPING,
         _TOL, _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN)
 
-    rates, util, iterations, converged, alloc, eff = _cext.output_views(
-        out, n_batch, offsets[-1], num_dnns, num_comp)
+    rates, util, iterations, converged = _cext.output_views(
+        out, n_batch, num_dnns, num_comp)
     iterations, converged = iterations.tolist(), converged.tolist()
     for i, b in enumerate(packed_rows):
-        s0, s1 = offsets[i], offsets[i + 1]
         solutions[b] = ContentionSolution(
-            rates=rates[i], stage_allocations=alloc[s0:s1],
-            stage_demands=eff[s0:s1], component_utilisation=util[i],
+            rates=rates[i], component_utilisation=util[i],
             iterations=int(iterations[i]), converged=bool(converged[i]),
         )
     return solutions  # type: ignore[return-value]

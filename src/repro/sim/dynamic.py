@@ -115,16 +115,6 @@ class Timeline:
                 return seg.potentials.get(name)
         return None
 
-    def potential_series(self, name: str,
-                         times: np.ndarray) -> np.ndarray:
-        """P of ``name`` sampled at ``times`` (NaN when absent)."""
-        out = np.full(len(times), np.nan)
-        for i, t in enumerate(times):
-            p = self.potential_at(name, float(t))
-            if p is not None:
-                out[i] = p
-        return out
-
     def time_average_throughput(self) -> float:
         """Duration-weighted mean of the per-segment average rate."""
         total_time = sum(s.duration for s in self.segments)

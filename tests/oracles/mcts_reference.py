@@ -77,7 +77,6 @@ class ReferenceMCTS(MCTS):
                 node.visits += 1
                 node.value_sum += value
 
-        stats.tree_nodes = self._count_nodes(self._root)
         return best_mapping, stats
 
     def _select_and_expand(self) -> tuple[list[_Node], list[int]]:

@@ -74,20 +74,16 @@ def test_des_completion_counts_consistent(names, seed):
 @settings(max_examples=15, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_energy_report_conserves_power(names, seed):
-    """System watts equal component watts plus board overhead, and the
-    per-DNN dynamic attribution never exceeds the total dynamic draw."""
+    """System watts equal component watts plus board overhead, and no
+    component draws less than its idle watts."""
     workload = [get_model(n) for n in names]
     rng = np.random.default_rng(seed)
     mapping = random_partition_mapping(workload, 3, rng)
     report = energy_report(workload, mapping, PLATFORM, POWER)
     assert report.system_watts == (
         report.component_watts.sum() + POWER.board_overhead_w)
-    dynamic_total = sum(
-        w - c.idle_w for w, c in zip(report.component_watts,
-                                     POWER.components))
-    attributed = float(
-        (report.dnn_joules_per_inference * report.rates).sum())
-    assert attributed <= dynamic_total * (1.0 + 1e-6)
+    assert all(w >= c.idle_w for w, c in zip(report.component_watts,
+                                             POWER.components))
 
 
 @settings(max_examples=15, deadline=None)

@@ -100,14 +100,14 @@ def test_predict_batch_matches_scalar_assembly(names, seed, batch_size):
 @settings(max_examples=8, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_predict_batch_close_to_looped_predict(names, seed):
-    """Scoring the roster in one batch equals per-mapping ``predict``
-    calls bit for bit: no contraction of the inference forward spans
-    batch rows."""
+    """Scoring the roster in one batch equals per-mapping
+    ``predict_batch`` calls bit for bit: no contraction of the inference
+    forward spans batch rows."""
     workload = [get_model(n) for n in names]
     mappings = _mapping_batch(workload, 3, seed, 6)
     batched = _PREDICTOR.predict_batch(workload, mappings)
     looped = np.concatenate(
-        [_PREDICTOR.predict(workload, [m]) for m in mappings])
+        [_PREDICTOR.predict_batch(workload, [m]) for m in mappings])
     np.testing.assert_array_equal(batched, looped)
 
 

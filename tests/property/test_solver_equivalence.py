@@ -4,8 +4,8 @@ The contract is bit identity.  For every element of a packed batch,
 :func:`repro.sim.solve_steady_state_batch` (the C kernel behind every
 production solve) must return exactly what the scalar numpy oracle
 :func:`repro.sim.solve_steady_state` returns on that element alone:
-equal rates, stage allocations, stage demands and utilisation under
-``assert_array_equal``, and equal iteration counts and convergence flags.
+equal rates and utilisation under ``assert_array_equal``, and equal
+iteration counts and convergence flags.
 
 Randomized demand sets cover both platform presets, heterogeneous stage
 counts inside one batch, limit-cycle instances driven past the burn-in,
@@ -96,9 +96,6 @@ def _assert_bit_identical(want, got):
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     np.testing.assert_array_equal(got.rates, want.rates)
-    np.testing.assert_array_equal(got.stage_allocations,
-                                  want.stage_allocations)
-    np.testing.assert_array_equal(got.stage_demands, want.stage_demands)
     np.testing.assert_array_equal(got.component_utilisation,
                                   want.component_utilisation)
 
@@ -160,7 +157,6 @@ class TestKernel:
                                        len(workload), platform)
         for sol in (got[0], got[2]):
             assert sol.converged and sol.iterations == 0
-            assert sol.stage_allocations.size == 0
             np.testing.assert_array_equal(sol.rates,
                                           np.zeros(len(workload)))
         for demands, sol in ((sets[0], got[1]), (sets[1], got[3])):

@@ -53,8 +53,8 @@ class TestBoardValidation:
         rng = np.random.default_rng(0)
 
         class Noisy(OraclePredictor):
-            def predict(self, workload, mappings):
-                rates = oracle.predict(workload, mappings)
+            def predict_batch(self, workload, mappings):
+                rates = oracle.predict_batch(workload, mappings)
                 noise = rng.lognormal(0.0, 0.6, size=rates.shape)
                 return rates * noise
 

@@ -36,7 +36,7 @@ class ConstantPredictor(RatePredictor):
         self.rates = np.asarray(rates, dtype=np.float64)
         self.calls = 0
 
-    def predict(self, workload, mappings):
+    def predict_batch(self, workload, mappings):
         self.calls += 1
         return np.tile(self.rates, (len(mappings), 1))
 
@@ -52,8 +52,8 @@ class InflatingOracle(RatePredictor):
         self.oracle = OraclePredictor(platform)
         self.gain = gain
 
-    def predict(self, workload, mappings):
-        return self.oracle.predict(workload, mappings) * self.gain
+    def predict_batch(self, workload, mappings):
+        return self.oracle.predict_batch(workload, mappings) * self.gain
 
     @property
     def board_latency_per_eval(self):
@@ -105,7 +105,7 @@ class TestOraclePredictor:
         workload = wl("alexnet", "squeezenet_v2")
         oracle = OraclePredictor(PLATFORM)
         mapping = gpu_only_mapping(workload)
-        rates = oracle.predict(workload, [mapping])
+        rates = oracle.predict_batch(workload, [mapping])
         expected = simulate(workload, mapping, PLATFORM).rates
         np.testing.assert_allclose(rates[0], expected)
 
@@ -113,7 +113,7 @@ class TestOraclePredictor:
         workload = wl("alexnet", "squeezenet_v2")
         rng = np.random.default_rng(0)
         mappings = [uniform_block_mapping(workload, 3, rng) for _ in range(4)]
-        rates = OraclePredictor(PLATFORM).predict(workload, mappings)
+        rates = OraclePredictor(PLATFORM).predict_batch(workload, mappings)
         assert rates.shape == (4, 2)
 
     def test_board_latency_is_measurement_window(self):

@@ -33,8 +33,8 @@ class NoisyPredictor(RatePredictor):
         self._noise = noise
         self._rng = np.random.default_rng(seed)
 
-    def predict(self, workload, mappings):
-        rates = self._oracle.predict(workload, mappings)
+    def predict_batch(self, workload, mappings):
+        rates = self._oracle.predict_batch(workload, mappings)
         jitter = self._rng.lognormal(0.0, self._noise, size=rates.shape)
         return rates * jitter
 
@@ -53,7 +53,7 @@ class AdversarialPredictor(RatePredictor):
     def __init__(self, claimed_rate=25.0):
         self._claimed = claimed_rate
 
-    def predict(self, workload, mappings):
+    def predict_batch(self, workload, mappings):
         return np.full((len(mappings), len(workload)), self._claimed)
 
     @property
@@ -64,7 +64,7 @@ class AdversarialPredictor(RatePredictor):
 class ZeroPredictor(RatePredictor):
     """Claims every mapping starves everything."""
 
-    def predict(self, workload, mappings):
+    def predict_batch(self, workload, mappings):
         return np.zeros((len(mappings), len(workload)))
 
     @property
@@ -240,4 +240,4 @@ class TestPredictorContract:
         from repro.mapping import gpu_only_mapping
 
         with pytest.raises(ValueError, match="exceeds estimator capacity"):
-            predictor.predict(too_many, [gpu_only_mapping(too_many)])
+            predictor.predict_batch(too_many, [gpu_only_mapping(too_many)])

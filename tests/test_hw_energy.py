@@ -121,7 +121,6 @@ class TestEnergyReport:
         assert report.total_throughput == pytest.approx(
             simulate(workload, mapping, PLATFORM).rates.sum(), rel=1e-9)
         assert report.inferences_per_joule > 0
-        assert np.all(report.dnn_joules_per_inference > 0)
 
     def test_gpu_only_mapping_leaves_cpu_clusters_idle(self):
         workload = wl("alexnet")
@@ -142,14 +141,6 @@ class TestEnergyReport:
         big = energy_report(workload, single_component_mapping(workload, 1),
                             PLATFORM, POWER)
         assert little.system_watts < big.system_watts
-
-    def test_heavier_dnn_costs_more_joules_per_inference(self):
-        workload = wl("squeezenet", "vgg16")
-        report = energy_report(workload, gpu_only_mapping(workload),
-                               PLATFORM, POWER)
-        by_name = dict(zip(report.workload_names,
-                           report.dnn_joules_per_inference))
-        assert by_name["vgg16"] > by_name["squeezenet"]
 
     def test_mismatched_power_model_rejected(self):
         workload = wl("alexnet")
@@ -243,7 +234,8 @@ class TestPowerAwareRankMap:
         estimated = manager.estimated_utilisation(workload, mapping, rates)
         report = manager.measured_energy(workload, mapping)
         np.testing.assert_allclose(
-            estimated, report.component_raw_utilisation, rtol=1e-9)
+            np.clip(estimated, 0.0, 1.0), report.component_utilisation,
+            rtol=1e-9)
 
     def test_oversubscribed_prediction_estimates_above_one(self):
         """Predicted rates are not feasibility-constrained: the raw
@@ -284,21 +276,15 @@ class TestInterferenceHelpers:
 
 
 class TestEnergyReportRawUtilisation:
-    def test_raw_matches_clipped_when_feasible(self):
-        workload = wl("alexnet", "squeezenet")
-        report = energy_report(workload, gpu_only_mapping(workload),
-                               PLATFORM, POWER)
-        np.testing.assert_allclose(
-            np.clip(report.component_raw_utilisation, 0.0, 1.0),
-            report.component_utilisation)
-
     def test_priced_utilisation_never_exceeds_one(self):
         workload = wl("alexnet", "squeezenet", "resnet50", "vgg16")
         mapping = gpu_only_mapping(workload)
         report = energy_report(workload, mapping, PLATFORM, POWER)
+        raw = simulate(workload, mapping, PLATFORM).solution \
+            .component_utilisation
         assert np.all(report.component_utilisation <= 1.0 + 1e-9)
-        assert np.all(report.component_raw_utilisation
-                      >= report.component_utilisation - 1e-12)
+        np.testing.assert_array_equal(report.component_utilisation,
+                                      np.clip(raw, 0.0, 1.0))
 
 
 class TestInferencesPerJoule:
@@ -308,12 +294,10 @@ class TestInferencesPerJoule:
         return EnergyReport(
             component_names=("gpu",),
             component_utilisation=np.zeros(1),
-            component_raw_utilisation=np.zeros(1),
             component_watts=np.zeros(1),
             system_watts=watts,
             workload_names=("x",),
-            rates=np.array([throughput]),
-            dnn_joules_per_inference=np.zeros(1))
+            rates=np.array([throughput]))
 
     def test_zero_throughput_is_zero_not_nan(self):
         assert self._report(0.0, 5.0).inferences_per_joule == 0.0

@@ -7,9 +7,7 @@ from repro.hw import orange_pi_5
 from repro.mapping import gpu_only_mapping
 from repro.metrics import (
     STARVATION_EPSILON,
-    average_throughput,
     baseline_result,
-    normalized_throughput,
     pearson_r,
 )
 from repro.sim import simulate
@@ -29,20 +27,9 @@ class TestThroughputMetrics:
         base = baseline_result(workload, PLATFORM)
         assert base.rates[0] == pytest.approx(base.ideal_rates[0])
 
-    def test_normalized_throughput_identity(self):
-        base = result_for(["alexnet", "resnet50"])
-        assert normalized_throughput(base, base) == pytest.approx(1.0)
-
-    def test_normalized_throughput_rejects_zero_baseline(self):
-        base = result_for(["alexnet"])
-        broken = result_for(["alexnet"])
-        object.__setattr__(broken, "rates", np.zeros(1))
-        with pytest.raises(ValueError):
-            normalized_throughput(base, broken)
-
     def test_average_and_potential_passthrough(self):
         r = result_for(["alexnet", "resnet50"])
-        assert average_throughput(r) == r.average_throughput
+        assert r.average_throughput == r.rates.mean()
         np.testing.assert_array_equal(r.potentials, r.rates / r.ideal_rates)
 
 

@@ -80,6 +80,8 @@ UNUSED_EXPORT_ALLOWLIST: dict[str, str] = {
            "and tests; the platform convention puts the GPU at 0",
     "BIG": "names a component index of the mapping alphabet",
     "LITTLE": "names a component index of the mapping alphabet",
+    "run": "every experiment module's entry point; run_experiment calls "
+           "it through the EXPERIMENTS registry of imported modules",
 }
 
 
@@ -103,22 +105,100 @@ def _exports():
                 yield path.relative_to(REPO_ROOT), name
 
 
+def _is_module(dotted: str) -> bool:
+    """True when ``dotted`` names a module or package under ``src/``."""
+    base = REPO_ROOT.joinpath("src", *dotted.split("."))
+    return (base.with_suffix(".py").is_file()
+            or (base / "__init__.py").is_file())
+
+
+def _import_source(node: ast.ImportFrom, path: Path) -> str | None:
+    """The dotted ``repro`` module a ``from ... import`` reads, with a
+    relative import resolved against ``path``'s package; ``None`` for a
+    module outside the package."""
+    if node.level:
+        package = path.parent.relative_to(REPO_ROOT / "src").parts
+        parts = list(package[:len(package) - node.level + 1])
+        if node.module:
+            parts += node.module.split(".")
+        return ".".join(parts)
+    if node.module and node.module.split(".")[0] == "repro":
+        return node.module
+    return None
+
+
+def _bindings(tree: ast.Module, path: Path) -> tuple[dict[str, str], set[str]]:
+    """What a file binds: ``names`` maps a bound name to the name it
+    binds (a ``repro`` import, possibly aliased, or a module-level
+    definition), and ``modules`` holds the names bound to ``repro``
+    modules."""
+    names: dict[str, str] = {}
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    modules.add(alias.asname or "repro")
+        elif isinstance(node, ast.ImportFrom):
+            source = _import_source(node, path)
+            for alias in node.names if source else ():
+                bound = alias.asname or alias.name
+                # A package may rebind a submodule's name to a function
+                # of it (``repro.search.random_search``), so a module
+                # import binds the name too.
+                names[bound] = alias.name
+                if _is_module(f"{source}.{alias.name}"):
+                    modules.add(bound)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = name.id
+    return names, modules
+
+
+def _file_uses(source: str, path: Path) -> set[str]:
+    """Exported names one production file reads.  A bare name counts
+    only where the file binds it by an import or a definition; an
+    attribute counts only when its leftmost name is a ``repro`` module
+    the file imports (``import repro.serve as serve``, ``from repro.serve
+    import fleet``).  Definitions, imports, ``__all__`` strings and
+    docstrings are not reads."""
+    tree = ast.parse(source, filename=str(path))
+    names, modules = _bindings(tree, path)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in names):
+            used.add(names[node.id])
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                used.add(node.attr)
+    return used
+
+
 def _production_uses() -> set[str]:
-    """Every name read, attribute read or perfbench target in production
-    code.  Definitions, imports, ``__all__`` strings and docstrings are
-    not reads, so they do not count."""
+    """Every exported name production code reads (:func:`_file_uses`),
+    plus every perfbench ``"module:attr"`` boundary target."""
     used: set[str] = set()
     for top in PRODUCTION_DIRS:
         for path in (REPO_ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(),
-                                           filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                             ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif (top == "perfbench" and isinstance(node, ast.Constant)
-                        and isinstance(node.value, str)):
+            source = path.read_text()
+            used |= _file_uses(source, path)
+            if top != "perfbench":
+                continue
+            for node in ast.walk(ast.parse(source, filename=str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                 str):
                     match = _PERFBENCH_TARGET.match(node.value)
                     if match:
                         used.update(match.group(1).split("."))
@@ -135,3 +215,34 @@ def test_every_export_has_a_production_use():
     assert unused == [], (
         f"{len(unused)} exported name(s) have no use outside tests: "
         f"{unused}; delete them, or allowlist one with its reason")
+
+
+def test_export_uses_follow_bindings():
+    """A same-named attribute of some other object, or a bare name the
+    file never binds, is not a use; a read through an import binding, a
+    module-level definition or an imported ``repro`` module is."""
+    source = """
+import numpy as np
+import repro.serve as serve
+from repro.metrics import baseline_result as base
+from . import _cext
+
+
+def helper():
+    pass
+
+
+def run(result, outcome):
+    helper()
+    base()
+    serve.fleet.dispatch()
+    _cext.load_solver()
+    result.average_throughput
+    outcome.normalized_throughput()
+    np.starved_mask()
+    tree_nodes
+"""
+    path = REPO_ROOT / "src" / "repro" / "sim" / "example.py"
+    assert _file_uses(source, path) == {
+        "helper", "baseline_result", "_cext", "fleet", "dispatch",
+        "load_solver"}

@@ -2,9 +2,7 @@
 
 import dataclasses
 import inspect
-import json
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -171,6 +169,11 @@ class TestDynamicScenario:
         with pytest.raises(ValueError):
             DynamicScenario(name="x", capacity=0)
 
+    @pytest.mark.parametrize("capacity", [2.5, True, 0])
+    def test_capacity_must_be_int(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            DynamicScenario(name="d", capacity=capacity)
+
     def test_specs_are_picklable(self):
         import pickle
 
@@ -273,6 +276,21 @@ class TestDynamicScenario:
         result = execute_dynamic_scenario(spec)
         assert result.eval_cache_preloaded == 0
         assert result.report.arrivals > 0
+
+    def test_missing_module_cache_file_starts_cold(self, tmp_path):
+        """A pickle that names a module this build lacks downgrades to a
+        cold start with a warning, like any other unreadable file, and
+        the run reports exactly what a cold run does."""
+        path = tmp_path / "stale.pkl"
+        path.write_bytes(b"cno_such_module_anywhere\nEntry\n.")
+        spec = DynamicScenario(name="m", manager="baseline",
+                               cache_path=str(path), **DYNAMIC_FAST)
+        with pytest.warns(UserWarning, match="starting cold"):
+            result = execute_dynamic_scenario(spec)
+        assert result.eval_cache_preloaded == 0
+        cold = execute_dynamic_scenario(
+            dataclasses.replace(spec, cache_path=None))
+        assert result.report == cold.report
 
     def test_summarise_dynamic_groups_by_policy(self):
         # "warm" needs a RankMap manager, so the cheap baseline cells use
@@ -457,31 +475,6 @@ class TestFleetPowerScenarios:
             _power_fleet(power_cap_shift=(math.nan, 10.0))
         assert _power_fleet(power_cap_w=math.inf).power_cap_w == math.inf
 
-    def test_from_dict_rejects_json_nan(self):
-        """``json.loads`` parses ``NaN``, so a scenario file reaches the
-        power and failure fields with one."""
-        base = {"name": "p", "nodes": [{"name": "node0", "capacity": 2}],
-                "power_cap_w": 20.0}
-        for field, value in (("power_cap_w", math.nan),
-                             ("power_cap_shift", [100.0, math.nan]),
-                             ("fail_at", [[0, math.nan]])):
-            text = json.dumps({**base, field: value})
-            assert "NaN" in text
-            with pytest.raises(ValueError, match=field):
-                FleetScenario.from_dict(json.loads(text))
-
-    def test_from_dict_converts_power_fields(self):
-        spec = {
-            "name": "p", "nodes": list(_fleet_nodes(2)),
-            "routing": "least_joules", "power_cap_w": 20.0,
-            "power_cap_shift": [100.0, 8.0],
-            "power_shed_tiers": ["bronze", "silver"],
-        }
-        fleet = FleetScenario.from_dict(spec)
-        assert fleet.power_cap_shift == (100.0, 8.0)
-        assert fleet.power_shed_tiers == ("bronze", "silver")
-        assert fleet == pickle.loads(pickle.dumps(fleet))
-
     def test_power_capped_run_carries_ledger(self):
         result = ScenarioRunner(max_workers=1).run_fleet(
             [_power_fleet(power_cap_shift=(120.0, 10.0))])[0]
@@ -518,74 +511,6 @@ class TestFleetPowerScenarios:
         serial = ScenarioRunner(max_workers=1).run_fleet(fleets)
         parallel = ScenarioRunner(max_workers=3).run_fleet(fleets)
         assert [r.report for r in serial] == [r.report for r in parallel]
-
-
-class TestStrictScenarioDicts:
-    """Satellite: scenario dicts must raise on unknown keys, not ignore."""
-
-    def test_scenario_from_dict_roundtrip(self):
-        spec = {"name": "s", "workload": ["alexnet", "mobilenet"],
-                "priorities": [0.8, 0.2], "search_iterations": 6}
-        s = Scenario.from_dict(spec)
-        assert s.workload == ("alexnet", "mobilenet")
-        assert s.priorities == (0.8, 0.2)
-
-    def test_scenario_unknown_key_raises(self):
-        with pytest.raises(ValueError, match="unexpected Scenario field"):
-            Scenario.from_dict({"name": "s", "workload": ["alexnet"],
-                                "workloda": ["typo"]})
-
-    def test_dynamic_unknown_key_raises(self):
-        with pytest.raises(ValueError,
-                           match="unexpected DynamicScenario field"):
-            DynamicScenario.from_dict({"name": "d",
-                                       "arival_rate_per_s": 0.1})
-
-    @pytest.mark.parametrize("capacity", [2.5, True, 0])
-    def test_dynamic_capacity_must_be_int(self, capacity):
-        with pytest.raises(ValueError, match="capacity must be an int"):
-            DynamicScenario.from_dict({"name": "d", "capacity": capacity})
-
-    def test_dynamic_from_dict_coerces_pool(self):
-        d = DynamicScenario.from_dict({"name": "d",
-                                       "pool": list(SMALL_POOL)})
-        assert d.pool == SMALL_POOL
-
-    def test_fleet_from_dict_parses_nested_nodes(self):
-        fleet = FleetScenario.from_dict({
-            "name": "f",
-            "nodes": [{"name": "node0", "capacity": 2},
-                      {"name": "node1", "platform": "jetson_class"}],
-            "fail_at": [[0, 120.0]],
-        })
-        assert fleet.nodes[1].platform == "jetson_class"
-        assert fleet.fail_at == ((0, 120.0),)
-
-    def test_fleet_nested_unknown_key_raises(self):
-        with pytest.raises(ValueError,
-                           match="unexpected DynamicScenario field"):
-            FleetScenario.from_dict({
-                "name": "f", "nodes": [{"name": "n", "capaciti": 3}]})
-
-    def test_non_dict_spec_rejected(self):
-        with pytest.raises(TypeError, match="must be a dict"):
-            Scenario.from_dict(["not", "a", "dict"])
-
-    @pytest.mark.parametrize("cls, spec, name", [
-        (Scenario, {"name": "s", "workload": ["alexnet"],
-                    "backend": "numpy"}, "Scenario"),
-        (DynamicScenario, {"name": "d", "backend": "compiled"},
-         "DynamicScenario"),
-        (FleetScenario, {"name": "f", "nodes": [{"name": "n0",
-                                                  "backend": "numpy"}]},
-         "DynamicScenario"),
-    ], ids=["scenario", "dynamic", "fleet_node"])
-    def test_legacy_backend_key_rejected(self, cls, spec, name):
-        """Specs written when the solver was selectable carry a
-        ``backend`` key; it is an unknown field like any other."""
-        pattern = rf"unexpected {name} field\(s\) \['backend'\]"
-        with pytest.raises(ValueError, match=pattern):
-            cls.from_dict(spec)
 
 
 class TestMixScenariosAndSummarise:
@@ -639,11 +564,16 @@ PREEMPT_FAST = dict(horizon_s=240.0, arrival_rate_per_s=1 / 10,
 
 
 class TestPreemptionScenarios:
-    """Satellite: preemption wiring through specs, pool and from_dict."""
+    """Preemption wiring through specs and the process pool."""
 
     def test_preemption_spec_validated(self):
         with pytest.raises(ValueError, match="unknown preemption policy"):
             DynamicScenario(name="x", preemption="nope")
+
+    def test_dynamic_from_dict_rejects_unknown_policy_value(self):
+        """A spec built from a config dict rejects an unknown policy."""
+        with pytest.raises(ValueError, match="unknown preemption policy"):
+            DynamicScenario(**{"name": "d", "preemption": "nope"})
 
     def test_parallel_equals_serial_with_preemption(self):
         """Determinism regression: 1-vs-N-worker bit-identical reports
@@ -698,37 +628,8 @@ class TestPreemptionScenarios:
         assert rows[0]["evictions"] > 0
         assert 0.0 < rows[0]["mean_eviction_fairness"] <= 1.0
 
-    def test_dynamic_from_dict_preemption_roundtrip(self):
-        import dataclasses
-
-        spec = DynamicScenario(name="d", preemption="renegotiate",
-                               **PREEMPT_FAST)
-        assert DynamicScenario.from_dict(dataclasses.asdict(spec)) == spec
-
-    def test_dynamic_from_dict_rejects_preemption_typo(self):
-        with pytest.raises(ValueError,
-                           match="unexpected DynamicScenario field"):
-            DynamicScenario.from_dict({"name": "d",
-                                       "preemptoin": "evict_lowest_tier"})
-
-    def test_dynamic_from_dict_rejects_unknown_policy_value(self):
-        with pytest.raises(ValueError, match="unknown preemption policy"):
-            DynamicScenario.from_dict({"name": "d", "preemption": "nope"})
-
-    def test_fleet_from_dict_nested_preemption_roundtrip(self):
-        import dataclasses
-
-        fleet = FleetScenario(
-            name="f", routing="tier_affinity_preempt",
-            nodes=tuple(DynamicScenario(name=f"n{i}",
-                                        preemption="evict_lowest_tier",
-                                        **PREEMPT_FAST) for i in range(2)),
-            fail_at=((1, 120.0),))
-        assert FleetScenario.from_dict(dataclasses.asdict(fleet)) == fleet
-
-
 class TestEstimatorScenarios:
-    """PR 5: the learned predictor through specs, pool and from_dict."""
+    """The learned predictor through specs and the process pool."""
 
     @pytest.fixture(scope="class")
     def artifact_path(self, tmp_path_factory):
@@ -755,6 +656,11 @@ class TestEstimatorScenarios:
             DynamicScenario(name="x", predictor="psychic")
         with pytest.raises(ValueError, match="requires estimator_path"):
             DynamicScenario(name="x", predictor="estimator")
+
+    def test_dynamic_from_dict_rejects_unknown_predictor_value(self):
+        """A spec built from a config dict rejects an unknown predictor."""
+        with pytest.raises(ValueError, match="unknown predictor"):
+            DynamicScenario(**{"name": "d", "predictor": "nope"})
 
     def test_parallel_equals_serial_with_estimator(self, artifact_path):
         """Determinism regression: 1-vs-N-worker bit-identical reports on
@@ -790,23 +696,6 @@ class TestEstimatorScenarios:
         assert all(n.predictor == "estimator"
                    and n.estimator_path == artifact_path
                    for f in fleets for n in f.nodes)
-
-    def test_dynamic_from_dict_predictor_roundtrip(self, artifact_path):
-        import dataclasses
-
-        spec = DynamicScenario(name="d", manager="rankmap_d",
-                               predictor="estimator",
-                               estimator_path=artifact_path, **DYNAMIC_FAST)
-        assert DynamicScenario.from_dict(dataclasses.asdict(spec)) == spec
-
-    def test_dynamic_from_dict_rejects_predictor_typo(self):
-        with pytest.raises(ValueError,
-                           match="unexpected DynamicScenario field"):
-            DynamicScenario.from_dict({"name": "d", "predictr": "oracle"})
-
-    def test_dynamic_from_dict_rejects_unknown_predictor_value(self):
-        with pytest.raises(ValueError, match="unknown predictor"):
-            DynamicScenario.from_dict({"name": "d", "predictor": "nope"})
 
     def test_experiment_context_trains_artifact_once(self, tmp_path):
         from repro.experiments import ExperimentContext
@@ -930,12 +819,6 @@ class TestFleetFeedbackRuns:
             [self._feedback_fleet(routing="least_loaded", rounds=0)])[0]
         assert [n.report for n in fed.report.nodes] \
             == [n.report for n in plain.report.nodes]
-
-    def test_fleet_from_dict_roundtrip_with_new_keys(self):
-        import dataclasses
-
-        fleet = self._feedback_fleet(rounds=3, shift=(100.0, 2.5))
-        assert FleetScenario.from_dict(dataclasses.asdict(fleet)) == fleet
 
     def test_fleet_sweep_scenarios_passthrough(self):
         specs = fleet_sweep_scenarios(

@@ -122,7 +122,6 @@ class TestMCTS:
         mapping, stats = mcts.search()
         mapping.validate_against(wl, 3)
         assert stats.evaluations == 60
-        assert stats.tree_nodes > 1
 
     def test_search_improves_over_random_start(self):
         """On the toy objective MCTS must find mappings dominated by

@@ -160,11 +160,12 @@ class TestCachePersistence:
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_load_refuses_pre_backend_v1_files(self, tmp_path, version):
-        """Files older than format v3 refuse to load (the runner then
+        """Files older than format v4 refuse to load (the runner then
         downgrades to a cold start); v2 keys carry a solver tag that no
-        v3 lookup can match."""
+        later lookup can match, and v3 solutions carry per-stage arrays
+        the solver no longer returns."""
         import pickle
 
         workload = wl("alexnet",)
@@ -176,6 +177,43 @@ class TestCachePersistence:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
+
+    @pytest.mark.parametrize("damage", ["missing_module", "truncated",
+                                        "garbage"])
+    def test_load_wraps_unpickling_errors(self, tmp_path, damage):
+        """Whatever unpickling raises (``ModuleNotFoundError``,
+        ``EOFError``, ``UnpicklingError``, ...) reaches the caller as one
+        ``ValueError`` with the cause chained."""
+        path = tmp_path / "cache.pkl"
+        self._primed_cache(wl("alexnet",)).save(path)
+        data = {"missing_module": b"cno_such_module_anywhere\nEntry\n.",
+                "truncated": path.read_bytes()[:40],
+                "garbage": b"not a pickle at all"}[damage]
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="corrupt cache file") as info:
+            EvaluationCache.load(path, PLATFORM)
+        assert info.value.__cause__ is not None
+
+    @pytest.mark.parametrize("shape", ["list", "no_entries", "bad_entries"])
+    def test_load_refuses_malformed_payload(self, tmp_path, shape):
+        import pickle
+
+        from repro.sim import platform_fingerprint
+        from repro.sim.cache import _CACHE_FORMAT_VERSION
+
+        header = {"version": _CACHE_FORMAT_VERSION,
+                  "fingerprint": platform_fingerprint(PLATFORM)}
+        payload = {"list": ["not", "a", "dict"],
+                   "no_entries": header,
+                   "bad_entries": {**header, "entries": [1]}}[shape]
+        path = tmp_path / "cache.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError):
+            EvaluationCache.load(path, PLATFORM)
+
+    def test_load_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            EvaluationCache.load(tmp_path / "absent.pkl", PLATFORM)
 
     def test_load_respects_maxsize(self, tmp_path):
         workload = wl("alexnet", "mobilenet")
@@ -249,7 +287,7 @@ class TestBatchedCachedSearchEquivalence:
         oracle = OraclePredictor(PLATFORM)  # batched + cached
 
         def cached_evaluator(mappings):
-            return oracle.predict(workload, mappings) @ priorities
+            return oracle.predict_batch(workload, mappings) @ priorities
 
         best_scalar, stats_scalar = self._run_search(workload,
                                                      scalar_evaluator)

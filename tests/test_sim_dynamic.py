@@ -289,13 +289,6 @@ class TestTimelineQueries:
             PLATFORM, horizon=200.0,
         )
 
-    def test_series_has_nan_before_arrival(self):
-        tl = self._timeline()
-        times = np.array([50.0, 150.0])
-        series = tl.potential_series("vgg16", times)
-        assert np.isnan(series[0])
-        assert series[1] > 0
-
     def test_time_average_throughput_positive(self):
         tl = self._timeline()
         assert tl.time_average_throughput() > 0

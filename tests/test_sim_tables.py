@@ -63,23 +63,21 @@ class TestKernelBuffers:
         _cext.check_buffers(*_cext.empty_buffers(2, 5, 3, 3), 2, 5, 3, 3)
 
     def test_layout_lengths(self):
-        assert _cext.buffer_lengths(2, 5, 3, 4) == (13, 20, 2 * 9 + 10)
+        assert _cext.buffer_lengths(2, 5, 3, 4) == (13, 20, 2 * 9)
 
     def test_views_tile_the_buffers(self):
         """Every buffer element belongs to exactly one named view."""
         ints, reals, out = _cext.empty_buffers(2, 5, 3, 4)
         for buf, views in ((ints, _cext.input_views(ints, reals, 2, 5)[:3]),
                            (reals, _cext.input_views(ints, reals, 2, 5)[3:]),
-                           (out, _cext.output_views(out, 2, 5, 3, 4))):
+                           (out, _cext.output_views(out, 2, 3, 4))):
             buf[:] = 0
             for view in views:
                 view += 1
             assert (buf == 1).all()
-        rates, util, iterations, converged, alloc, eff = \
-            _cext.output_views(out, 2, 5, 3, 4)
+        rates, util, iterations, converged = _cext.output_views(out, 2, 3, 4)
         assert rates.shape == (2, 3) and util.shape == (2, 4)
         assert iterations.size == converged.size == 2
-        assert alloc.size == eff.size == 5
 
 
 class TestPlatformTables:
@@ -94,8 +92,9 @@ class TestPlatformTables:
             for w, c in zip(warm, cold):
                 np.testing.assert_array_equal(w.rates, c.rates)
                 np.testing.assert_array_equal(w.ideal_rates, c.ideal_rates)
-                np.testing.assert_array_equal(w.solution.stage_demands,
-                                              c.solution.stage_demands)
+                np.testing.assert_array_equal(
+                    w.solution.component_utilisation,
+                    c.solution.component_utilisation)
                 assert w.solution.iterations == c.solution.iterations
 
     def test_tables_of_another_platform_rejected(self):
