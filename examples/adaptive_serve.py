@@ -12,13 +12,12 @@ triples mid-run — ``FleetScenario.rate_shift``):
    telemetry (``observe=True``).
 2. **Adapt** — ``ExperimentContext.refresh_estimator`` fine-tunes the
    estimator on the realized ``(workload, mapping, rates)`` segments,
-   writing a ``.gen1`` artifact sibling with full lineage.
+   writing a refined artifact file with full lineage next to the base.
 3. **A/B** — re-serve the *same* drifted demand twice: the frozen
-   configuration (pre-drift weights pinned from a separate family dir,
-   one-shot ``least_loaded`` dispatch) against the adaptive one (the
-   refreshed family, ``pressure_feedback`` routing with two feedback
-   rounds, so dispatch re-routes on measured queue depth and denial
-   rates).
+   configuration (the base artifact, one-shot ``least_loaded``
+   dispatch) against the adaptive one (the refined artifact,
+   ``pressure_feedback`` routing with two feedback rounds, so dispatch
+   re-routes on measured queue depth and denial rates).
 
 The adaptive column must strictly reduce the fleet SLA violation
 fraction — asserted, not just printed.  A final check re-runs the
@@ -36,7 +35,6 @@ Usage:  python adaptive_serve.py [horizon_s] [workers]
 
 from __future__ import annotations
 
-import shutil
 import sys
 import tempfile
 import time
@@ -63,22 +61,22 @@ def sweep(ctx, horizon, routing, estimator_path, feedback_rounds=0,
     return results, results[0].report
 
 
-def ab_test(ctx, horizon, base, frozen, workers) -> None:
+def ab_test(ctx, horizon, base, refined, workers) -> None:
     """Observe, adapt, then compare frozen vs adaptive on one demand."""
     # Phase 1: observe the drifted demand with the frozen weights.
     t0 = time.perf_counter()
-    observed, _ = sweep(ctx, horizon, "least_loaded", frozen,
+    observed, _ = sweep(ctx, horizon, "least_loaded", base,
                         observe=True, workers=workers)
-    gen_path, ft = ctx.refresh_estimator(observed)
+    ft = ctx.refresh_estimator(observed, refined)
     print(f"observed drifted demand in {time.perf_counter() - t0:.1f} s; "
           f"fine-tuned on {ft.rows} realized segments "
-          f"({ft.steps} steps) -> {gen_path.name}")
+          f"({ft.steps} steps) -> {refined.name}")
 
     # Phase 2: the A/B on the same drifted demand.
-    _, frozen_rep = sweep(ctx, horizon, "least_loaded", frozen,
+    _, frozen_rep = sweep(ctx, horizon, "least_loaded", base,
                           workers=workers)
     adaptive_results, adaptive_rep = sweep(
-        ctx, horizon, "pressure_feedback", base, feedback_rounds=2,
+        ctx, horizon, "pressure_feedback", refined, feedback_rounds=2,
         workers=workers)
 
     header = (f"{'configuration':>32s} {'violation':>10s} "
@@ -100,10 +98,10 @@ def ab_test(ctx, horizon, base, frozen, workers) -> None:
                          "reduce SLA violation on the drifted demand")
 
     # Determinism: the adaptive path is bit-identical for any worker
-    # count (workers re-resolve the refreshed generation by path).
-    serial, _ = sweep(ctx, horizon, "pressure_feedback", base,
+    # count (workers load the refined artifact by path).
+    serial, _ = sweep(ctx, horizon, "pressure_feedback", refined,
                       feedback_rounds=2, workers=1)
-    pooled, _ = sweep(ctx, horizon, "pressure_feedback", base,
+    pooled, _ = sweep(ctx, horizon, "pressure_feedback", refined,
                       feedback_rounds=2, workers=2)
     identical = [r.report for r in serial] == [r.report for r in pooled]
     print(f"1-vs-2-worker adaptive reports bit-identical: {identical}")
@@ -120,19 +118,10 @@ def main() -> None:
         results_dir=Path(tempfile.gettempdir()) / "repro_adaptive_demo")
     t0 = time.perf_counter()
     base = ctx.estimator_artifact_path()
-    # Start every run from generation zero so the refresh below is
-    # always the base -> gen1 step (repeat runs stay reproducible).
-    for stale in base.parent.glob(f"{base.stem}.gen*{base.suffix}"):
-        stale.unlink()
-    # Freeze the pre-drift weights in their own family dir, removed with
-    # the run: a scenario naming this copy can never pick up the
-    # refreshed generation.
-    with tempfile.TemporaryDirectory(prefix="repro_frozen_") as frozen_dir:
-        frozen = Path(frozen_dir) / base.name
-        shutil.copyfile(base, frozen)
-        print(f"estimator artifact: {base} "
-              f"(ready in {time.perf_counter() - t0:.1f} s)")
-        ab_test(ctx, horizon, base, frozen, workers)
+    refined = base.with_name(f"{base.stem}_refined{base.suffix}")
+    print(f"estimator artifact: {base} "
+          f"(ready in {time.perf_counter() - t0:.1f} s)")
+    ab_test(ctx, horizon, base, refined, workers)
 
 
 if __name__ == "__main__":

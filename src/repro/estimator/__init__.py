@@ -7,14 +7,10 @@ artifact format and how the serving stack loads it.
 
 from .artifact import (
     ARTIFACT_FORMAT_VERSION,
-    SUPPORTED_ARTIFACT_VERSIONS,
     ArtifactLineage,
     ArtifactPlatformMismatch,
     EstimatorArtifact,
-    artifact_generation_candidates,
-    artifact_generation_path,
     artifact_hash,
-    latest_artifact_generation,
     load_estimator_artifact,
     save_estimator_artifact,
 )
@@ -38,14 +34,10 @@ from .train import (
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
-    "SUPPORTED_ARTIFACT_VERSIONS",
     "ArtifactLineage",
     "ArtifactPlatformMismatch",
     "EstimatorArtifact",
-    "artifact_generation_candidates",
-    "artifact_generation_path",
     "artifact_hash",
-    "latest_artifact_generation",
     "load_estimator_artifact",
     "save_estimator_artifact",
     "FinetuneBuffer",

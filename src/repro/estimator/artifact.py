@@ -16,9 +16,9 @@ Q tensors) with its quantizer codebooks, and the validation quality of
 the training run.  The on-disk record mirrors the evaluation cache's
 versioned persistence:
 
-* a **format version** — unknown versions are refused.  Version 2 adds
-  the fine-tuning **lineage** block (see :class:`ArtifactLineage`);
-  version-1 files remain readable and load with the base lineage.
+* a **format version** — only :data:`ARTIFACT_FORMAT_VERSION` (2,
+  which carries the fine-tuning **lineage** block, see
+  :class:`ArtifactLineage`) loads; any other version is refused.
 * a **platform fingerprint** (:func:`repro.sim.cache.platform_fingerprint`)
   of the board the training rates were simulated on — an estimator
   trained against one board model must never score candidates for
@@ -28,13 +28,10 @@ versioned persistence:
   matching the ``cache_path`` behaviour — can distinguish it from a
   corrupt file, which raises a plain ``ValueError``.
 
-Fine-tuned **generations** (``repro.estimator.finetune``) live next to
-the base artifact under sibling names ``<stem>.gen<N><suffix>`` — e.g.
-``estimator.pkl`` → ``estimator.gen1.pkl`` — so a refresh never clobbers
-the file a running worker may be warming from.
-:func:`artifact_generation_candidates` enumerates the family newest
-first; the scenario runner's ``resolve_predictor`` walks that list and
-serves the newest compatible generation.
+An artifact path names exactly one file: the scenario runner loads the
+file a spec names, and a fine-tuning pass
+(:func:`repro.estimator.refresh_artifact`) writes its child to the path
+it is given, never over its parent.
 
 Writes go through a temp file and an atomic rename, so concurrent
 readers (pool workers warming from one shared path) never observe a
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -59,29 +55,19 @@ from .model import EstimatorConfig, ThroughputEstimator
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
-    "SUPPORTED_ARTIFACT_VERSIONS",
     "ArtifactLineage",
     "ArtifactPlatformMismatch",
     "EstimatorArtifact",
     "save_estimator_artifact",
     "load_estimator_artifact",
     "artifact_hash",
-    "artifact_generation_path",
-    "artifact_generation_candidates",
-    "latest_artifact_generation",
 ]
 
-#: On-disk artifact format version written by this build; bump when the
-#: payload layout changes.
+#: On-disk artifact format version this build writes and reads; bump
+#: when the payload layout changes.
 ARTIFACT_FORMAT_VERSION = 2
 
-#: Format versions this build can read (v1 predates lineage).
-SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
-
-#: ``<stem>.gen<N>`` suffix that marks a fine-tuned generation file.
-_GENERATION_STEM = re.compile(r"^(?P<base>.+)\.gen(?P<n>[1-9]\d*)$")
-
-#: Keys a well-formed v2 ``lineage`` block may carry — anything else is
+#: Keys a well-formed ``lineage`` block may carry — anything else is
 #: treated as corruption, not silently ignored.
 _LINEAGE_KEYS = frozenset({"parent_hash", "segment_count", "finetune_epoch"})
 
@@ -102,11 +88,11 @@ class ArtifactLineage:
 
     A freshly trained base artifact carries the default lineage:
     no parent, zero segments, fine-tune epoch 0.  Every
-    :func:`~repro.estimator.finetune.refresh_artifact` pass writes a new
-    generation whose lineage records the SHA-256 of the parent artifact
+    :func:`~repro.estimator.finetune.refresh_artifact` pass writes a
+    child whose lineage records the SHA-256 of the parent artifact
     file, how many distinct telemetry segments fed the pass, and the
-    generation number — so any artifact on disk can be traced back to
-    the base weights it descended from.
+    parent's fine-tune epoch plus one — so any artifact on disk can be
+    traced back to the base weights it descended from.
     """
 
     parent_hash: str | None = None
@@ -122,8 +108,6 @@ class EstimatorArtifact:
     vqvae: LayerVQVAE
     embedder: EmbeddingCache
     config: EstimatorConfig
-    platform_name: str
-    fingerprint: str
     val_l2: float = float("nan")
     val_spearman: float = float("nan")
     lineage: ArtifactLineage = field(default_factory=ArtifactLineage)
@@ -137,58 +121,6 @@ def artifact_hash(path: str | Path) -> str:
     the parent does not break the chain.
     """
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def artifact_generation_path(base: str | Path, generation: int) -> Path:
-    """The sibling path generation ``generation`` of ``base`` lives at.
-
-    ``estimator.pkl`` → ``estimator.gen1.pkl`` and so on.  ``base`` must
-    be the family base (not itself a generation file) and ``generation``
-    must be ≥ 1 — generation 0 *is* the base artifact.
-    """
-    base = Path(base)
-    if _GENERATION_STEM.match(base.stem):
-        raise ValueError(
-            f"{base} is already a generation file; pass the family base")
-    if generation < 1:
-        raise ValueError(
-            f"generation must be >= 1 (0 is the base artifact), "
-            f"got {generation}")
-    return base.with_name(f"{base.stem}.gen{generation}{base.suffix}")
-
-
-def artifact_generation_candidates(path: str | Path) -> list[Path]:
-    """Artifact paths to try for ``path``, newest generation first.
-
-    If ``path`` itself names a generation file (``*.genN*``), the caller
-    pinned an exact generation and gets only that.  Otherwise the list
-    is every existing ``<stem>.gen<N><suffix>`` sibling in descending
-    generation order, followed by ``path`` itself (whether or not it
-    exists — missing-base errors stay the caller's to raise).  Ordering
-    is by generation number, never directory enumeration order, so the
-    scan is deterministic across filesystems.
-    """
-    path = Path(path)
-    if _GENERATION_STEM.match(path.stem):
-        return [path]
-    found: list[tuple[int, Path]] = []
-    if path.parent.is_dir():
-        for sibling in path.parent.iterdir():
-            if sibling.suffix != path.suffix:
-                continue
-            match = _GENERATION_STEM.match(sibling.stem)
-            if match and match.group("base") == path.stem:
-                found.append((int(match.group("n")), sibling))
-    found.sort(key=lambda item: -item[0])
-    return [p for _, p in found] + [path]
-
-
-def latest_artifact_generation(base: str | Path) -> int:
-    """Highest generation number present next to ``base`` (0 if none)."""
-    candidates = artifact_generation_candidates(base)
-    newest = candidates[0]
-    match = _GENERATION_STEM.match(newest.stem)
-    return int(match.group("n")) if match else 0
 
 
 def _vqvae_hyperparams(vqvae: LayerVQVAE) -> dict:
@@ -248,13 +180,10 @@ def save_estimator_artifact(path: str | Path,
 def _parse_lineage(payload: dict, path: Path) -> ArtifactLineage:
     """Validate and rebuild the lineage block of a loaded payload.
 
-    Version-1 payloads predate lineage and get the base default.  A v2
-    payload must carry a dict with exactly the known keys and
+    The payload must carry a dict with exactly the known keys and
     well-typed values — anything else is corruption and raises a plain
     ``ValueError`` like every other malformed-payload case.
     """
-    if payload["version"] == 1:
-        return ArtifactLineage()
     raw = payload.get("lineage")
     if not isinstance(raw, dict):
         raise ValueError(
@@ -287,8 +216,7 @@ def load_estimator_artifact(path: str | Path,
                             platform: Platform) -> EstimatorArtifact:
     """Rebuild the learned components from :func:`save_estimator_artifact`.
 
-    Reads every version in :data:`SUPPORTED_ARTIFACT_VERSIONS` (v1 files
-    load with the base :class:`ArtifactLineage`).  Raises
+    Reads format version :data:`ARTIFACT_FORMAT_VERSION` only.  Raises
     :class:`ArtifactPlatformMismatch` when the artifact was trained for
     a platform with a different fingerprint, and a plain ``ValueError``
     (with the underlying cause chained) for a corrupt, truncated,
@@ -309,11 +237,10 @@ def load_estimator_artifact(path: str | Path,
             f"corrupt estimator artifact {path}: payload is "
             f"{type(payload).__name__}, expected dict")
     version = payload.get("version")
-    if version not in SUPPORTED_ARTIFACT_VERSIONS:
+    if version != ARTIFACT_FORMAT_VERSION:
         raise ValueError(
             f"estimator artifact {path} has format version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(str(v) for v in SUPPORTED_ARTIFACT_VERSIONS)}")
+            f"this build reads version {ARTIFACT_FORMAT_VERSION}")
     lineage = _parse_lineage(payload, path)
     fingerprint = platform_fingerprint(platform)
     if payload.get("fingerprint") != fingerprint:
@@ -339,8 +266,7 @@ def load_estimator_artifact(path: str | Path,
     estimator.eval()
     return EstimatorArtifact(
         estimator=estimator, vqvae=vqvae, embedder=EmbeddingCache(vqvae),
-        config=config, platform_name=str(payload.get("platform_name")),
-        fingerprint=str(payload.get("fingerprint")),
+        config=config,
         val_l2=float(payload.get("val_l2", float("nan"))),
         val_spearman=float(payload.get("val_spearman", float("nan"))),
         lineage=lineage,

@@ -21,12 +21,13 @@ The pipeline is three pieces, each deterministic by construction:
 * :func:`finetune` — a warm-start training pass over the buffered rows,
   seeded and order-canonicalised so the same rows always yield
   bit-identical weights.
-* :func:`refresh_artifact` — loads the newest artifact generation,
-  fine-tunes it, and writes the next ``<stem>.gen<N><suffix>`` sibling
-  as a version-2 artifact whose :class:`~repro.estimator.ArtifactLineage`
-  records the parent file hash, the segment count, and the generation
-  number.  ``resolve_predictor`` then prefers the newest compatible
-  generation automatically.
+* :func:`refresh_artifact` — loads the artifact file it is given,
+  fine-tunes it, and writes the child to the output path it is given
+  (never over the parent) as a version-2 artifact whose
+  :class:`~repro.estimator.ArtifactLineage` records the parent file
+  hash, the segment count, and the parent's fine-tune epoch plus one.
+  A scenario serves the refined weights once its ``estimator_path``
+  names that output file.
 
 Durations are merged with ``max`` (commutative and associative, so
 order-invariant) and are *not* used as loss weights — a segment is one
@@ -36,22 +37,18 @@ observation of a mapping's realized rates regardless of how long it ran.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping as MappingABC
+from typing import Iterable
 
 import numpy as np
 
 from ..autodiff import optim
 from ..hw.platform import Platform
 from ..mapping import Mapping
-from ..obs.recorder import SegmentUsage
 from .artifact import (
     ArtifactLineage,
     EstimatorArtifact,
-    artifact_generation_candidates,
-    artifact_generation_path,
     artifact_hash,
     load_estimator_artifact,
     save_estimator_artifact,
@@ -74,24 +71,16 @@ _SegmentKey = tuple[tuple[str, ...], tuple[tuple[int, ...], ...],
                     tuple[float, ...]]
 
 
-def _segment_key(row: MappingABC | SegmentUsage) -> tuple[_SegmentKey, float]:
-    """Canonical ``(key, duration_s)`` of one segment row.
-
-    Accepts both the plain dicts :func:`~repro.obs.export_segments`
-    emits and raw :class:`~repro.obs.SegmentUsage` records, so callers
-    can feed either a JSONL trace or a live snapshot.
-    """
-    if isinstance(row, SegmentUsage):
-        workload, assignments, rates = row.workload, row.assignments, row.rates
-        duration = row.duration_s
-    else:
-        try:
-            workload = row["workload"]
-            assignments = row["assignments"]
-            rates = row["rates"]
-            duration = row["duration_s"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed segment row {row!r}") from exc
+def _segment_key(row: dict) -> tuple[_SegmentKey, float]:
+    """Canonical ``(key, duration_s)`` of one
+    :func:`~repro.obs.export_segments` row."""
+    try:
+        workload = row["workload"]
+        assignments = row["assignments"]
+        rates = row["rates"]
+        duration = row["duration_s"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed segment row {row!r}") from exc
     key = (tuple(str(name) for name in workload),
            tuple(tuple(int(c) for c in assignment)
                  for assignment in assignments),
@@ -116,8 +105,7 @@ def _key_digest(key: _SegmentKey) -> str:
 class FinetuneBuffer:
     """An order-invariant, bounded pool of distinct telemetry segments.
 
-    Ingest :func:`~repro.obs.export_segments` rows (or raw
-    :class:`~repro.obs.SegmentUsage` records) from any number of
+    Ingest :func:`~repro.obs.export_segments` rows from any number of
     snapshots in any order; :meth:`rows` always returns the same
     key-sorted canonical rows for the same segment *set*.  When more
     than ``max_rows`` distinct segments arrive, the buffer keeps the
@@ -147,7 +135,7 @@ class FinetuneBuffer:
         """Distinct segments the reservoir bound has evicted."""
         return self._seen - len(self._segments)
 
-    def ingest(self, rows: Iterable[MappingABC | SegmentUsage]) -> int:
+    def ingest(self, rows: Iterable[dict]) -> int:
         """Add segment rows; returns how many were new distinct segments.
 
         Duplicate keys merge their ``duration_s`` with ``max`` — the
@@ -210,7 +198,7 @@ class FinetuneReport:
     train_loss: list[float] = field(default_factory=list)
 
 
-def segment_rows_to_samples(rows: Iterable[MappingABC | SegmentUsage],
+def segment_rows_to_samples(rows: Iterable[dict],
                             config: EstimatorConfig
                             ) -> list[EstimatorSample]:
     """Canonicalise segment rows into sorted, deduped estimator samples.
@@ -236,7 +224,7 @@ def segment_rows_to_samples(rows: Iterable[MappingABC | SegmentUsage],
 
 
 def finetune(artifact: EstimatorArtifact,
-             rows: Iterable[MappingABC | SegmentUsage],
+             rows: Iterable[dict],
              config: FinetuneConfig | None = None) -> FinetuneReport:
     """Warm-start-train ``artifact.estimator`` in place on segment rows.
 
@@ -264,51 +252,38 @@ def finetune(artifact: EstimatorArtifact,
     return report
 
 
-def refresh_artifact(base_path: str | Path,
-                     rows: Iterable[MappingABC | SegmentUsage],
-                     platform: Platform,
-                     config: FinetuneConfig | None = None
-                     ) -> tuple[Path, FinetuneReport]:
-    """Fine-tune the newest generation of ``base_path`` and persist it.
+def refresh_artifact(parent_path: str | Path, out_path: str | Path,
+                     rows: Iterable[dict], platform: Platform,
+                     config: FinetuneConfig | None = None) -> FinetuneReport:
+    """Fine-tune the artifact at ``parent_path`` and write it to ``out_path``.
 
-    Loads the newest existing generation of the artifact family (the
-    base file when no fine-tuned sibling exists), runs :func:`finetune`
-    on ``rows``, and writes the next generation as a v2 artifact whose
-    lineage records the parent file's SHA-256, the distinct-segment
-    count, and the new generation number.  Returns the written path and
-    the training report.
+    Loads exactly ``parent_path``, runs :func:`finetune` on ``rows``,
+    and writes exactly ``out_path`` as a v2 artifact whose lineage
+    records the parent file's SHA-256, the distinct-segment count, and
+    the parent's fine-tune epoch plus one.  Returns the training report.
 
-    A platform mismatch or corrupt parent raises here rather than
-    falling back — fine-tuning the wrong board's weights would poison
-    every later generation, so the refresh path has no oracle downgrade.
-    The stored ``val_l2`` / ``val_spearman`` are carried over from the
-    parent: they describe the base training run's held-out quality, not
-    the fine-tuned weights.
+    ``out_path`` must not name the parent: a pool worker may be loading
+    the parent's weights while the child is written, so a refresh never
+    overwrites them.  A platform mismatch or corrupt parent raises here
+    rather than falling back — fine-tuning the wrong board's weights
+    would poison every later refresh, so the refresh path has no oracle
+    downgrade.  The stored ``val_l2`` / ``val_spearman`` are carried
+    over from the parent: they describe the base training run's
+    held-out quality, not the fine-tuned weights.
     """
-    base_path = Path(base_path)
-    candidates = artifact_generation_candidates(base_path)
-    parent_path = next((p for p in candidates if p.exists()), None)
-    if parent_path is None:
-        raise FileNotFoundError(
-            f"no estimator artifact found for {base_path}")
+    parent_path, out_path = Path(parent_path), Path(out_path)
+    if out_path.resolve() == parent_path.resolve():
+        raise ValueError(
+            f"refusing to overwrite the parent artifact {parent_path}; "
+            "write the fine-tuned child to another path")
     artifact = load_estimator_artifact(parent_path, platform)
     parent_hash = artifact_hash(parent_path)
     report = finetune(artifact, rows, config)
-    generation = artifact.lineage.finetune_epoch + 1
-    out_path = artifact_generation_path(_family_base(base_path), generation)
-    lineage = ArtifactLineage(parent_hash=parent_hash,
-                              segment_count=report.rows,
-                              finetune_epoch=generation)
+    lineage = ArtifactLineage(
+        parent_hash=parent_hash, segment_count=report.rows,
+        finetune_epoch=artifact.lineage.finetune_epoch + 1)
     save_estimator_artifact(out_path, artifact.estimator, artifact.vqvae,
                             platform, val_l2=artifact.val_l2,
                             val_spearman=artifact.val_spearman,
                             lineage=lineage)
-    return out_path, report
-
-
-def _family_base(path: Path) -> Path:
-    """The family base path of ``path`` (strips a ``.genN`` stem suffix)."""
-    match = re.match(r"^(?P<base>.+)\.gen[1-9]\d*$", path.stem)
-    if match:
-        return path.with_name(match.group("base") + path.suffix)
-    return path
+    return report

@@ -34,7 +34,6 @@ from ..estimator import (
 from ..hw import orange_pi_5
 from ..hw.platform import Platform
 from ..search import MCTSConfig
-from ..sim.cache import platform_fingerprint
 from ..utils import lookup
 from ..vqvae import EmbeddingCache, VQVAETrainConfig, train_vqvae
 from ..workloads import sample_mix
@@ -165,8 +164,7 @@ class ExperimentContext:
         )
         return EstimatorArtifact(
             estimator=estimator, vqvae=vqvae, embedder=embedder,
-            config=estimator.config, platform_name=self.platform.name,
-            fingerprint=platform_fingerprint(self.platform),
+            config=estimator.config,
             val_l2=report.final_val_loss, val_spearman=report.val_spearman)
 
     # ------------------------------------------------------------------
@@ -240,7 +238,7 @@ class ExperimentContext:
             val_l2=artifacts.val_l2, val_spearman=artifacts.val_spearman)
         return path
 
-    def refresh_estimator(self, results, config=None):
+    def refresh_estimator(self, results, out_path, config=None):
         """Fine-tune the context's estimator on served telemetry segments.
 
         Closes the paper's open loop: ``results`` are
@@ -251,15 +249,12 @@ class ExperimentContext:
         (:func:`repro.obs.export_segments` through a
         :class:`repro.estimator.FinetuneBuffer`, so duplicates collapse
         deterministically) and :func:`repro.estimator.refresh_artifact`
-        warm-starts from the newest generation of
-        :meth:`estimator_artifact_path`, writing the next
-        ``.gen<N>`` sibling.  Later sweeps through
-        :meth:`serve_sweep`/:meth:`fleet_serve_sweep` pick the new
-        generation up automatically
-        (:func:`repro.runner.resolve_predictor` prefers the newest
-        compatible generation).
+        warm-starts from :meth:`estimator_artifact_path`, writing the
+        refined artifact to ``out_path``.  A sweep serves the refined
+        weights by naming ``estimator_path=out_path``; the context's own
+        artifact is left as it was.
 
-        Returns ``(artifact_path, FinetuneReport)``.  Raises
+        Returns the :class:`~repro.estimator.FinetuneReport`.  Raises
         ``ValueError`` when no result carries telemetry segments — a
         silent no-op refresh would masquerade as adaptation.
         """
@@ -276,8 +271,8 @@ class ExperimentContext:
             raise ValueError(
                 "no telemetry segments to fine-tune on — run the sweep "
                 "with observe=True so served segments are recorded")
-        return refresh_artifact(self.estimator_artifact_path(), rows,
-                                self.platform, config=config)
+        return refresh_artifact(self.estimator_artifact_path(), out_path,
+                                rows, self.platform, config=config)
 
     # ------------------------------------------------------------------
     def serve_sweep(self, policies: tuple[str, ...] = ("full", "warm",

@@ -84,61 +84,66 @@ def read_trace(path: str | Path) -> TelemetrySnapshot:
     """Rebuild a :class:`TelemetrySnapshot` from a :func:`write_trace`
     file.
 
-    Refuses (``ValueError``) a file whose header is missing, names a
-    different schema, or carries an unknown version — the trace layout
-    is a contract, not a suggestion.
+    Refuses (``ValueError``, with any underlying cause chained) a file
+    whose header is missing, names a different schema, or carries an
+    unknown version, and any header or record that is malformed — the
+    trace layout is a contract, not a suggestion.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"trace file {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("schema") != TRACE_SCHEMA:
-        raise ValueError(
-            f"trace file {path} has schema {header.get('schema')!r}; "
-            f"expected {TRACE_SCHEMA!r}")
-    if header.get("version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"trace file {path} has version {header.get('version')!r}; "
-            f"this build reads version {SCHEMA_VERSION}")
-    counters: list = []
-    gauges: list = []
-    histograms: list = []
-    spans: list = []
-    span_stats: list = []
-    segments: list = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "counter":
-            counters.append((record["name"], record["label"],
-                             record["value"]))
-        elif kind == "gauge":
-            gauges.append((record["name"], record["t_s"], record["value"]))
-        elif kind == "histogram":
-            histograms.append((record["name"], record["label"],
-                               HistogramState(record["count"],
-                                              record["total"],
-                                              record["min"], record["max"],
-                                              tuple(record["buckets"]))))
-        elif kind == "span":
-            spans.append(Span(record["name"], record["where"],
-                              record["t_s"], record["duration_s"],
-                              tuple(sorted(record["attrs"].items())),
-                              record["seq"]))
-        elif kind == "span_stat":
-            span_stats.append((record["name"], record["count"],
-                               record["total_s"]))
-        elif kind == "segment":
-            segments.append(SegmentUsage(
-                tuple(record["workload"]),
-                tuple(tuple(row) for row in record["assignments"]),
-                tuple(record["rates"]),
-                record["duration_s"]))
-        else:
+    try:
+        header = json.loads(lines[0])
+        if header.get("schema") != TRACE_SCHEMA:
             raise ValueError(
-                f"trace file {path} has unknown record type {kind!r}")
+                f"trace file {path} has schema {header.get('schema')!r}; "
+                f"expected {TRACE_SCHEMA!r}")
+        if header.get("version") != SCHEMA_VERSION:
+            raise ValueError(
+                f"trace file {path} has version {header.get('version')!r}; "
+                f"this build reads version {SCHEMA_VERSION}")
+        counters: list = []
+        gauges: list = []
+        histograms: list = []
+        spans: list = []
+        span_stats: list = []
+        segments: list = []
+        for line in lines[1:]:
+            record = json.loads(line)
+            kind = record.get("type")
+            if kind == "counter":
+                counters.append((record["name"], record["label"],
+                                 record["value"]))
+            elif kind == "gauge":
+                gauges.append((record["name"], record["t_s"], record["value"]))
+            elif kind == "histogram":
+                histograms.append((record["name"], record["label"],
+                                   HistogramState(record["count"],
+                                                  record["total"],
+                                                  record["min"], record["max"],
+                                                  tuple(record["buckets"]))))
+            elif kind == "span":
+                spans.append(Span(record["name"], record["where"],
+                                  record["t_s"], record["duration_s"],
+                                  tuple(sorted(record["attrs"].items())),
+                                  record["seq"]))
+            elif kind == "span_stat":
+                span_stats.append((record["name"], record["count"],
+                                   record["total_s"]))
+            elif kind == "segment":
+                segments.append(SegmentUsage(
+                    tuple(record["workload"]),
+                    tuple(tuple(row) for row in record["assignments"]),
+                    tuple(record["rates"]),
+                    record["duration_s"]))
+            else:
+                raise ValueError(
+                    f"trace file {path} has unknown record type {kind!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        # A header or record that is not a JSON object, or lacks a field.
+        raise ValueError(f"malformed trace file {path}: {exc!r}") from exc
     return TelemetrySnapshot(
         where=header.get("where", ""),
         max_spans=header.get("max_spans", 64),

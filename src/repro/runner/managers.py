@@ -15,9 +15,7 @@ from typing import TYPE_CHECKING, Callable
 from ..baselines import GAConfig, GeneticManager, GpuBaseline, Mosaic, Odmdef, OmniBoost
 from ..core.manager import Manager, RankMap, RankMapConfig
 from ..core.predictor import EstimatorPredictor, OraclePredictor, RatePredictor
-from ..estimator import (ArtifactPlatformMismatch,
-                         artifact_generation_candidates,
-                         load_estimator_artifact)
+from ..estimator import ArtifactPlatformMismatch, load_estimator_artifact
 from ..hw import (jetson_class, jetson_class_power, orange_pi_5,
                   orange_pi_5_power)
 from ..hw.energy import PlatformPower
@@ -70,18 +68,10 @@ def resolve_predictor(scenario, platform: Platform,
     static :class:`~repro.runner.Scenario`) measures candidates on the
     simulated board through the shared evaluation ``cache``.
     ``"estimator"`` loads the trained artifact at
-    ``scenario.estimator_path`` and scores through the learned path.
-
-    Fine-tuned **generations** are preferred automatically: when
-    ``estimator_path`` names a family base, the newest compatible
-    ``<stem>.gen<N><suffix>`` sibling
-    (:func:`repro.estimator.artifact_generation_candidates`) wins over
-    the base file, so a node picks up the latest
-    :func:`repro.estimator.refresh_artifact` output without any spec
-    change.  Naming a generation file directly pins that exact
-    generation.  A generation trained for a different platform falls
-    through to the next older candidate; only when *every* existing
-    candidate mismatches does the scenario downgrade.
+    ``scenario.estimator_path`` — that file and no other, so the weights
+    that scored a run are the ones its spec names; a fine-tuned
+    :func:`repro.estimator.refresh_artifact` child serves only once a
+    spec names its path.
 
     Mirroring the ``cache_path`` rules, an artifact trained for a
     *different platform* downgrades to the oracle with a warning (whose
@@ -91,9 +81,8 @@ def resolve_predictor(scenario, platform: Platform,
     legitimately warms only the matching nodes — while a corrupt or
     missing artifact raises: the predictor choice changes reports, so a
     broken file must fail loudly rather than silently serve the wrong
-    study (a corrupt *newer generation* therefore blocks the whole
-    family rather than silently serving stale weights).  The returned
-    predictor reports its scoring metrics to ``recorder``.
+    study.  The returned predictor reports its scoring metrics to
+    ``recorder``.
     """
     kind = getattr(scenario, "predictor", "oracle")
     if kind == "oracle":
@@ -101,46 +90,23 @@ def resolve_predictor(scenario, platform: Platform,
         predictor.recorder = recorder
         return predictor
     path = Path(scenario.estimator_path)
-    fingerprint = platform_fingerprint(platform)
-    artifact = None
-    mismatch: ArtifactPlatformMismatch | None = None
-    for candidate in artifact_generation_candidates(path):
-        try:
-            stat = candidate.stat()
-        except FileNotFoundError:
-            continue
-        key = (str(candidate), stat.st_mtime_ns, stat.st_size, fingerprint)
-        loaded = _ARTIFACT_MEMO.get(key)
-        if loaded is None:
-            try:
-                loaded = load_estimator_artifact(candidate, platform)
-            except ArtifactPlatformMismatch as exc:
-                # Negative-memoise the mismatch too: the verdict is a pure
-                # function of the key, and a heterogeneous fleet
-                # re-resolves the same (artifact, platform) pair once per
-                # node slice — no point re-unpickling the full weight
-                # payload each time.  Memoise a *fresh* exception carrying
-                # only the message: the raised one's traceback frames
-                # would pin the unpickled weight arrays in the memo for
-                # the process lifetime.
-                loaded = ArtifactPlatformMismatch(str(exc))
-            _ARTIFACT_MEMO[key] = loaded
-        if isinstance(loaded, ArtifactPlatformMismatch):
-            # Keep the newest mismatch for the downgrade warning but try
-            # the next older generation — a heterogeneous fleet fine-tunes
-            # per platform, so an incompatible child must not shadow a
-            # compatible base.
-            if mismatch is None:
-                mismatch = loaded
-            continue
-        artifact = loaded
-        break
-    if artifact is None and mismatch is None:
-        path.stat()             # missing artifact: FileNotFoundError
-        raise FileNotFoundError(   # pragma: no cover - stat raises first
-            f"no estimator artifact found for {path}")
+    stat = path.stat()              # missing artifact: FileNotFoundError
+    key = (str(path), stat.st_mtime_ns, stat.st_size,
+           platform_fingerprint(platform))
+    artifact = _ARTIFACT_MEMO.get(key)
     if artifact is None:
-        artifact = mismatch
+        try:
+            artifact = load_estimator_artifact(path, platform)
+        except ArtifactPlatformMismatch as exc:
+            # Negative-memoise the mismatch too: the verdict is a pure
+            # function of the key, and a heterogeneous fleet re-resolves
+            # the same (artifact, platform) pair once per node slice — no
+            # point re-unpickling the full weight payload each time.
+            # Memoise a *fresh* exception carrying only the message: the
+            # raised one's traceback frames would pin the unpickled
+            # weight arrays in the memo for the process lifetime.
+            artifact = ArtifactPlatformMismatch(str(exc))
+        _ARTIFACT_MEMO[key] = artifact
     if isinstance(artifact, ArtifactPlatformMismatch):
         # Force emission per call: fleet sweeps reuse node names across
         # cells, and the default warnings filter would dedupe the

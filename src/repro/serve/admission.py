@@ -44,6 +44,9 @@ PREEMPT = "preempt"
 #: and silver queue and bronze is rejected.
 MIN_QUEUE_PRIORITY = 0.15
 
+#: The fixed :data:`~repro.workloads.sla.SLA_TIERS` ladder by tier name.
+_TIERS = {t.name: t for t in SLA_TIERS}
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -85,12 +88,10 @@ class AdmissionController:
     """
 
     def __init__(self, config: AdmissionConfig | None = None,
-                 tiers: tuple[SlaClass, ...] = SLA_TIERS,
                  recorder: Recorder = NULL_RECORDER):
         self.config = config if config is not None else AdmissionConfig()
         self.preemption = build_preemption_policy(self.config.preemption)
         self.recorder = recorder
-        self._tiers = {t.name: t for t in tiers}
         # Batched admission-funnel ticks keyed ``(tier, verdict)`` and
         # preemption-plan ticks keyed by action.  decide_with_plan runs
         # once per arrival, so both counters accumulate locally and land
@@ -102,7 +103,7 @@ class AdmissionController:
 
     def tier(self, name: str) -> SlaClass:
         """Resolve a tier name to its :class:`SlaClass` (or raise)."""
-        return lookup(self._tiers, name, "SLA tier")
+        return lookup(_TIERS, name, "SLA tier")
 
     def can_admit(self, active_count: int, can_place: bool) -> bool:
         """The immediate-admission fast path: a free capacity slot and a
@@ -111,13 +112,8 @@ class AdmissionController:
         return can_place and active_count < self.config.capacity
 
     def floor_tier(self) -> SlaClass:
-        """The ladder's lowest-priority tier — the demotion floor.
-
-        Derived from whatever ladder this controller was built with, so
-        renegotiation works on custom tier sets, not just the default
-        gold/silver/bronze one.
-        """
-        return min(self._tiers.values(), key=lambda t: t.priority)
+        """The ladder's lowest-priority tier — the demotion floor."""
+        return min(SLA_TIERS, key=lambda t: t.priority)
 
     def decide_with_plan(self, tier_name: str, active_count: int,
                          queue_len: int, can_place: bool,

@@ -80,9 +80,10 @@ def platform_fingerprint(platform: Platform) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 #: Default capacity: ~75 plans' worth of distinct 640-evaluation searches.
-#: Each entry retains a full SimResult (a few KB of per-stage arrays), so
-#: the default bounds a long-lived predictor's cache to ~100 MB; raise it
-#: explicitly for sweeps that can afford the memory.
+#: An entry (its key and a SimResult of per-DNN arrays) holds about
+#: 1.5 KB (tracemalloc over RankMap_D plans of 3-5 DNN mixes), so the
+#: default bounds the entries to ~75 MB; the demand memo beside them has
+#: its own cap.  Raise it explicitly for sweeps that can afford the memory.
 _DEFAULT_MAXSIZE = 50_000
 
 

@@ -36,7 +36,6 @@ from .sla import (
     SlaAssignment,
     SlaClass,
     SlaReport,
-    SlaViolation,
     assign_tiers,
     evaluate_sla,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "split_session_requests",
     "SlaClass",
     "SlaAssignment",
-    "SlaViolation",
     "SlaReport",
     "GOLD",
     "SILVER",

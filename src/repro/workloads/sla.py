@@ -19,7 +19,6 @@ from ..zoo.layers import ModelSpec
 __all__ = [
     "SlaClass",
     "SlaAssignment",
-    "SlaViolation",
     "SlaReport",
     "GOLD",
     "SILVER",
@@ -90,29 +89,18 @@ def assign_tiers(workload: list[ModelSpec],
 
 
 @dataclass(frozen=True)
-class SlaViolation:
-    """One DNN dipping below its tier's minimum P during a segment."""
-
-    name: str
-    tier: str
-    t_start: float
-    t_end: float
-    potential: float
-    required: float
-
-
-@dataclass(frozen=True)
 class SlaReport:
     """Satisfaction summary of one timeline against an assignment."""
 
-    violations: tuple[SlaViolation, ...]
     violation_seconds: float        # total time spent in violation
     observed_seconds: float         # total time DNNs were mapped
     mean_potential_by_tier: dict[str, float]
 
     @property
     def satisfied(self) -> bool:
-        return not self.violations
+        """No DNN fell below its tier's minimum P (each violating segment
+        has positive duration, all of it counted in ``violation_seconds``)."""
+        return self.violation_seconds == 0.0
 
     @property
     def violation_fraction(self) -> float:
@@ -130,7 +118,6 @@ def evaluate_sla(timeline: Timeline, assignment: SlaAssignment,
     one decision latency before the first mapping exists, and an SLA over
     that window would penalise every manager equally and uninformatively.
     """
-    violations: list[SlaViolation] = []
     violation_time = 0.0
     observed_time = 0.0
     tier_acc: dict[str, list[tuple[float, float]]] = {}
@@ -150,18 +137,12 @@ def evaluate_sla(timeline: Timeline, assignment: SlaAssignment,
             tier_acc.setdefault(tier.name, []).append((potential, duration))
             if potential < tier.min_potential:
                 violation_time += duration
-                violations.append(SlaViolation(
-                    name=name, tier=tier.name, t_start=start,
-                    t_end=segment.t_end, potential=potential,
-                    required=tier.min_potential,
-                ))
 
     means = {
         tier_name: (sum(p * d for p, d in acc) / sum(d for _, d in acc))
         for tier_name, acc in tier_acc.items()
     }
     return SlaReport(
-        violations=tuple(violations),
         violation_seconds=violation_time,
         observed_seconds=observed_time,
         mean_potential_by_tier=means,

@@ -89,9 +89,28 @@ class TestDocsLinks:
 
     def test_checker_ignores_external_links(self, tmp_path):
         (tmp_path / "README.md").write_text(
+            "# X\n"
             "[web](https://example.com) [mail](mailto:a@b.c) [anchor](#x)")
         checker = _load_check_links()
         assert checker.check_links(tmp_path) == []
+
+    def test_checker_flags_broken_anchor(self, tmp_path):
+        """A fragment must name a heading of its target file, slugged the
+        way GitHub slugs it; fenced code never holds a heading."""
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "# Title\n## Closing the loop: `fine-tuning`\n## Twice\n"
+            "## Twice\n```\n# Not a heading\n```\n")
+        (tmp_path / "README.md").write_text(
+            "[ok](docs/a.md#closing-the-loop-fine-tuning) "
+            "[ok](docs/a.md#twice-1) [ok](#top) "
+            "[bad](docs/a.md#not-a-heading) [bad](docs/a.md#twice-2) "
+            "[bad](#nowhere)\n# Top\n")
+        checker = _load_check_links()
+        errors = checker.check_links(tmp_path)
+        assert [e.rsplit("#", 1)[1] for e in errors] == [
+            "not-a-heading", "twice-2", "nowhere"]
+        assert all("broken anchor" in e for e in errors)
 
 
 # ------------------------------------------------------- docstring gate

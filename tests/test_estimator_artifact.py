@@ -2,9 +2,10 @@
 
 Covers the satellite edge cases: save/load round-trips bit-exactly, a
 platform-fingerprint mismatch downgrades a serving scenario to the
-oracle with a warning (matching the ``cache_path`` behaviour), and a
+oracle with a warning (matching the ``cache_path`` behaviour), a
 corrupt/truncated/missing artifact fails loudly instead of silently
-serving the wrong study.
+serving the wrong study, and a spec's ``estimator_path`` names exactly
+one file — nothing beside it is ever consulted.
 """
 
 import dataclasses
@@ -21,9 +22,6 @@ from repro.estimator import (
     ArtifactPlatformMismatch,
     EstimatorConfig,
     ThroughputEstimator,
-    artifact_generation_candidates,
-    artifact_generation_path,
-    latest_artifact_generation,
     load_estimator_artifact,
     save_estimator_artifact,
 )
@@ -82,7 +80,6 @@ class TestArtifactRoundTrip:
 
     def test_metadata_round_trips(self, artifact_path):
         loaded = load_estimator_artifact(artifact_path, orange_pi_5())
-        assert loaded.platform_name == "orange_pi_5"
         assert loaded.val_l2 == pytest.approx(0.25)
         assert loaded.val_spearman == pytest.approx(0.9)
 
@@ -119,6 +116,16 @@ class TestArtifactRefusals:
         payload["version"] = ARTIFACT_FORMAT_VERSION + 1
         artifact_path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
+            load_estimator_artifact(artifact_path, orange_pi_5())
+
+    def test_v1_payload_refused(self, artifact_path):
+        """Only format version 2 loads: a pre-lineage v1 file is refused
+        with the version message, not read with a default lineage."""
+        payload = pickle.loads(artifact_path.read_bytes())
+        payload["version"] = 1
+        del payload["lineage"]
+        artifact_path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match="format version 1"):
             load_estimator_artifact(artifact_path, orange_pi_5())
 
     def test_wrong_payload_type_refused(self, tmp_path):
@@ -169,6 +176,64 @@ class TestScenarioResolution:
                                **DYNAMIC_FAST)
         with pytest.raises(FileNotFoundError):
             execute_dynamic_scenario(spec)
+
+    def test_spec_loads_exactly_the_named_file(self, trained,
+                                               artifact_path):
+        """Files named like fine-tuned children are never consulted: a
+        spec naming X.pkl scores with X's weights beside a differently
+        weighted X.gen1.pkl and a corrupt X.gen2.pkl."""
+        estimator, vqvae = trained
+        sibling = ThroughputEstimator(np.random.default_rng(9), SMALL_CFG)
+        save_estimator_artifact(artifact_path.with_name("estimator.gen1.pkl"),
+                                sibling, vqvae, orange_pi_5())
+        artifact_path.with_name("estimator.gen2.pkl").write_bytes(b"junk")
+        spec = DynamicScenario(name="one", manager="rankmap_d",
+                               predictor="estimator",
+                               estimator_path=str(artifact_path),
+                               **DYNAMIC_FAST)
+        predictor = resolve_predictor(spec, orange_pi_5(),
+                                      EvaluationCache(orange_pi_5()))
+        q = np.random.default_rng(6).normal(
+            size=(2, 4, 32, 48)).astype(np.float32)
+        want = estimator.predict_rates(q)
+        assert not np.array_equal(sibling.predict_rates(q), want)
+        np.testing.assert_array_equal(predictor.estimator.predict_rates(q),
+                                      want)
+
+    def test_sweep_scores_with_the_context_artifacts(self, tmp_path,
+                                                     monkeypatch):
+        """The predictor a context's estimator sweep resolves scores
+        exactly like ``ctx.artifacts``, even with a differently weighted
+        ``.gen1`` sibling beside the context's artifact file."""
+        import repro.runner.managers as managers
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path)
+        base = ctx.estimator_artifact_path()
+        sibling = ThroughputEstimator(np.random.default_rng(9),
+                                      ctx.artifacts.config)
+        save_estimator_artifact(base.with_name(f"{base.stem}.gen1.pkl"),
+                                sibling, ctx.artifacts.vqvae, ctx.platform)
+        resolved = []
+
+        def spy(*args, **kwargs):
+            resolved.append(resolve_predictor(*args, **kwargs))
+            return resolved[-1]
+
+        monkeypatch.setattr(managers, "resolve_predictor", spy)
+        ctx.serve_sweep(policies=("full",), managers=("rankmap_d",),
+                        traces_per_cell=1, horizon_s=120.0,
+                        pool=SMALL_POOL, capacity=2,
+                        predictor="estimator", max_workers=1)
+        cfg = ctx.artifacts.config
+        q = np.random.default_rng(6).normal(size=(
+            2, cfg.max_dnns, cfg.max_layers, cfg.width)).astype(np.float32)
+        want = ctx.artifacts.estimator.predict_rates(q)
+        assert not np.array_equal(sibling.predict_rates(q), want)
+        assert resolved
+        for predictor in resolved:
+            np.testing.assert_array_equal(
+                predictor.estimator.predict_rates(q), want)
 
     def test_capacity_beyond_estimator_slots_rejected(self, artifact_path):
         spec = DynamicScenario(name="big", manager="rankmap_d",
@@ -318,8 +383,9 @@ class TestReviewRegressions:
         save_estimator_artifact(planted, estimator, vqvae, jetson_class())
         path = ctx.estimator_artifact_path()
         assert path == planted
-        loaded = load_estimator_artifact(path, ctx.platform)  # no raise
-        assert loaded.platform_name == ctx.platform.name
+        load_estimator_artifact(path, ctx.platform)  # no raise
+        assert pickle.loads(path.read_bytes())["platform_name"] == \
+            ctx.platform.name
 
     def test_component_count_mismatch_rejected_loudly(self, tmp_path,
                                                       trained):
@@ -359,31 +425,6 @@ class TestArtifactLineage:
                                 lineage=lineage)
         assert load_estimator_artifact(path, orange_pi_5()).lineage == lineage
 
-    def test_v1_payload_loads_with_default_lineage(self, artifact_path):
-        """Pre-lineage artifacts on disk stay readable."""
-        payload = pickle.loads(artifact_path.read_bytes())
-        payload["version"] = 1
-        del payload["lineage"]
-        artifact_path.write_bytes(pickle.dumps(payload))
-        loaded = load_estimator_artifact(artifact_path, orange_pi_5())
-        assert loaded.lineage == ArtifactLineage()
-
-    def test_v1_and_v2_predictions_identical(self, trained, artifact_path,
-                                             tmp_path):
-        """The lineage block is pure metadata: downgrading the payload to
-        v1 must not change a single predicted rate."""
-        v2 = load_estimator_artifact(artifact_path, orange_pi_5())
-        payload = pickle.loads(artifact_path.read_bytes())
-        payload["version"] = 1
-        del payload["lineage"]
-        v1_path = tmp_path / "v1.pkl"
-        v1_path.write_bytes(pickle.dumps(payload))
-        v1 = load_estimator_artifact(v1_path, orange_pi_5())
-        q = np.random.default_rng(5).normal(
-            size=(2, 4, 32, 48)).astype(np.float32)
-        np.testing.assert_array_equal(v1.estimator.predict_rates(q),
-                                      v2.estimator.predict_rates(q))
-
     def test_non_dict_lineage_refused(self, artifact_path):
         payload = pickle.loads(artifact_path.read_bytes())
         payload["lineage"] = ["not", "a", "dict"]
@@ -417,130 +458,3 @@ class TestArtifactLineage:
                                     segment_count=2, finetune_epoch=1))
         with pytest.raises(ArtifactPlatformMismatch):
             load_estimator_artifact(path, orange_pi_5())
-
-
-class TestGenerationFamily:
-    """Path arithmetic for fine-tuned artifact generations."""
-
-    def test_generation_path_naming(self, tmp_path):
-        base = tmp_path / "estimator.pkl"
-        assert artifact_generation_path(base, 1).name == "estimator.gen1.pkl"
-        assert artifact_generation_path(base, 12).name == "estimator.gen12.pkl"
-
-    def test_generation_path_rejects_generation_bases(self, tmp_path):
-        with pytest.raises(ValueError, match="family base"):
-            artifact_generation_path(tmp_path / "estimator.gen1.pkl", 2)
-
-    def test_generation_zero_is_the_base(self, tmp_path):
-        with pytest.raises(ValueError, match=">= 1"):
-            artifact_generation_path(tmp_path / "estimator.pkl", 0)
-
-    def test_candidates_newest_first_base_last(self, artifact_path):
-        for n in (1, 3):
-            artifact_generation_path(artifact_path, n).write_bytes(b"x")
-        names = [p.name for p in
-                 artifact_generation_candidates(artifact_path)]
-        assert names == ["estimator.gen3.pkl", "estimator.gen1.pkl",
-                         "estimator.pkl"]
-
-    def test_pinned_generation_is_exact(self, artifact_path):
-        pinned = artifact_generation_path(artifact_path, 2)
-        assert artifact_generation_candidates(pinned) == [pinned]
-
-    def test_unrelated_siblings_ignored(self, artifact_path):
-        (artifact_path.parent / "other.gen5.pkl").write_bytes(b"x")
-        (artifact_path.parent / "estimator.gen2.txt").write_bytes(b"x")
-        assert artifact_generation_candidates(artifact_path) == \
-            [artifact_path]
-
-    def test_latest_generation_number(self, artifact_path):
-        assert latest_artifact_generation(artifact_path) == 0
-        artifact_generation_path(artifact_path, 4).write_bytes(b"x")
-        assert latest_artifact_generation(artifact_path) == 4
-
-
-class TestGenerationResolutionPreference:
-    """resolve_predictor walks the family newest-first (closed loop)."""
-
-    def _spec(self, path, platform="orange_pi_5"):
-        return DynamicScenario(name="gen", manager="rankmap_d",
-                               policy="warm", platform=platform,
-                               predictor="estimator",
-                               estimator_path=str(path), **DYNAMIC_FAST)
-
-    def _newer(self, trained, artifact_path, platform):
-        """A gen1 sibling with *different* weights than the base."""
-        _, vqvae = trained
-        newer = ThroughputEstimator(np.random.default_rng(9), SMALL_CFG)
-        save_estimator_artifact(
-            artifact_generation_path(artifact_path, 1), newer, vqvae,
-            platform)
-        return newer
-
-    def test_newest_compatible_generation_wins(self, trained,
-                                               artifact_path):
-        newer = self._newer(trained, artifact_path, orange_pi_5())
-        predictor = resolve_predictor(self._spec(artifact_path),
-                                      orange_pi_5(),
-                                      EvaluationCache(orange_pi_5()))
-        q = np.random.default_rng(6).normal(
-            size=(2, 4, 32, 48)).astype(np.float32)
-        np.testing.assert_array_equal(predictor.estimator.predict_rates(q),
-                                      newer.predict_rates(q))
-
-    def test_naming_a_generation_pins_it(self, trained, artifact_path):
-        self._newer(trained, artifact_path, orange_pi_5())
-        pinned = artifact_generation_path(artifact_path, 1)
-        # Add a newer generation that must NOT be picked up.
-        _, vqvae = trained
-        save_estimator_artifact(
-            artifact_generation_path(artifact_path, 2),
-            ThroughputEstimator(np.random.default_rng(11), SMALL_CFG),
-            vqvae, orange_pi_5())
-        predictor = resolve_predictor(self._spec(pinned), orange_pi_5(),
-                                      EvaluationCache(orange_pi_5()))
-        expected = load_estimator_artifact(pinned, orange_pi_5())
-        q = np.random.default_rng(6).normal(
-            size=(2, 4, 32, 48)).astype(np.float32)
-        np.testing.assert_array_equal(
-            predictor.estimator.predict_rates(q),
-            expected.estimator.predict_rates(q))
-
-    def test_mismatched_generation_falls_back_to_base(self, trained,
-                                                      artifact_path,
-                                                      recwarn):
-        """A child fine-tuned for another board must not shadow a
-        compatible base — and the fallback is silent (no downgrade)."""
-        self._newer(trained, artifact_path, jetson_class())
-        base = load_estimator_artifact(artifact_path, orange_pi_5())
-        predictor = resolve_predictor(self._spec(artifact_path),
-                                      orange_pi_5(),
-                                      EvaluationCache(orange_pi_5()))
-        q = np.random.default_rng(6).normal(
-            size=(2, 4, 32, 48)).astype(np.float32)
-        np.testing.assert_array_equal(predictor.estimator.predict_rates(q),
-                                      base.estimator.predict_rates(q))
-        assert not [w for w in recwarn
-                    if "downgrading" in str(w.message)]
-
-    def test_every_candidate_mismatching_downgrades(self, trained,
-                                                    tmp_path):
-        """Only when the whole family is foreign does the scenario
-        downgrade to the oracle (with the warning naming the newest)."""
-        estimator, vqvae = trained
-        base = tmp_path / "estimator.pkl"
-        save_estimator_artifact(base, estimator, vqvae, jetson_class())
-        save_estimator_artifact(artifact_generation_path(base, 1),
-                                estimator, vqvae, jetson_class())
-        with pytest.warns(UserWarning, match="downgrading to the oracle"):
-            predictor = resolve_predictor(self._spec(base), orange_pi_5(),
-                                          EvaluationCache(orange_pi_5()))
-        assert not hasattr(predictor, "estimator")  # oracle, not learned
-
-    def test_corrupt_generation_blocks_family(self, artifact_path):
-        """A corrupt *newer* generation must fail loudly rather than
-        silently serve the stale base weights."""
-        artifact_generation_path(artifact_path, 1).write_bytes(b"junk")
-        with pytest.raises(ValueError, match="corrupt estimator artifact"):
-            resolve_predictor(self._spec(artifact_path), orange_pi_5(),
-                              EvaluationCache(orange_pi_5()))

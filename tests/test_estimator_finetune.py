@@ -1,14 +1,15 @@
 """Unit tests for the estimator fine-tuning loop (repro.estimator.finetune).
 
 Covers the deterministic ingestion buffer (dedup, max-merge, bounded
-reservoir), the warm-start ``finetune`` pass, the generation-writing
-``refresh_artifact`` lineage chain, the ``ExperimentContext`` wiring and
-the offline CLI.  The bit-identity *properties* (ingestion order, worker
-count, v1→v2 round-trip) live in
+reservoir), the warm-start ``finetune`` pass, the ``refresh_artifact``
+parent → child → grandchild lineage chain, the ``ExperimentContext``
+wiring and the offline CLI.  The bit-identity *properties* (ingestion
+order, worker count) live in
 ``tests/property/test_finetune_properties.py``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.estimator import (
     ThroughputEstimator,
     artifact_hash,
     finetune,
-    latest_artifact_generation,
     load_estimator_artifact,
     refresh_artifact,
     save_estimator_artifact,
@@ -55,7 +55,7 @@ def seg(names, rate=1.0, duration=5.0):
 
 @pytest.fixture()
 def base_artifact(tmp_path):
-    """A tiny base artifact for the Orange Pi 5 under a temp family."""
+    """A tiny base artifact for the Orange Pi 5 under a temp dir."""
     estimator = ThroughputEstimator(np.random.default_rng(3), TINY_CFG)
     vqvae = LayerVQVAE(np.random.default_rng(4))
     path = tmp_path / "estimator.pkl"
@@ -98,11 +98,6 @@ class TestFinetuneBuffer:
         assert len(forward) == 2
         assert forward.dropped == 2 and forward.seen == 4
         assert forward.rows() == backward.rows()
-
-    def test_accepts_raw_segment_usage_records(self):
-        usage = SegmentUsage(("alexnet",), ((0,) * 8,), (1.5,), 2.0)
-        buf = FinetuneBuffer()
-        assert buf.ingest([usage]) == 1
 
     def test_malformed_row_raises(self):
         with pytest.raises(ValueError, match="malformed segment row"):
@@ -157,16 +152,22 @@ class TestFinetune:
 
 class TestRefreshArtifact:
     def test_missing_family_raises(self, tmp_path):
+        out = tmp_path / "child.pkl"
         with pytest.raises(FileNotFoundError):
-            refresh_artifact(tmp_path / "nope.pkl", [seg(("alexnet",))],
+            refresh_artifact(tmp_path / "nope.pkl", out, [seg(("alexnet",))],
                              orange_pi_5(), FAST_FT)
+        assert not out.exists()
 
-    def test_writes_generation_with_lineage(self, base_artifact):
+    def test_writes_generation_with_lineage(self, base_artifact, tmp_path):
         parent_hash = artifact_hash(base_artifact)
-        out, report = refresh_artifact(
-            base_artifact, [seg(("alexnet",)), seg(("squeezenet",))],
+        out = tmp_path / "child.pkl"
+        report = refresh_artifact(
+            base_artifact, out, [seg(("alexnet",)), seg(("squeezenet",))],
             orange_pi_5(), FAST_FT)
-        assert out.name == "estimator.gen1.pkl"
+        # Exactly the named file is written; the parent is untouched.
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["child.pkl", "estimator.pkl"]
+        assert artifact_hash(base_artifact) == parent_hash
         child = load_estimator_artifact(out, orange_pi_5())
         assert child.lineage == ArtifactLineage(
             parent_hash=parent_hash, segment_count=2, finetune_epoch=1)
@@ -175,24 +176,41 @@ class TestRefreshArtifact:
         assert child.val_l2 == pytest.approx(0.5)
         assert child.val_spearman == pytest.approx(0.8)
 
-    def test_generations_chain(self, base_artifact):
-        out1, _ = refresh_artifact(base_artifact, [seg(("alexnet",))],
-                                   orange_pi_5(), FAST_FT)
-        out2, _ = refresh_artifact(base_artifact, [seg(("squeezenet",))],
-                                   orange_pi_5(), FAST_FT)
-        assert out2.name == "estimator.gen2.pkl"
-        child = load_estimator_artifact(out2, orange_pi_5())
-        assert child.lineage.parent_hash == artifact_hash(out1)
-        assert child.lineage.finetune_epoch == 2
-        assert latest_artifact_generation(base_artifact) == 2
+    def test_generations_chain(self, base_artifact, tmp_path):
+        """parent → child → grandchild: each lineage names the file it
+        was refined from and counts one more fine-tune epoch."""
+        child, grandchild = tmp_path / "child.pkl", tmp_path / "grand.pkl"
+        refresh_artifact(base_artifact, child, [seg(("alexnet",))],
+                         orange_pi_5(), FAST_FT)
+        refresh_artifact(child, grandchild, [seg(("squeezenet",))],
+                         orange_pi_5(), FAST_FT)
+        for path, parent, epoch in ((child, base_artifact, 1),
+                                    (grandchild, child, 2)):
+            lineage = load_estimator_artifact(path, orange_pi_5()).lineage
+            assert lineage == ArtifactLineage(
+                parent_hash=artifact_hash(parent), segment_count=1,
+                finetune_epoch=epoch)
 
-    def test_platform_mismatch_raises_not_downgrades(self, base_artifact):
+    def test_platform_mismatch_raises_not_downgrades(self, base_artifact,
+                                                     tmp_path):
         """Fine-tuning the wrong board's weights would poison every later
-        generation — the refresh path has no oracle fallback."""
+        refresh — the refresh path has no oracle fallback."""
+        out = tmp_path / "child.pkl"
         with pytest.raises(ValueError, match="trained for platform"):
-            refresh_artifact(base_artifact, [seg(("alexnet",))],
+            refresh_artifact(base_artifact, out, [seg(("alexnet",))],
                              jetson_class(), FAST_FT)
-        assert latest_artifact_generation(base_artifact) == 0
+        assert not out.exists()
+
+    def test_refuses_to_overwrite_parent(self, base_artifact, tmp_path):
+        """A worker may be loading the parent's weights, so a refresh
+        never writes over them — however the same path is spelled."""
+        (tmp_path / "sub").mkdir()
+        before = base_artifact.read_bytes()
+        for out in (base_artifact, tmp_path / "sub" / ".." / "estimator.pkl"):
+            with pytest.raises(ValueError, match="overwrite the parent"):
+                refresh_artifact(base_artifact, out, [seg(("alexnet",))],
+                                 orange_pi_5(), FAST_FT)
+        assert base_artifact.read_bytes() == before
 
 
 def _load_cli():
@@ -222,31 +240,45 @@ class TestFinetuneCLI:
         trace = _trace_with_segments(tmp_path / "trace.jsonl",
                                      [seg(("alexnet",)),
                                       seg(("squeezenet",), rate=2.0)])
-        status = cli.main([str(base_artifact), str(trace),
+        out = tmp_path / "refined.pkl"
+        status = cli.main([str(base_artifact), str(out), str(trace),
                            "--platform", "orange_pi_5", "--epochs", "1",
                            "--batch-size", "4"])
         assert status == 0
-        assert latest_artifact_generation(base_artifact) == 1
-        out = capsys.readouterr().out
-        assert "generation 1" in out
+        lineage = load_estimator_artifact(out, orange_pi_5()).lineage
+        assert lineage.parent_hash == artifact_hash(base_artifact)
+        assert lineage.finetune_epoch == 1
+        assert "fine-tune epoch 1" in capsys.readouterr().out
 
     def test_empty_traces_fail_with_message(self, base_artifact, tmp_path,
                                             capsys):
         cli = _load_cli()
         trace = _trace_with_segments(tmp_path / "empty.jsonl", [])
-        status = cli.main([str(base_artifact), str(trace)])
+        out = tmp_path / "refined.pkl"
+        status = cli.main([str(base_artifact), str(out), str(trace)])
         assert status == 1
         assert "no segments" in capsys.readouterr().err
-        assert latest_artifact_generation(base_artifact) == 0
+        assert not out.exists()
 
     def test_corrupt_trace_fails_cleanly(self, base_artifact, tmp_path,
                                          capsys):
+        """Unparseable JSON and a schema-valid trace whose segment lacks
+        its ``rates`` both end in ``error:`` and exit 1, no traceback."""
         cli = _load_cli()
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        status = cli.main([str(base_artifact), str(bad)])
-        assert status == 1
-        assert "error:" in capsys.readouterr().err
+        no_rates = _trace_with_segments(tmp_path / "no_rates.jsonl",
+                                        [seg(("alexnet",))])
+        header, record = no_rates.read_text().splitlines()
+        record = json.loads(record)
+        del record["rates"]
+        no_rates.write_text(f"{header}\n{json.dumps(record)}\n")
+        out = tmp_path / "refined.pkl"
+        for trace in (bad, no_rates):
+            status = cli.main([str(base_artifact), str(out), str(trace)])
+            assert status == 1
+            assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestContextRefresh:
@@ -259,4 +291,4 @@ class TestContextRefresh:
         ctx = ExperimentContext(preset="tiny", results_dir=tmp_path,
                                 use_artifact_cache=False)
         with pytest.raises(ValueError, match="observe=True"):
-            ctx.refresh_estimator([Blind()])
+            ctx.refresh_estimator([Blind()], tmp_path / "refined.pkl")

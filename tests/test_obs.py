@@ -215,6 +215,20 @@ class TestExport:
         path.write_text("")
         with pytest.raises(ValueError):
             read_trace(path)
+        # Malformed headers and records: a record missing a field, a
+        # record and a header that are not JSON objects.
+        header = json.dumps({"schema": "repro.obs.trace",
+                             "version": SCHEMA_VERSION, "where": "",
+                             "max_spans": 64})
+        segment = {"type": "segment", "workload": ["alexnet"],
+                   "assignments": [[0]], "duration_s": 1.0}
+        for text in (f"{header}\n{json.dumps(segment)}\n",
+                     f"{header}\n[1, 2]\n", "[1, 2]\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="malformed trace") as info:
+                read_trace(path)
+            assert isinstance(info.value.__cause__,
+                              (KeyError, AttributeError))
 
     def test_round_trip(self, tmp_path):
         recorder = TelemetryRecorder(where="rt", max_spans=8)

@@ -667,27 +667,6 @@ class TestPreemptionGapEdge:
         assert victim.tier == "bronze"     # stays at the floor
 
 
-class TestCustomLadderRenegotiation:
-    def test_renegotiate_derives_floor_from_custom_ladder(self):
-        """Regression: the demotion floor follows the controller's own
-        tier ladder instead of assuming a tier named 'bronze' exists."""
-        from repro.workloads.sla import SlaClass
-
-        ladder = (SlaClass("plat", priority=0.8, min_potential=0.3),
-                  SlaClass("mid", priority=0.4, min_potential=0.1),
-                  SlaClass("basic", priority=0.1, min_potential=0.01))
-        c = AdmissionController(
-            AdmissionConfig(capacity=1, preemption="renegotiate"),
-            tiers=ladder)
-        assert c.floor_tier().name == "basic"
-        plan = c.plan_preemption("plat", 1, True,
-                                 (live_view("a", 0, "mid", 0.4),))
-        assert plan.action == "demote" and plan.demote_to == "basic"
-        # A victim already at the custom floor is still not demotable.
-        assert c.plan_preemption("plat", 1, True,
-                                 (live_view("a", 0, "basic", 0.1),)) is None
-
-
 # ------------------------------------------------------------ streaming
 class TestStreamingLoop:
     """The streaming rearchitecture: generator-fed arrivals, a waiting

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Validate that intra-repo markdown links resolve to real files.
+"""Validate that intra-repo markdown links resolve to files and headings.
 
 Scans ``README.md``, ``ROADMAP.md`` and every ``docs/*.md`` for inline
-markdown links, skips external schemes (http/https/mailto) and pure
-anchors, resolves the rest relative to the containing file, and reports
-every target that does not exist.  Exit status 1 on any broken link, so
+markdown links, skips external schemes (http/https/mailto), resolves
+the rest relative to the containing file, and reports every target that
+does not exist — and every ``#fragment`` that names no heading of its
+target file (the containing file for a pure anchor), slugged by
+GitHub's rule.  Exit status 1 on any broken link, so
 ``make docs-check`` can gate on it; ``tests/test_docs.py`` runs the same
 check under tier-1.
 """
@@ -22,6 +24,34 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)")
 #: Link targets that never resolve to a repo file.
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
+#: An ATX heading line: ``## Title`` (optional closing hashes dropped).
+HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+
+
+def heading_anchors(path: Path) -> set[str]:
+    """The ``#fragment`` ids GitHub gives the headings of ``path``.
+
+    A slug is the heading lower-cased, stripped of everything but
+    letters, digits, ``_``, ``-`` and spaces, with spaces turned into
+    hyphens; a repeated slug gets ``-1``, ``-2``, ... .  Lines inside
+    fenced code blocks are not headings.
+    """
+    anchors: set[str] = set()
+    repeats: dict[str, int] = {}
+    fenced = False
+    for line in path.read_text().splitlines():
+        if line.lstrip().startswith(("```", "~~~")):
+            fenced = not fenced
+            continue
+        match = None if fenced else HEADING_RE.match(line)
+        if match:
+            slug = re.sub(r"[^\w\- ]", "", match.group(1).lower())
+            slug = slug.replace(" ", "-")
+            count = repeats.get(slug, 0)
+            repeats[slug] = count + 1
+            anchors.add(f"{slug}-{count}" if count else slug)
+    return anchors
+
 
 def markdown_files(root: Path) -> list[Path]:
     """The markdown set the repo's docs subsystem guarantees link-clean."""
@@ -37,13 +67,16 @@ def check_links(root: Path) -> list[str]:
         for target in LINK_RE.findall(source.read_text()):
             if target.startswith(EXTERNAL_PREFIXES):
                 continue
-            path_part = target.split("#", 1)[0]
-            if not path_part:          # pure in-page anchor
-                continue
-            resolved = (source.parent / path_part).resolve()
+            path_part, _, fragment = target.partition("#")
+            resolved = ((source.parent / path_part).resolve() if path_part
+                        else source)   # a pure anchor names its own file
             if not resolved.exists():
                 errors.append(
                     f"{source.relative_to(root)}: broken link -> {target}")
+            elif fragment and (not resolved.is_file()
+                               or fragment not in heading_anchors(resolved)):
+                errors.append(
+                    f"{source.relative_to(root)}: broken anchor -> {target}")
     return errors
 
 

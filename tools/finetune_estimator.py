@@ -6,20 +6,21 @@ The command-line face of the closed loop: traces written by
 dumps or :mod:`tools.trace_summary`'s inputs) carry the realized
 ``(workload, mapping, rates)`` segments a served run actually produced.
 This tool folds them through a :class:`repro.estimator.FinetuneBuffer`
-(deduplicated, order-independent) and warm-starts the newest generation
-of the named artifact family, writing the next ``.gen<N>`` sibling with
-full lineage (:func:`repro.estimator.refresh_artifact`).
+(deduplicated, order-independent), warm-starts the ARTIFACT file and
+writes the refined weights to OUT with full lineage
+(:func:`repro.estimator.refresh_artifact`); OUT must differ from
+ARTIFACT.
 
-Usage:
+Usage (ARTIFACT OUT TRACE...):
     PYTHONPATH=src python tools/finetune_estimator.py \\
-        results/estimator_fast_orange_pi_5.pkl trace1.jsonl trace2.jsonl \\
+        results/estimator_fast_orange_pi_5.pkl \\
+        results/estimator_fast_orange_pi_5_refined.pkl \\
+        trace1.jsonl trace2.jsonl \\
         [--platform orange_pi_5] [--epochs 4] [--lr 2e-4] [--seed 0]
 
-The refreshed generation is picked up automatically by any scenario
-whose ``estimator_path`` names the family base
-(:func:`repro.runner.resolve_predictor` prefers the newest compatible
-generation).  Runs from a plain checkout too: when ``repro`` is not
-importable the script retries with the repo's ``src/`` on ``sys.path``.
+A scenario serves the refined weights once its ``estimator_path`` names
+OUT.  Runs from a plain checkout too: when ``repro`` is not importable
+the script retries with the repo's ``src/`` on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ except ImportError:  # plain checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.estimator import FinetuneBuffer, FinetuneConfig, refresh_artifact
 
-from repro.estimator import latest_artifact_generation, load_estimator_artifact
+from repro.estimator import load_estimator_artifact
 from repro.obs import export_segments, read_trace
 from repro.runner import PLATFORM_SPECS
 
@@ -55,8 +56,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fine-tune an estimator artifact from JSONL traces.")
     parser.add_argument("artifact", type=Path,
-                        help="estimator artifact family base path "
-                             "(the file estimator scenarios name)")
+                        help="estimator artifact to fine-tune")
+    parser.add_argument("out", type=Path,
+                        help="path the fine-tuned artifact is written to "
+                             "(not the input artifact)")
     parser.add_argument("traces", type=Path, nargs="+",
                         help="write_trace() JSONL files with segments")
     parser.add_argument("--platform", default="orange_pi_5",
@@ -73,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
 
     config = FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
                             lr=args.lr, seed=args.seed)
+    platform = PLATFORM_SPECS[args.platform]()
     try:
         buffer = collect_rows(args.traces, args.max_rows)
         rows = buffer.rows()
@@ -81,23 +85,19 @@ def main(argv: list[str] | None = None) -> int:
                   "the run recorded with telemetry (observe=True)?",
                   file=sys.stderr)
             return 1
-        out_path, report = refresh_artifact(
-            args.artifact, rows, PLATFORM_SPECS[args.platform](),
-            config=config)
+        report = refresh_artifact(args.artifact, args.out, rows, platform,
+                                  config=config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    artifact = load_estimator_artifact(
-        out_path, PLATFORM_SPECS[args.platform]())
-    lineage = artifact.lineage
+    lineage = load_estimator_artifact(args.out, platform).lineage
     print(f"fine-tuned on {report.rows} unique segments "
           f"({buffer.dropped} evicted), {report.steps} steps")
     if report.train_loss:
         print(f"  loss {report.train_loss[0]:.4f} -> "
               f"{report.train_loss[-1]:.4f}")
-    print(f"wrote {out_path} (generation "
-          f"{latest_artifact_generation(args.artifact)}, epoch "
-          f"{lineage.finetune_epoch}, parent {lineage.parent_hash[:12]})")
+    print(f"wrote {args.out} (fine-tune epoch {lineage.finetune_epoch}, "
+          f"parent {lineage.parent_hash[:12]})")
     return 0
 
 
