@@ -9,7 +9,16 @@ exactly the operator set those models need.
 The design follows the classic define-by-run pattern: every operation on
 :class:`Tensor` records its parents and a closure that accumulates gradients
 into them.  Calling :meth:`Tensor.backward` topologically sorts the recorded
-graph and runs the closures in reverse order.
+graph and runs the closures in reverse order, consuming the graph as it
+goes: once a node's closure has run, the node drops its gradient, closure
+and parents, so activations are freed during the backward pass and only
+leaf gradients survive it.  A second ``backward`` through a consumed node
+raises ``RuntimeError``.
+
+A Python ``int`` or ``float`` operand of ``+ - * /`` (reflected forms
+included) takes the tensor's dtype, as numpy's weak-scalar rule (NEP 50)
+has it, so a float32 model trains in float32; numpy scalars and arrays
+promote as numpy promotes them.
 """
 
 from __future__ import annotations
@@ -34,6 +43,12 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The closure of a node an earlier :meth:`Tensor.backward` consumed."""
+    raise RuntimeError("backward() through a graph that an earlier "
+                       "backward() already consumed")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -138,7 +153,11 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, consuming its graph.
+
+        Leaf gradients accumulate; every non-leaf node drops its gradient,
+        closure and parents once its closure has run, so a second call
+        through the same graph raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -172,15 +191,25 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue    # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a tensor; a Python scalar takes this tensor's dtype."""
+        if isinstance(other, (int, float)) and not isinstance(other, np.generic):
+            return Tensor(np.asarray(other, self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -201,13 +230,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad):
@@ -221,7 +250,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad):
@@ -235,7 +264,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):

@@ -10,7 +10,6 @@ from .artifact import (
     ArtifactLineage,
     ArtifactPlatformMismatch,
     EstimatorArtifact,
-    artifact_hash,
     load_estimator_artifact,
     save_estimator_artifact,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ArtifactLineage",
     "ArtifactPlatformMismatch",
     "EstimatorArtifact",
-    "artifact_hash",
     "load_estimator_artifact",
     "save_estimator_artifact",
     "FinetuneBuffer",

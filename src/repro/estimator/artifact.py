@@ -60,7 +60,6 @@ __all__ = [
     "EstimatorArtifact",
     "save_estimator_artifact",
     "load_estimator_artifact",
-    "artifact_hash",
 ]
 
 #: On-disk artifact format version this build writes and reads; bump
@@ -111,16 +110,11 @@ class EstimatorArtifact:
     val_l2: float = float("nan")
     val_spearman: float = float("nan")
     lineage: ArtifactLineage = field(default_factory=ArtifactLineage)
-
-
-def artifact_hash(path: str | Path) -> str:
-    """SHA-256 hex digest of the artifact file bytes at ``path``.
-
-    This is the ``parent_hash`` stamped into a fine-tuned child's
-    :class:`ArtifactLineage` — content-addressed, so renaming or moving
-    the parent does not break the chain.
-    """
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    #: SHA-256 hex digest of the file bytes this artifact was loaded
+    #: from (None when trained in memory): the ``parent_hash`` a
+    #: fine-tuned child records, content-addressed, so renaming or moving
+    #: the parent does not break the chain.
+    file_hash: str | None = None
 
 
 def _vqvae_hyperparams(vqvae: LayerVQVAE) -> dict:
@@ -216,7 +210,8 @@ def load_estimator_artifact(path: str | Path,
                             platform: Platform) -> EstimatorArtifact:
     """Rebuild the learned components from :func:`save_estimator_artifact`.
 
-    Reads format version :data:`ARTIFACT_FORMAT_VERSION` only.  Raises
+    Reads the file once; its ``file_hash`` is the SHA-256 of the bytes
+    read.  Reads format version :data:`ARTIFACT_FORMAT_VERSION` only.  Raises
     :class:`ArtifactPlatformMismatch` when the artifact was trained for
     a platform with a different fingerprint, and a plain ``ValueError``
     (with the underlying cause chained) for a corrupt, truncated,
@@ -225,8 +220,8 @@ def load_estimator_artifact(path: str | Path,
     """
     path = Path(path)
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+        data = path.read_bytes()
+        payload = pickle.loads(data)
     except FileNotFoundError:
         raise
     except Exception as exc:
@@ -269,5 +264,5 @@ def load_estimator_artifact(path: str | Path,
         config=config,
         val_l2=float(payload.get("val_l2", float("nan"))),
         val_spearman=float(payload.get("val_spearman", float("nan"))),
-        lineage=lineage,
+        lineage=lineage, file_hash=hashlib.sha256(data).hexdigest(),
     )

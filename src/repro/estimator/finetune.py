@@ -49,7 +49,6 @@ from ..mapping import Mapping
 from .artifact import (
     ArtifactLineage,
     EstimatorArtifact,
-    artifact_hash,
     load_estimator_artifact,
     save_estimator_artifact,
 )
@@ -257,10 +256,11 @@ def refresh_artifact(parent_path: str | Path, out_path: str | Path,
                      config: FinetuneConfig | None = None) -> FinetuneReport:
     """Fine-tune the artifact at ``parent_path`` and write it to ``out_path``.
 
-    Loads exactly ``parent_path``, runs :func:`finetune` on ``rows``,
-    and writes exactly ``out_path`` as a v2 artifact whose lineage
-    records the parent file's SHA-256, the distinct-segment count, and
-    the parent's fine-tune epoch plus one.  Returns the training report.
+    Reads exactly ``parent_path`` once, runs :func:`finetune` on
+    ``rows``, and writes exactly ``out_path`` as a v2 artifact whose
+    lineage records the SHA-256 of the parent bytes it trained from, the
+    distinct-segment count, and the parent's fine-tune epoch plus one.
+    Returns the training report.
 
     ``out_path`` must not name the parent: a pool worker may be loading
     the parent's weights while the child is written, so a refresh never
@@ -277,10 +277,9 @@ def refresh_artifact(parent_path: str | Path, out_path: str | Path,
             f"refusing to overwrite the parent artifact {parent_path}; "
             "write the fine-tuned child to another path")
     artifact = load_estimator_artifact(parent_path, platform)
-    parent_hash = artifact_hash(parent_path)
     report = finetune(artifact, rows, config)
     lineage = ArtifactLineage(
-        parent_hash=parent_hash, segment_count=report.rows,
+        parent_hash=artifact.file_hash, segment_count=report.rows,
         finetune_epoch=artifact.lineage.finetune_epoch + 1)
     save_estimator_artifact(out_path, artifact.estimator, artifact.vqvae,
                             platform, val_l2=artifact.val_l2,

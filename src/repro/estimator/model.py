@@ -12,8 +12,8 @@ stabilises the 0.05..70 inf/s dynamic range of the board.  The paper's
 instance has ~3.7 M parameters; the default configuration here is a
 width-scaled version of the same topology (see DESIGN.md substitutions).
 
-Training runs :meth:`ThroughputEstimator.forward` on the autodiff substrate,
-which promotes activations to float64 after the first batch norm; inference
+Training runs :meth:`ThroughputEstimator.forward` on the autodiff substrate
+in float32 end to end (Python scalars take the tensor's dtype); inference
 (:meth:`ThroughputEstimator.predict_log_rates`) runs a folded float32 numpy
 path, tested against that forward as its oracle (docs/estimator.md).
 """
@@ -225,8 +225,7 @@ class ThroughputEstimator(nn.Module):
             _DecoderStream(c3, config.decoder_dim, rng)
             for _ in range(config.max_dnns)
         ]
-        # float32 weights: the inference path keeps float32 throughout;
-        # training promotes activations to float64 after the first BN.
+        # float32 weights: training and inference both run in float32.
         self.astype(np.float32)
 
     # ------------------------------------------------------------------

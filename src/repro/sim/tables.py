@@ -45,8 +45,8 @@ if TYPE_CHECKING:
 
 __all__ = ["DEMAND_MEMO_MAX", "PlatformTables"]
 
-#: Bound on memoised stage demands per platform, about 30 MB at ~900 B
-#: per entry.  The zoo's 24 models at up to five DNN positions on three
+#: Bound on memoised stage demands per platform, about 10.5 MB at ~320 B
+#: per entry (tracemalloc).  The zoo's 24 models at up to five DNN positions on three
 #: components have about 70k distinct stages, so a long-lived cache that
 #: explores widely can reach it.
 DEMAND_MEMO_MAX = 32_768

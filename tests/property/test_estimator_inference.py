@@ -3,8 +3,8 @@ its oracle, the autodiff training forward.
 
 ``ThroughputEstimator.predict_log_rates`` folds every batch norm into the
 conv before it and runs channels-last float32 numpy kernels; the autodiff
-``forward`` (eval mode, no tape) computes the same function, promoted to
-float64 after the first batch norm.  The contract:
+``forward`` (eval mode, no tape) computes the same function in float32
+without the fold.  The contract:
 
 * log1p-rates within ``atol=1e-4`` of the oracle, over default, small
   and short configs with randomised batch norms and open attention

@@ -187,3 +187,81 @@ class TestElementwise:
         z = 1.0 / x
         assert y.data[0] == pytest.approx(-1.0)
         assert z.data[0] == pytest.approx(0.5)
+
+
+class TestScalarDtype:
+    """A Python scalar operand takes the tensor's dtype (numpy's NEP 50
+    weak-scalar rule); arrays and numpy scalars promote as numpy does."""
+
+    EXPRESSIONS = {
+        "t * 0.5": lambda t: t * 0.5,
+        "t + 1e-5": lambda t: t + 1e-5,
+        "t.mean()": lambda t: t.mean(),
+        "1.0 - t": lambda t: 1.0 - t,
+        "2.0 / t": lambda t: 2.0 / t,
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("expr", sorted(EXPRESSIONS))
+    def test_scalar_keeps_dtype(self, expr, dtype):
+        t = Tensor(np.array([1.0, 2.0, 4.0], dtype), requires_grad=True)
+        out = self.EXPRESSIONS[expr](t)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert t.grad.dtype == dtype
+
+    def test_arrays_and_numpy_scalars_promote(self):
+        t = Tensor(np.ones(3, np.float32))
+        assert (t + np.ones(3)).dtype == np.float64
+        assert (t * np.float64(0.5)).dtype == np.float64
+        assert (t * np.float32(0.5)).dtype == np.float32
+
+
+class TestReleasedGraph:
+    """``backward`` consumes the graph: only leaf gradients survive it."""
+
+    def _net(self):
+        g = rng()
+        x = Tensor(g.normal(size=(4, 3)))
+        w1 = Tensor(g.normal(size=(3, 5)), requires_grad=True)
+        w2 = Tensor(g.normal(size=(5, 2)), requires_grad=True)
+
+        def loss():
+            h = (x @ w1).relu()
+            return ((h @ w2) * (h @ w2)).mean() + (h * 0.5).sum()
+
+        return loss, [w1, w2]
+
+    def test_leaf_grads_pass_gradcheck(self):
+        loss, leaves = self._net()
+        check_gradients(loss, leaves)
+
+    def test_intermediate_activation_is_freed(self):
+        import weakref
+
+        x = Tensor(rng().normal(size=(3, 4)), requires_grad=True)
+        hidden = (x * 2.0).relu()
+        activation = weakref.ref(hidden.data)
+        out = (hidden * hidden).sum()
+        del hidden
+        assert activation() is not None    # the tape holds it
+        out.backward()
+        assert activation() is None
+        assert x.grad is not None and out.grad is None
+
+    def test_second_backward_raises(self):
+        loss, leaves = self._net()
+        out = loss()
+        out.backward()
+        grads = [w.grad.copy() for w in leaves]
+        with pytest.raises(RuntimeError, match="consumed"):
+            out.backward()
+        for w, grad in zip(leaves, grads):
+            np.testing.assert_array_equal(w.grad, grad)
+
+    def test_new_graph_on_a_consumed_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x * 3.0
+        hidden.sum().backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (hidden * 2.0).sum().backward()

@@ -8,7 +8,10 @@ order, worker count) live in
 ``tests/property/test_finetune_properties.py``.
 """
 
+import builtins
+import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -21,7 +24,6 @@ from repro.estimator import (
     FinetuneBuffer,
     FinetuneConfig,
     ThroughputEstimator,
-    artifact_hash,
     finetune,
     load_estimator_artifact,
     refresh_artifact,
@@ -41,6 +43,11 @@ TINY_CFG = EstimatorConfig(max_dnns=4, stem_channels=4,
                            decoder_dim=8)
 
 FAST_FT = FinetuneConfig(epochs=1, batch_size=4)
+
+
+def artifact_hash(path):
+    """SHA-256 hex digest of the file bytes at ``path``."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def seg(names, rate=1.0, duration=5.0):
@@ -190,6 +197,38 @@ class TestRefreshArtifact:
             assert lineage == ArtifactLineage(
                 parent_hash=artifact_hash(parent), segment_count=1,
                 finetune_epoch=epoch)
+
+    def test_reads_the_parent_once(self, base_artifact, tmp_path,
+                                   monkeypatch):
+        """The parent's bytes are read once, then hashed and unpickled, so
+        the lineage names the bytes the child was trained from even when
+        the parent path is rewritten during the fine-tune."""
+        before = artifact_hash(base_artifact)
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(base_artifact) and "r" in mode:
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        finetune_module = importlib.import_module("repro.estimator.finetune")
+        real_finetune = finetune_module.finetune
+
+        def rewrite_parent_then_finetune(*args, **kwargs):
+            base_artifact.write_bytes(b"rewritten")
+            return real_finetune(*args, **kwargs)
+
+        monkeypatch.setattr(finetune_module, "finetune",
+                            rewrite_parent_then_finetune)
+        out = tmp_path / "child.pkl"
+        refresh_artifact(base_artifact, out, [seg(("alexnet",))],
+                         orange_pi_5(), FAST_FT)
+        assert reads == ["rb"]
+        child = load_estimator_artifact(out, orange_pi_5())
+        assert child.lineage.parent_hash == before
 
     def test_platform_mismatch_raises_not_downgrades(self, base_artifact,
                                                      tmp_path):
