@@ -11,7 +11,7 @@ machine-readable perf trajectory across PRs — the solver batch sweep
 comparison (``test_bench_serve_replan[*]``) are the rows to watch.
 
 Before appending, the hot-path rows are compared against the previous
-history entry: any row under one of the fifteen ``GUARDED_PREFIXES`` —
+history entry: any row under one of the sixteen ``GUARDED_PREFIXES`` —
 the ``test_bench_serve_replan``, ``test_bench_serve_preempt``,
 ``test_bench_serve_scale``, ``test_bench_serve_obs``,
 ``test_bench_estimator_predict``, ``test_bench_finetune``,
@@ -19,10 +19,10 @@ the ``test_bench_serve_replan``, ``test_bench_serve_preempt``,
 ``test_bench_simulator_solve_batch``,
 ``test_bench_simulator_segment_solve`` and ``test_bench_stage_demands``
 families and the ``test_bench_estimator_forward``,
-``test_bench_rankmap_plan_oracle``, ``test_bench_mcts_rollout`` and
-``test_bench_simulator_limit_cycle`` rows — whose mean got more than
-25% slower is flagged loudly (a hot path must not regress silently
-behind an unrelated change).  Flags are warnings, not failures — machine
+``test_bench_rankmap_plan_oracle``, ``test_bench_mcts_rollout``,
+``test_bench_stage_pack`` and ``test_bench_simulator_limit_cycle`` rows
+— whose mean got more than 25% slower is flagged loudly (a hot path
+must not regress silently behind an unrelated change).  Flags are warnings, not failures — machine
 noise is real — but they belong in the change's review discussion.
 
 Usage:
@@ -50,6 +50,7 @@ GUARDED_PREFIXES = ("test_bench_serve_replan[", "test_bench_serve_preempt[",
                     "test_bench_simulator_segment_solve[",
                     "test_bench_rankmap_plan_oracle",
                     "test_bench_mcts_rollout", "test_bench_stage_demands[",
+                    "test_bench_stage_pack",
                     "test_bench_simulator_limit_cycle")
 
 #: Relative mean-time growth beyond which a guarded row is flagged.

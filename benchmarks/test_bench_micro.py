@@ -1,7 +1,7 @@
 """Micro-benchmarks of the performance-critical kernels.
 
 These are the hot paths of the reproduction: the steady-state contention
-solver (called for every evaluated mapping), stage-demand assembly, MCTS
+solver (called for every evaluated mapping), stage packing, MCTS
 rollouts, Q-tensor assembly, estimator forward pass, VQ-VAE encoding, and
 one MCTS planning step.
 """
@@ -24,9 +24,11 @@ from repro.search import MCTS, MCTSConfig
 from repro.sim import (
     EvaluationCache,
     PlatformTables,
+    _cext,
     compute_stage_demands,
     simulate,
     simulate_batch,
+    solve_steady_state_batch,
 )
 from repro.sim.contention import _CYCLE_BURN_IN, _MAX_ITER
 from repro.vqvae import EmbeddingCache, LayerVQVAE
@@ -89,10 +91,10 @@ def test_bench_simulator_segment_solve(benchmark, tables):
     ``simulate_batch``.
 
     The kernel runs two iterations here, so the row times the Python
-    around it: demand lookup, packing and the ctypes call.  ``warm``
-    passes a :class:`PlatformTables` whose memo already holds the
-    demands, as every ``EvaluationCache`` miss does; ``cold`` builds a
-    throwaway one per call, as ``simulate`` does.  The ``[1|4|16]`` rows
+    around it: validation, packing and the ctypes calls.  ``warm``
+    passes a :class:`PlatformTables` whose model tables are already
+    built, as every ``EvaluationCache`` miss after the first does;
+    ``cold`` builds a throwaway one per call, as ``simulate`` does.  The ``[1|4|16]`` rows
     above time fragmented rollouts instead, which are kernel-bound.
     Guarded by ``record_bench.py``.
     """
@@ -122,11 +124,13 @@ def test_bench_simulator_limit_cycle(benchmark, mcts_rollouts):
 
 @pytest.mark.parametrize("tables", ["cold", "warm"])
 def test_bench_stage_demands(benchmark, mcts_rollouts, tables):
-    """Stage demands of 16 rollouts.  ``cold`` starts each pass on fresh
-    :class:`PlatformTables`, so every distinct stage misses the memo once,
-    as in a cold plan's first evaluations; ``warm`` finds every stage in
-    the memo, as a long-lived ``EvaluationCache`` does.  Guarded by
-    ``record_bench.py``."""
+    """Stage demands of 16 rollouts through ``compute_stage_demands``, the
+    scalar-oracle path's demand builder.  Demands are not memoised, so
+    the rows differ only in the block-cost lookups: ``cold`` starts each
+    pass on fresh :class:`PlatformTables`, which look every model's
+    block latencies up again; ``warm`` reuses tables that already hold
+    them.  Production solves pack in C instead
+    (``test_bench_stage_pack``).  Guarded by ``record_bench.py``."""
     shared = PlatformTables(PLATFORM)
     for mapping in mcts_rollouts:
         compute_stage_demands(WORKLOAD, mapping, PLATFORM, shared)
@@ -137,6 +141,24 @@ def test_bench_stage_demands(benchmark, mcts_rollouts, tables):
                 for mapping in mcts_rollouts]
 
     assert len(benchmark(step)) == len(mcts_rollouts)
+
+
+def test_bench_stage_pack(benchmark, mcts_rollouts, monkeypatch):
+    """Everything a production solve of the same 16 rollouts does before
+    the kernel: validate and flatten the assignments, check the buffers,
+    split and pack the stages in C and raise the weights in numpy.  The
+    kernel call is stubbed out, so the row times packing alone (the
+    ``simulate_batch`` rows time both).  Guarded by ``record_bench.py``."""
+    tables = PlatformTables(PLATFORM)
+    solve_steady_state_batch(WORKLOAD, mcts_rollouts, PLATFORM,
+                             tables=tables)
+    kernel_calls = []
+    monkeypatch.setattr(_cext, "solve_packed_c",
+                        lambda *args: kernel_calls.append(args[3]))
+    result = benchmark(lambda: solve_steady_state_batch(
+        WORKLOAD, mcts_rollouts, PLATFORM, tables=tables))
+    assert len(result) == len(mcts_rollouts)
+    assert kernel_calls and set(kernel_calls) == {len(mcts_rollouts)}
 
 
 def test_bench_mcts_rollout(benchmark):

@@ -253,14 +253,17 @@ def finetune(artifact: EstimatorArtifact,
 
 def refresh_artifact(parent_path: str | Path, out_path: str | Path,
                      rows: Iterable[dict], platform: Platform,
-                     config: FinetuneConfig | None = None) -> FinetuneReport:
+                     config: FinetuneConfig | None = None, *,
+                     parent: EstimatorArtifact | None = None,
+                     ) -> FinetuneReport:
     """Fine-tune the artifact at ``parent_path`` and write it to ``out_path``.
 
-    Reads exactly ``parent_path`` once, runs :func:`finetune` on
-    ``rows``, and writes exactly ``out_path`` as a v2 artifact whose
-    lineage records the SHA-256 of the parent bytes it trained from, the
-    distinct-segment count, and the parent's fine-tune epoch plus one.
-    Returns the training report.
+    Reads exactly ``parent_path`` once — or not at all when the caller
+    passes what it already loaded from there as ``parent`` — runs
+    :func:`finetune` on ``rows``, and writes exactly ``out_path`` as a v2
+    artifact whose lineage records the SHA-256 of the parent bytes it
+    trained from, the distinct-segment count, and the parent's fine-tune
+    epoch plus one.  Returns the training report.
 
     ``out_path`` must not name the parent: a pool worker may be loading
     the parent's weights while the child is written, so a refresh never
@@ -276,7 +279,8 @@ def refresh_artifact(parent_path: str | Path, out_path: str | Path,
         raise ValueError(
             f"refusing to overwrite the parent artifact {parent_path}; "
             "write the fine-tuned child to another path")
-    artifact = load_estimator_artifact(parent_path, platform)
+    artifact = (parent if parent is not None
+                else load_estimator_artifact(parent_path, platform))
     report = finetune(artifact, rows, config)
     lineage = ArtifactLineage(
         parent_hash=artifact.file_hash, segment_count=report.rows,

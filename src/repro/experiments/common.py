@@ -127,17 +127,12 @@ class ExperimentContext:
         when it is missing, corrupt or trained for another platform.
         """
         if self._artifacts is None:
-            path = self._artifact_file()
-            if self.use_artifact_cache and path.exists():
-                try:
-                    self._artifacts = load_estimator_artifact(path,
-                                                              self.platform)
-                except ValueError:
-                    pass    # wrong platform / corrupt / old format
+            if self.use_artifact_cache:
+                self._artifacts = self._load_artifact_file()
             if self._artifacts is None:
                 self._artifacts = self._train_artifacts()
                 if self.use_artifact_cache:
-                    self.estimator_artifact_path()
+                    self._write_artifact_file()
         return self._artifacts
 
     def _artifact_file(self) -> Path:
@@ -146,6 +141,27 @@ class ExperimentContext:
         # simulated on.
         return (self.results_dir /
                 f"estimator_{self.preset.name}_{self.platform.name}.pkl")
+
+    def _load_artifact_file(self) -> EstimatorArtifact | None:
+        """The artifact file, read once; ``None`` when it is missing,
+        corrupt, of an old format or trained for another platform."""
+        path = self._artifact_file()
+        if not path.exists():
+            return None
+        try:
+            return load_estimator_artifact(path, self.platform)
+        except ValueError:
+            return None
+
+    def _write_artifact_file(self) -> Path:
+        """Save :attr:`artifacts` (training them if needed) as the
+        artifact file and return its path."""
+        path = self._artifact_file()
+        artifacts = self.artifacts
+        save_estimator_artifact(
+            path, artifacts.estimator, artifacts.vqvae, self.platform,
+            val_l2=artifacts.val_l2, val_spearman=artifacts.val_spearman)
+        return path
 
     def _train_artifacts(self) -> EstimatorArtifact:
         rng = np.random.default_rng(self.preset.seed)
@@ -225,18 +241,9 @@ class ExperimentContext:
         a context on a different board — or a corrupt file — is
         retrained instead of silently downgrading every sweep cell.
         """
-        path = self._artifact_file()
-        if path.exists():
-            try:
-                load_estimator_artifact(path, self.platform)
-                return path
-            except ValueError:
-                pass    # wrong platform / corrupt / old format: retrain
-        artifacts = self.artifacts
-        save_estimator_artifact(
-            path, artifacts.estimator, artifacts.vqvae, self.platform,
-            val_l2=artifacts.val_l2, val_spearman=artifacts.val_spearman)
-        return path
+        if self._load_artifact_file() is None:
+            return self._write_artifact_file()
+        return self._artifact_file()
 
     def refresh_estimator(self, results, out_path, config=None):
         """Fine-tune the context's estimator on served telemetry segments.
@@ -249,10 +256,13 @@ class ExperimentContext:
         (:func:`repro.obs.export_segments` through a
         :class:`repro.estimator.FinetuneBuffer`, so duplicates collapse
         deterministically) and :func:`repro.estimator.refresh_artifact`
-        warm-starts from :meth:`estimator_artifact_path`, writing the
-        refined artifact to ``out_path``.  A sweep serves the refined
-        weights by naming ``estimator_path=out_path``; the context's own
-        artifact is left as it was.
+        warm-starts from the :meth:`estimator_artifact_path` file, writing
+        the refined artifact to ``out_path``.  The parent file is read
+        once; when it is missing or invalid the context retrains, saves
+        and reads it back first, as :meth:`estimator_artifact_path` does.
+        A sweep serves the refined weights by naming
+        ``estimator_path=out_path``; the context's own artifact is left
+        as it was.
 
         Returns the :class:`~repro.estimator.FinetuneReport`.  Raises
         ``ValueError`` when no result carries telemetry segments — a
@@ -271,8 +281,12 @@ class ExperimentContext:
             raise ValueError(
                 "no telemetry segments to fine-tune on — run the sweep "
                 "with observe=True so served segments are recorded")
-        return refresh_artifact(self.estimator_artifact_path(), out_path,
-                                rows, self.platform, config=config)
+        parent = self._load_artifact_file()
+        if parent is None:
+            parent = load_estimator_artifact(self._write_artifact_file(),
+                                             self.platform)
+        return refresh_artifact(self._artifact_file(), out_path, rows,
+                                self.platform, config=config, parent=parent)
 
     # ------------------------------------------------------------------
     def serve_sweep(self, policies: tuple[str, ...] = ("full", "warm",

@@ -1,24 +1,35 @@
-/* Contention solver kernel: the production twin of the scalar oracle
- * repro.sim.contention.solve_steady_state.
+/* Contention solver library: the stage packer and the kernel, the
+ * production twins of repro.sim.demands.compute_stage_demands plus the
+ * oracle packer (tests/oracles/pack_reference.py) and of the scalar
+ * oracle repro.sim.contention.solve_steady_state.
  *
  * Compiled on demand by repro.sim._cext (cc -O2 -shared -fPIC, never
- * -ffast-math: the kernel must stay IEEE-exact) and loaded via ctypes.
- * One call solves a packed batch: element b's stages live in
+ * -ffast-math: both must stay IEEE-exact) and loaded via ctypes.  One
+ * pack_stages call and one solve_packed call handle a batch of mappings
+ * of one workload; in between, numpy raises the entitlement weights
+ * (numpy's vectorised power differs from libm's pow in the last bit on
+ * some inputs, so the weights cannot be computed here).
+ *
+ * The kernel's arrays arrive as three buffers, laid out by
+ * repro.sim._cext (which checks their dtype, contiguity and length
+ * before any call), with n = offsets[n_batch] stages in all:
+ *
+ *   ints  (int64):   offsets[n_batch + 1] | comp_of[n] | dnn_of[n]
+ *   reals (float64): inflated[n] | kernel_time[n] | hol_k[n] | weights[n]
+ *   out   (float64): rates[n_batch * num_dnns] | util[n_batch * num_comp]
+ *                    | iterations[n_batch] | converged[n_batch]
+ *
+ * pack_stages writes ints and the first three regions of reals, and puts
+ * each stage's sharing bias kappa[comp] in the weights region, which
+ * numpy then raises in place: weights = inflated ** kappa[comp_of].
+ *
+ * solve_packed solves a packed batch: element b's stages live in
  * offsets[b]..offsets[b+1] of the flat per-stage arrays.  Every loop
  * accumulates in the same order as the scalar oracle — segment sums
  * walk stages in index order, the limit-cycle window averages
  * chronologically, damping groups as d*x + (1-d)*y — so the float
  * trajectory is bit-identical to it, which
  * tests/property/test_solver_equivalence.py locks.
- *
- * The arrays arrive as three buffers, laid out by repro.sim._cext
- * (which checks their dtype, contiguity and length before any call),
- * with n = offsets[n_batch] stages in all:
- *
- *   ints  (int64):   offsets[n_batch + 1] | comp_of[n] | dnn_of[n]
- *   reals (float64): inflated[n] | kernel_time[n] | hol_k[n] | weights[n]
- *   out   (float64): rates[n_batch * num_dnns] | util[n_batch * num_comp]
- *                    | iterations[n_batch] | converged[n_batch]
  *
  * The stage allocations and head-of-line waits are iteration state in
  * scratch arrays; only the per-element results above leave the kernel.
@@ -31,8 +42,6 @@
  * a few ulps, so the scan would have found the same ratio above
  * cycle_tol.  Only a window that can still pass is scanned, exactly as
  * the oracle does, and a window holding a NaN always is.
- *
- * Returns 0 on success, 1 on scratch-allocation failure.
  */
 
 #include <math.h>
@@ -64,6 +73,144 @@ static void window_push(double *val, int64_t *idx, int64_t *head,
     (*len)++;
 }
 
+/* Split every element's block assignments into stages and pack them.
+ *
+ * batch (int64) opens with one row per DNN d: its block count
+ * nb_d = batch[2d] and the offset batch[2d + 1] of its model's table in
+ * arena.  The batch's assignments follow, element by element and,
+ * within an element, DNN by DNN: n_batch * sum(nb_d) component indices.
+ * A model's table in arena (float64) is
+ *
+ *   latency[num_comp * nb] | handoff[nb] | layers[nb]
+ *
+ * latency[c * nb + k] is block k's seconds on component c, handoff[k]
+ * the link's seconds to hand block k its input, layers[k] its layer
+ * (kernel launch) count, a small integer held exactly as a double.
+ * consts (float64) holds the platform's constants for num_dnns DNNs:
+ *
+ *   hol[num_comp] | kappa[num_comp] | gamma[num_comp][num_dnns + 1]
+ *
+ * the head-of-line coefficients, sharing biases and interference table.
+ *
+ * A stage is a maximal run of blocks of one DNN on one component.  Its
+ * demand sums the run's latencies left to right from 0.0 and then adds
+ * the handoff into its first block unless it is its DNN's first stage;
+ * its kernel count is max(sum of layers, 1).  Every component index
+ * must be in [0, num_comp): the caller validates the mappings first.
+ * ints and reals must hold n_batch * sum(nb_d) stages, the most a batch
+ * can split into.
+ *
+ * Returns the number of stages written, -1 if a stage's demand is not
+ * positive (the buffers are then partly written) and -2 on
+ * scratch-allocation failure.
+ */
+int64_t pack_stages(const int64_t *batch, const double *arena,
+                    const double *consts, int64_t *ints, double *reals,
+                    int64_t n_batch, int64_t num_dnns, int64_t num_comp)
+{
+    const int64_t *models = batch;
+    const int64_t *assign = batch + 2 * num_dnns;
+    const double *hol = consts;
+    const double *kappa = hol + num_comp;
+    const double *gamma = kappa + num_comp;
+
+    /* Count the stages first: the per-stage regions are laid out end to
+     * end, so each one's start depends on the total. */
+    int64_t n = 0;
+    const int64_t *a = assign;
+    for (int64_t b = 0; b < n_batch; b++) {
+        for (int64_t d = 0; d < num_dnns; d++) {
+            const int64_t nb = models[2 * d];
+            n += nb > 0;
+            for (int64_t k = 1; k < nb; k++)
+                n += a[k] != a[k - 1];
+            a += nb;
+        }
+    }
+
+    int64_t *offsets = ints;
+    int64_t *comp_of = offsets + n_batch + 1;
+    int64_t *dnn_of = comp_of + n;
+    double *inflated = reals;
+    double *kernel_time = inflated + n;
+    double *hol_k = kernel_time + n;
+    double *weights = hol_k + n;
+
+    /* Distinct resident DNN contexts per component of one element.  An
+     * element's stages come DNN by DNN, so a component gains a context
+     * whenever a stage lands on it from another DNN than its last. */
+    int64_t *contexts = malloc((size_t)num_comp * sizeof(int64_t));
+    int64_t *last_dnn = malloc((size_t)num_comp * sizeof(int64_t));
+    if (!contexts || !last_dnn) {
+        free(contexts);
+        free(last_dnn);
+        return -2;
+    }
+
+    int64_t s = 0;
+    a = assign;
+    for (int64_t b = 0; b < n_batch; b++) {
+        const int64_t first = s;
+        offsets[b] = s;
+        for (int64_t c = 0; c < num_comp; c++) {
+            contexts[c] = 0;
+            last_dnn[c] = -1;
+        }
+        for (int64_t d = 0; d < num_dnns; d++) {
+            const int64_t nb = models[2 * d];
+            const double *latency = arena + models[2 * d + 1];
+            const double *handoff = latency + num_comp * nb;
+            const double *layers = handoff + nb;
+            int64_t start = 0;
+            while (start < nb) {
+                const int64_t comp = a[start];
+                int64_t end = start + 1;
+                while (end < nb && a[end] == comp)
+                    end++;
+                double seconds = 0.0;
+                double kernels = 0.0;
+                for (int64_t k = start; k < end; k++) {
+                    seconds += latency[comp * nb + k];
+                    kernels += layers[k];
+                }
+                if (start > 0)
+                    seconds += handoff[start];
+                if (seconds <= 0.0) {
+                    free(contexts);
+                    free(last_dnn);
+                    return -1;
+                }
+                if (kernels < 1.0)
+                    kernels = 1.0;
+                comp_of[s] = comp;
+                dnn_of[s] = d;
+                inflated[s] = seconds;    /* the base demand, for now */
+                kernel_time[s] = seconds / kernels;
+                hol_k[s] = hol[comp] * kernels;
+                weights[s] = kappa[comp];
+                if (last_dnn[comp] != d) {
+                    last_dnn[comp] = d;
+                    contexts[comp]++;
+                }
+                s++;
+                start = end;
+            }
+            a += nb;
+        }
+        for (int64_t t = first; t < s; t++) {
+            const int64_t comp = comp_of[t];
+            inflated[t] = inflated[t]
+                * gamma[comp * (num_dnns + 1) + contexts[comp]];
+        }
+    }
+    offsets[n_batch] = s;
+    free(contexts);
+    free(last_dnn);
+    return n;
+}
+
+/* Solve a packed batch into out.  Returns 0 on success, 1 on
+ * scratch-allocation failure. */
 int solve_packed(const int64_t *ints, const double *reals, double *out,
                  int64_t n_batch, int64_t num_dnns, int64_t num_comp,
                  int64_t max_iter, double damping, double tol,

@@ -82,8 +82,9 @@ def platform_fingerprint(platform: Platform) -> str:
 #: Default capacity: ~75 plans' worth of distinct 640-evaluation searches.
 #: An entry (its key and a SimResult of per-DNN arrays) holds about
 #: 1.5 KB (tracemalloc over RankMap_D plans of 3-5 DNN mixes), so the
-#: default bounds the entries to ~75 MB; the demand memo beside them has
-#: its own cap.  Raise it explicitly for sweeps that can afford the memory.
+#: default bounds the entries to ~75 MB; the per-model packer tables
+#: beside them hold 16.5 KB for all 23 pool models on the Orange Pi 5.
+#: Raise it explicitly for sweeps that can afford the memory.
 _DEFAULT_MAXSIZE = 50_000
 
 
@@ -124,7 +125,7 @@ class EvaluationCache:
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple, SimResult] = OrderedDict()
-        # What every miss on this platform shares: tables and demand memo.
+        # What every miss on this platform shares: the solver tables.
         self._tables = PlatformTables(platform)
 
     # ------------------------------------------------------------------

@@ -28,34 +28,51 @@ bottleneck stage's rate, the classic pipeline result.
 
 Two entry points compute the same fixed point:
 
-* :func:`solve_steady_state` — one mapping in numpy, the paper-faithful
-  reference.  It is the test oracle, and the production path on hosts
-  with no C compiler.
-* :func:`solve_steady_state_batch` — B mappings packed into flat arrays
-  and solved by the C kernel ``_csolver.c`` (built on demand by
-  :mod:`repro.sim._cext`).  The kernel repeats the oracle's operations in
-  the oracle's order, so the contract is bit identity: rates,
-  utilisation, iteration counts and convergence flags all equal the
-  oracle's exactly (``tests/property/test_solver_equivalence.py``).
+* :func:`solve_steady_state` — one mapping's
+  :func:`~repro.sim.demands.compute_stage_demands` in numpy, the
+  paper-faithful reference.  It is the test oracle, and the production
+  path on hosts with no C compiler.
+* :func:`solve_steady_state_batch` — B mappings of one workload solved by
+  the C library ``_csolver.c`` (built on demand by :mod:`repro.sim._cext`)
+  in two calls.  ``pack_stages`` reads the batch's assignments as one
+  flat int64 vector plus the per-model tables of
+  :class:`~repro.sim.tables.PlatformTables`, splits them into stages and
+  writes the kernel's ``ints`` buffer (``offsets | comp_of | dnn_of``)
+  and the ``inflated | kernel_time | hol_k`` regions of its ``reals``
+  buffer, with each stage's κ in the ``weights`` region.  numpy then
+  raises the weights in place, and ``solve_packed`` runs the fixed
+  point.  No :class:`~repro.sim.demands.StageDemand` is built.  The
+  packer repeats :func:`~repro.sim.demands.compute_stage_demands`'
+  arithmetic in its order and the kernel repeats the oracle's, so the
+  contract is bit identity: rates, utilisation, iteration counts and
+  convergence flags all equal the oracle's exactly
+  (``tests/property/test_stage_pack.py`` holds the packed buffers to the
+  oracle packer byte for byte, ``tests/property/test_solver_equivalence.py``
+  the kernel to the oracle).
 
 The batch path takes its per-platform constants (interference table, κ,
-head-of-line coefficients) from a :class:`~repro.sim.tables.PlatformTables`
-built once per platform.  The entitlement weights ``demand ** κ`` stay a
-numpy ``**`` on both paths: numpy's vectorised power differs from libm's
-``pow`` in the last bit on some inputs (about 6% of them on an AVX-512
-host), so moving it into C or Python floats would break bit identity.
-Numpy's result for an element does not depend on the array around it,
-so the batch path raises a whole batch's weights in one call.
+head-of-line coefficients, in one vector per workload size) and
+per-model tables from a :class:`~repro.sim.tables.PlatformTables` built
+once per platform.  The
+entitlement weights ``demand ** κ`` stay a numpy ``**`` on both paths,
+which is why the library is two calls and not one: numpy's vectorised
+power differs from libm's ``pow`` in the last bit on some inputs (about
+6% of them on an AVX-512 host), so moving it into C or Python floats
+would break bit identity.  Numpy's result for an element does not depend
+on the array around it, so the batch path raises a whole batch's weights
+in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
 from ..hw.platform import Platform
+from ..mapping.mapping import Mapping
+from ..zoo.layers import ModelSpec
 from . import _cext
 from .demands import StageDemand
 from .tables import PlatformTables, _interference_table
@@ -230,90 +247,83 @@ def solve_steady_state(demands: list[StageDemand], num_dnns: int,
     )
 
 
-def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
-          tables: PlatformTables) -> tuple:
-    """Flatten non-empty demand sets into the C kernel's three buffers.
-
-    Performs the iteration-independent precomputation of
-    :func:`solve_steady_state` (interference inflation, kernel times,
-    head-of-line coefficients times launch counts, entitlement weights)
-    over the whole batch at once, with the oracle's elementwise numpy
-    expressions, so the packed quantities are bitwise identical to what
-    the oracle derives per mapping.  Returns ``(packed_rows, ints, reals,
-    out)``: ``packed_rows[i]`` is the batch index of packed element ``i``
-    (empty demand sets are left out), and the buffers are laid out as
-    :func:`repro.sim._cext.buffer_lengths` says and checked by
-    :func:`repro.sim._cext.check_buffers` before they are filled.
-
-    Bad input stops here, before the kernel: a non-positive demand or a
-    negative component or DNN index raises ``ValueError``, and an index
-    past the end fails numpy's context count with ``IndexError``.
-    """
-    num_comp = tables.platform.num_components
-    packed_rows = [b for b, demands in enumerate(demand_sets) if demands]
-    lengths = [len(demand_sets[b]) for b in packed_rows]
-    flat = [d for b in packed_rows for d in demand_sets[b]]
-    n_batch, n = len(packed_rows), len(flat)
-    ints, reals, out = _cext.empty_buffers(n_batch, n, num_dnns, num_comp)
-    _cext.check_buffers(ints, reals, out, n_batch, n, num_dnns, num_comp)
-
-    (offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
-     weights) = _cext.input_views(ints, reals, n_batch, n)
-    dnns, comps, _, _ = zip(*[d.stage for d in flat])
-    base = np.array([d.seconds_per_inference for d in flat])
-    if (base <= 0).any():
-        raise ValueError("stage demands must be positive")
-    # The kernel indexes its scratch arrays with these unchecked; numpy
-    # would wrap a negative one below.
-    if min(comps) < 0 or min(dnns) < 0:
-        raise ValueError("stage component or DNN index out of range")
-    offsets[:] = list(accumulate(lengths, initial=0))
-    comp_of[:] = comps
-    dnn_of[:] = dnns
-
-    # Distinct resident DNN contexts per (element, component) slot.
-    slot = np.arange(n_batch).repeat(lengths) * num_comp + comp_of
-    present = np.zeros((n_batch * num_comp, num_dnns), dtype=bool)
-    present[slot, dnn_of] = True
-    gamma = tables.gamma(num_dnns)[comp_of, present.sum(axis=1)[slot]]
-    kernels = np.array([d.num_kernels for d in flat], dtype=np.float64)
-    np.maximum(kernels, 1.0, out=kernels)
-    np.multiply(base, gamma, out=inflated)
-    np.divide(base, kernels, out=kernel_time)
-    np.multiply(tables.hol[comp_of], kernels, out=hol_k)
-    np.power(inflated, tables.kappa[comp_of], out=weights)
-    return packed_rows, ints, reals, out
+def _reject(workload: list[ModelSpec], mappings: list[Mapping],
+            num_comp: int) -> None:
+    """Raise the first mapping's :meth:`Mapping.validate_against` error."""
+    for mapping in mappings:
+        mapping.validate_against(workload, num_comp)
+    # Only a negative index gets here, which Mapping itself refuses.
+    raise ValueError("stage component index out of range")
 
 
-def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
-                             num_dnns: int, platform: Platform,
+def _pack_batch(workload: list[ModelSpec], mappings: list[Mapping],
+                rows: list[tuple[int, int]], num_comp: int) -> np.ndarray:
+    """The packer's int64 ``batch`` input: ``rows`` (one ``(blocks,
+    offset)`` pair per DNN), then the mappings' block assignments,
+    mapping by mapping and DNN by DNN.  Raises ``ValueError`` with
+    :meth:`Mapping.validate_against`'s message unless every mapping fits
+    ``workload`` on ``num_comp`` components."""
+    lengths = [blocks for blocks, _ in rows]
+    if any(list(map(len, m.assignments)) != lengths for m in mappings):
+        _reject(workload, mappings, num_comp)
+    batch = np.fromiter(
+        chain(chain.from_iterable(rows), chain.from_iterable(
+            chain.from_iterable(m.assignments for m in mappings))),
+        dtype=np.int64, count=2 * len(rows) + len(mappings) * sum(lengths))
+    # A negative index reads as a huge unsigned one, so one max checks
+    # both ends of the range.
+    assign = batch[2 * len(rows):]
+    if assign.size and assign.view(np.uint64).max() >= num_comp:
+        _reject(workload, mappings, num_comp)
+    return batch
+
+
+def solve_steady_state_batch(workload: list[ModelSpec],
+                             mappings: list[Mapping], platform: Platform,
                              max_iter: int = _MAX_ITER,
                              tables: PlatformTables | None = None,
                              ) -> list[ContentionSolution]:
-    """Solve B mappings' fixed points in one call to the C kernel.
+    """Solve B mappings of ``workload`` in one call to the C library.
 
-    All mappings must cover the same workload (``num_dnns`` DNNs on
-    ``platform``); they may have different stage counts, and empty demand
-    sets answer with an empty solution.  Each element's result is bit
-    for bit what :func:`solve_steady_state` returns on its demands alone.
-    ``tables`` holds the platform's constants (a throwaway instance is
-    built without it).
+    Each element's result is bit for bit what :func:`solve_steady_state`
+    returns on :func:`~repro.sim.demands.compute_stage_demands` of that
+    mapping.  ``tables`` holds the platform's constants and the per-model
+    packer tables (a throwaway instance is built without it).
 
-    Raises :class:`RuntimeError` when the kernel cannot be built or
+    The call validates the mappings (``ValueError``, with
+    :meth:`Mapping.validate_against`'s message, before any C code runs),
+    checks every buffer, lets the C packer split and pack the whole batch
+    (``ValueError`` on a non-positive stage demand, before the kernel
+    runs), raises the weights in numpy and runs the kernel once.
+
+    Raises :class:`RuntimeError` when the library cannot be built or
     loaded on this host; :func:`repro.sim.engine.simulate_batch` checks
     :func:`repro.sim._cext.load_solver` first and falls back to the
     scalar oracle instead.
     """
-    if not any(demand_sets):
-        return [_empty_solution(num_dnns, platform) for _ in demand_sets]
+    if not mappings:
+        return []
     if tables is None:
         tables = PlatformTables(platform)
-    packed_rows, ints, reals, out = _pack(demand_sets, num_dnns, tables)
-    solutions = [None if demands else _empty_solution(num_dnns, platform)
-                 for demands in demand_sets]
-
-    n_batch = len(packed_rows)
+    n_batch, num_dnns = len(mappings), len(workload)
     num_comp = platform.num_components
+    rows, arena = tables.model_tables(workload)
+    batch = _pack_batch(workload, mappings, rows, num_comp)
+    consts = tables.packer_constants(num_dnns)
+    _cext.check_pack_inputs(batch, arena, consts, n_batch, num_dnns,
+                            num_comp)
+    # At most one stage per block.
+    capacity = batch.size - 2 * num_dnns
+    ints, reals, out = _cext.empty_buffers(n_batch, capacity, num_dnns,
+                                           num_comp)
+    _cext.check_buffers(ints, reals, out, n_batch, capacity, num_dnns,
+                        num_comp)
+    n = _cext.pack_stages_c(batch, arena, consts, ints, reals, n_batch,
+                            num_dnns, num_comp)
+    # The weights region holds kappa[comp_of]; raise it in place.
+    _, _, _, inflated, _, _, weights = _cext.input_views(ints, reals,
+                                                         n_batch, n)
+    np.power(inflated, weights, out=weights)
     _cext.solve_packed_c(
         ints, reals, out, n_batch, num_dnns, num_comp, max_iter, _DAMPING,
         _TOL, _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN)
@@ -321,9 +331,7 @@ def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
     rates, util, iterations, converged = _cext.output_views(
         out, n_batch, num_dnns, num_comp)
     iterations, converged = iterations.tolist(), converged.tolist()
-    for i, b in enumerate(packed_rows):
-        solutions[b] = ContentionSolution(
-            rates=rates[i], component_utilisation=util[i],
-            iterations=int(iterations[i]), converged=bool(converged[i]),
-        )
-    return solutions  # type: ignore[return-value]
+    return [ContentionSolution(
+        rates=rates[i], component_utilisation=util[i],
+        iterations=int(iterations[i]), converged=bool(converged[i]))
+        for i in range(n_batch)]

@@ -5,11 +5,15 @@ inference: the sum of its blocks' layer latencies plus, when the previous
 stage lives on a different component, the feature-map handoff cost charged
 to the receiving stage.
 
-A stage's demand depends only on its model, position, component, block
-range and handoff, so :func:`compute_stage_demands` can memoise it in the
-solving platform's :class:`~repro.sim.tables.PlatformTables`; a memo miss
-runs the same arithmetic in the same order, so a memoised demand equals a
-freshly computed one bit for bit.
+:func:`compute_stage_demands` is the readable form of this rule, used by
+the scalar oracle path (a host with no C compiler), the DES and the
+baselines.  Production batch solves never build a :class:`StageDemand`:
+the C packer ``pack_stages`` in ``_csolver.c`` splits the assignments and
+computes every demand with the same arithmetic in the same order, so the
+two agree bit for bit (``tests/property/test_stage_pack.py``).  The
+stage sum therefore runs left to right from ``0.0`` and adds the handoff
+afterwards; it is a plain loop because the builtin ``sum`` of floats
+uses compensated summation from Python 3.12.  Demands are not memoised.
 """
 
 from __future__ import annotations
@@ -43,9 +47,12 @@ class StageDemand:
 
 def _stage_demand(model: ModelSpec, stage: Stage, tables: PlatformTables,
                   handoff: bool) -> StageDemand:
-    """One stage's demand, computed afresh (a memo miss)."""
+    """One stage's demand: its blocks' latencies summed left to right,
+    then the handoff into its first block if it receives one."""
     latencies, layers = tables.block_costs(model, stage.component)
-    seconds = sum(latencies[stage.block_start : stage.block_end])
+    seconds = 0.0
+    for latency in latencies[stage.block_start : stage.block_end]:
+        seconds += latency
     if handoff:
         nbytes = model.blocks[stage.block_start].input_bytes
         seconds += tables.platform.link.transfer_time(nbytes)
@@ -59,30 +66,20 @@ def compute_stage_demands(workload: list[ModelSpec], mapping: Mapping,
                           ) -> list[StageDemand]:
     """Demands for every stage of ``mapping`` over ``workload``.
 
-    Each stage's demand is looked up in, or added to, the memo of
-    ``tables`` (which must be built for ``platform``; the memo key is in
-    :mod:`repro.sim.tables`).  Without ``tables`` the call uses a
-    throwaway instance, so every demand is computed afresh.
+    Block costs are read from ``tables``, which must be built for
+    ``platform``; without it the call uses a throwaway instance.
     """
     mapping.validate_against(workload, platform.num_components)
     if tables is None:
         tables = PlatformTables(platform)
-    memo = tables.demands
     demands: list[StageDemand] = []
     dnn_index = -1
     for stage in mapping.stages():
-        index, comp, start, end = stage
+        index, comp, _, _ = stage
         if index != dnn_index:
             # A DNN's first stage receives no feature-map handoff.
             dnn_index, prev_comp = index, comp
             model = workload[index]
-            name = model.name
-        handoff = prev_comp != comp
-        key = (index, name, comp, start, end, handoff)
-        demand = memo.get(key)
-        if demand is None:
-            demand = _stage_demand(model, stage, tables, handoff)
-            tables.remember(key, demand)
-        demands.append(demand)
+        demands.append(_stage_demand(model, stage, tables, prev_comp != comp))
         prev_comp = comp
     return demands

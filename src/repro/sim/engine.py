@@ -78,10 +78,12 @@ def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
                    tables: PlatformTables | None = None) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
-    Solves all fixed points in one call to the C kernel
+    Packs and solves all fixed points in one call each to the C stage
+    packer and kernel
     (:func:`repro.sim.contention.solve_steady_state_batch`), which is what
     makes MCTS rollout batches and scenario sweeps cheap.  On a host where
-    the kernel cannot be built or loaded, each mapping is solved by the
+    the library cannot be built or loaded, each mapping's
+    :func:`~repro.sim.demands.compute_stage_demands` is solved by the
     scalar oracle :func:`repro.sim.contention.solve_steady_state` instead,
     after a :class:`RuntimeWarning` issued once per process; the results
     are the same bits either way.
@@ -99,16 +101,16 @@ def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
         raise ValueError(
             f"tables were built for {tables.platform.name!r}, not for "
             f"{platform.name!r}")
-    demand_sets = [compute_stage_demands(workload, m, platform, tables)
-                   for m in mappings]
-    num_dnns = len(workload)
     if _cext.load_solver() is not None:
-        solutions = solve_steady_state_batch(demand_sets, num_dnns, platform,
+        solutions = solve_steady_state_batch(workload, mappings, platform,
                                              tables=tables)
     else:
         _warn_scalar_fallback()
-        solutions = [solve_steady_state(d, num_dnns, platform)
-                     for d in demand_sets]
+        solutions = [
+            solve_steady_state(
+                compute_stage_demands(workload, m, platform, tables),
+                len(workload), platform)
+            for m in mappings]
     ideal = tables.ideal_rates(workload)
     names = tuple(m.name for m in workload)
     return [

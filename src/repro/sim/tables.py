@@ -6,33 +6,26 @@ on the mapping lives on one :class:`PlatformTables`:
 * the interference table ``gamma[c, n]`` (one per workload size);
 * the per-component sharing biases κ and head-of-line coefficients;
 * the GPU-solo ideal rate of each model (the paper's ``t_ideal``);
-* each model's per-block latencies and layer counts on each component;
-* a memo of :class:`~repro.sim.demands.StageDemand` objects, filled by
-  :func:`~repro.sim.demands.compute_stage_demands`.
+* each model's per-block latencies and layer counts on each component,
+  which :func:`~repro.sim.demands.compute_stage_demands` reads;
+* each model's packer table and, per workload size, the constants
+  above in one vector, which the C stage packer reads (see
+  :meth:`PlatformTables.model_tables` and
+  :meth:`PlatformTables.packer_constants`).
 
 An :class:`~repro.sim.cache.EvaluationCache` owns one, because a cache is
 already bound to one platform, and hands it to
 :func:`~repro.sim.engine.simulate_batch` with every batch of misses.  A
-call made without one builds a throwaway instance.  Tables and memo hold
-exactly the values the per-call code computes, so a result never depends
-on whether, or how warm, a table was.
-
-Demand memo key
----------------
-
-``(dnn_index, model name, component, block_start, block_end, handoff)``
-— every input of a stage's demand except the platform, which the owning
-instance fixes.  The model name stands for the spec, as in the cache key
-(the zoo registry holds one spec per name); ``dnn_index`` is part of the
-key because the memoised :class:`StageDemand` carries its stage, and
-``handoff`` because the receiving stage pays the feature-map transfer.
-The memo holds at most :data:`DEMAND_MEMO_MAX` entries and is emptied
-when it would grow past that.
+call made without one builds a throwaway instance.  The tables hold
+exactly the values the per-call code would compute, so a result never
+depends on whether, or how warm, a table was.  Model tables are keyed by
+model name, as the cache key is (the zoo registry holds one spec per
+name), and built once per model, never once per workload.  Stage
+demands are not memoised: the C packer computes them on every call
+faster than Python could look them up.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,16 +33,7 @@ from ..hw.latency import block_latencies
 from ..hw.platform import Platform
 from ..zoo.layers import ModelSpec
 
-if TYPE_CHECKING:
-    from .demands import StageDemand
-
-__all__ = ["DEMAND_MEMO_MAX", "PlatformTables"]
-
-#: Bound on memoised stage demands per platform, about 10.5 MB at ~320 B
-#: per entry (tracemalloc).  The zoo's 24 models at up to five DNN positions on three
-#: components have about 70k distinct stages, so a long-lived cache that
-#: explores widely can reach it.
-DEMAND_MEMO_MAX = 32_768
+__all__ = ["PlatformTables"]
 
 
 def _interference_table(platform: Platform, num_dnns: int) -> np.ndarray:
@@ -72,10 +56,12 @@ class PlatformTables:
         components = platform.components
         self.kappa = np.array([c.sharing_bias for c in components])
         self.hol = np.array([c.hol_blocking for c in components])
-        self.demands: dict[tuple, StageDemand] = {}
         self._gamma: dict[int, np.ndarray] = {}
+        self._constants: dict[int, np.ndarray] = {}
         self._ideal: dict[str, float] = {}
         self._blocks: dict[tuple, tuple[list[float], list[int]]] = {}
+        self._slots: dict[str, tuple[int, int]] = {}
+        self._arena = np.empty(0)
 
     def gamma(self, num_dnns: int) -> np.ndarray:
         """The interference table for workloads of ``num_dnns`` DNNs."""
@@ -84,6 +70,16 @@ class PlatformTables:
             table = self._gamma[num_dnns] = _interference_table(
                 self.platform, num_dnns)
         return table
+
+    def packer_constants(self, num_dnns: int) -> np.ndarray:
+        """``hol | kappa | gamma``: the head-of-line coefficients, the
+        sharing biases and the flattened :meth:`gamma` table for
+        ``num_dnns`` DNNs, in one vector for the C stage packer."""
+        consts = self._constants.get(num_dnns)
+        if consts is None:
+            consts = self._constants[num_dnns] = np.concatenate(
+                (self.hol, self.kappa, self.gamma(num_dnns).ravel()))
+        return consts
 
     def block_costs(self, model: ModelSpec,
                     component: int) -> tuple[list[float], list[int]]:
@@ -98,6 +94,39 @@ class PlatformTables:
                 [len(block.layers) for block in model.blocks])
         return costs
 
+    def model_tables(self, workload: list[ModelSpec],
+                     ) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """``(rows, arena)``, the C stage packer's view of ``workload``.
+
+        ``rows`` holds one ``(blocks, offset)`` pair per model; ``arena``
+        is a float64 vector holding, at each row's offset, its model's
+        table of ``num_comp + 2`` rows of one entry per block: the block
+        latencies on each component, the link's seconds to hand each
+        block its input, and the layer counts.  A model's table is built
+        the first time any workload holds it.
+        """
+        slots = self._slots
+        rows = []
+        for model in workload:
+            slot = slots.get(model.name)
+            if slot is None:
+                slot = self._add_model_table(model)
+            rows.append(slot)
+        return rows, self._arena
+
+    def _add_model_table(self, model: ModelSpec) -> tuple[int, int]:
+        platform = self.platform
+        transfer = platform.link.transfer_time
+        blocks = model.blocks
+        table = np.array(
+            [block_latencies(model, component)
+             for component in platform.components]
+            + [[transfer(block.input_bytes) for block in blocks],
+               [len(block.layers) for block in blocks]], dtype=np.float64)
+        slot = self._slots[model.name] = (len(blocks), self._arena.size)
+        self._arena = np.concatenate((self._arena, table.ravel()))
+        return slot
+
     def ideal_rates(self, workload: list[ModelSpec]) -> np.ndarray:
         """GPU-solo rate of each model of ``workload``, a fresh array."""
         ideal = self._ideal
@@ -105,9 +134,3 @@ class PlatformTables:
             if model.name not in ideal:
                 ideal[model.name] = self.platform.ideal_throughput(model)
         return np.array([ideal[m.name] for m in workload])
-
-    def remember(self, key: tuple, demand: StageDemand) -> None:
-        """Memoise one stage demand, emptying a full memo first."""
-        if len(self.demands) >= DEMAND_MEMO_MAX:
-            self.demands.clear()
-        self.demands[key] = demand

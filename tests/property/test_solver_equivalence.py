@@ -1,18 +1,22 @@
 """Differential fuzz: the C contention-solver kernel vs the scalar oracle.
 
-The contract is bit identity.  For every element of a packed batch,
-:func:`repro.sim.solve_steady_state_batch` (the C kernel behind every
-production solve) must return exactly what the scalar numpy oracle
-:func:`repro.sim.solve_steady_state` returns on that element alone:
-equal rates and utilisation under ``assert_array_equal``, and equal
-iteration counts and convergence flags.
+The contract is bit identity.  For every element of a packed batch, the
+C kernel behind every production solve must return exactly what the
+scalar numpy oracle :func:`repro.sim.solve_steady_state` returns on that
+element alone: equal rates and utilisation under ``assert_array_equal``,
+and equal iteration counts and convergence flags.
 
-Randomized demand sets cover both platform presets, heterogeneous stage
-counts inside one batch, limit-cycle instances driven past the burn-in,
-rollout-shaped mappings of five-DNN plan mixes, truncated ``max_iter``
-budgets, empty elements and non-positive demands.  The limit-cycle
-batches must hold both a cycle-averaged convergence and a capped solve,
-so the kernel's window check is compared on both of its outcomes.
+The kernel is fed through the oracle packer
+(:func:`tests.oracles.pack_reference.solve_demand_sets`), so the fuzz can
+use synthetic demand sets that no mapping produces: randomized demand
+sets cover both platform presets, heterogeneous stage counts inside one
+batch, limit-cycle instances driven past the burn-in, rollout-shaped
+mappings of five-DNN plan mixes, truncated ``max_iter`` budgets, empty
+elements and non-positive demands.  Where the sets come from mappings,
+the production path :func:`repro.sim.solve_steady_state_batch` (C packer
+plus kernel) must match the oracle as well.  The limit-cycle batches
+must hold both a cycle-averaged convergence and a capped solve, so the
+kernel's window check is compared on both of its outcomes.
 The kernel tests skip only on a host with no C compiler; where ``cc``
 exists, a failed build or load fails them.  The no-compiler fallback
 (scalar oracle after a one-time ``RuntimeWarning``) is tested everywhere.
@@ -40,6 +44,7 @@ from repro.sim import (
 )
 from repro.sim.contention import _CYCLE_BURN_IN, _MAX_ITER
 from repro.zoo import get_model
+from tests.oracles.pack_reference import solve_demand_sets
 
 PLATFORMS = {"orange_pi_5": orange_pi_5(), "jetson_class": jetson_class()}
 SMALL_POOL = ("alexnet", "squeezenet_v2", "mobilenet", "resnet12")
@@ -60,27 +65,27 @@ needs_compiler = pytest.mark.skipif(
 
 def _demand_batch(pool, num_models, seed, batch_size, platform):
     """Half coherent partition mappings, half fragmented per-block ones,
-    so one batch mixes short and long stage lists."""
+    so one batch mixes short and long stage lists.  Returns the workload,
+    the mappings and their demand sets."""
     rng = np.random.default_rng(seed)
     workload = [get_model(n) for n in pool[:num_models]]
-    sets = []
-    for i in range(batch_size):
-        maker = (random_partition_mapping if i % 2 == 0
-                 else uniform_block_mapping)
-        mapping = maker(workload, platform.num_components, rng)
-        sets.append(compute_stage_demands(workload, mapping, platform))
-    return workload, sets
+    mappings = [(random_partition_mapping if i % 2 == 0
+                 else uniform_block_mapping)(
+                     workload, platform.num_components, rng)
+                for i in range(batch_size)]
+    return workload, mappings, [
+        compute_stage_demands(workload, m, platform) for m in mappings]
 
 
 def _rollout_batch(names, seed, batch_size, platform):
-    """Demand sets of MCTS rollouts from the empty prefix: the mappings a
-    cold plan actually solves."""
+    """MCTS rollouts from the empty prefix, the mappings a cold plan
+    actually solves, with their demand sets."""
     workload = [get_model(n) for n in names]
     search = MCTS(workload, platform.num_components, None,
                   MCTSConfig(seed=seed))
-    return workload, [compute_stage_demands(workload, search._complete([]),
-                                            platform)
-                      for _ in range(batch_size)]
+    mappings = [search._complete([]) for _ in range(batch_size)]
+    return workload, mappings, [
+        compute_stage_demands(workload, m, platform) for m in mappings]
 
 
 def _assert_cycle_and_cap(solutions, max_iter):
@@ -100,13 +105,19 @@ def _assert_bit_identical(want, got):
                                   want.component_utilisation)
 
 
-def _assert_matches_oracle(sets, num_dnns, platform, max_iter=_MAX_ITER):
-    got = solve_steady_state_batch(sets, num_dnns, platform, max_iter)
-    assert len(got) == len(sets)
+def _assert_matches_oracle(workload, mappings, sets, platform,
+                           max_iter=_MAX_ITER):
+    """The kernel on the oracle-packed ``sets``, and the production path
+    on ``mappings``, against the scalar oracle on each set."""
+    num_dnns = len(workload)
     oracle = [solve_steady_state(d, num_dnns, platform, max_iter)
               for d in sets]
-    for want, sol in zip(oracle, got):
-        _assert_bit_identical(want, sol)
+    for got in (solve_demand_sets(sets, num_dnns, platform, max_iter),
+                solve_steady_state_batch(workload, mappings, platform,
+                                         max_iter)):
+        assert len(got) == len(sets)
+        for want, sol in zip(oracle, got):
+            _assert_bit_identical(want, sol)
     return oracle
 
 
@@ -122,22 +133,22 @@ class TestKernel:
     def test_fuzz_bit_identical(self, platform_name, num_models, seed,
                                 batch_size):
         platform = PLATFORMS[platform_name]
-        workload, sets = _demand_batch(SMALL_POOL, num_models, seed,
-                                       batch_size, platform)
-        _assert_matches_oracle(sets, len(workload), platform)
+        _assert_matches_oracle(*_demand_batch(SMALL_POOL, num_models, seed,
+                                              batch_size, platform),
+                               platform)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 7, 40]))
     def test_truncated_budget_bit_identical(self, seed, max_iter):
         platform = PLATFORMS["orange_pi_5"]
-        workload, sets = _demand_batch(SMALL_POOL, 3, seed, 3, platform)
-        _assert_matches_oracle(sets, len(workload), platform,
-                               max_iter=max_iter)
+        _assert_matches_oracle(*_demand_batch(SMALL_POOL, 3, seed, 3,
+                                              platform),
+                               platform, max_iter=max_iter)
 
     def test_limit_cycle_instances_bit_identical(self):
         platform = PLATFORMS["orange_pi_5"]
-        workload, sets = _demand_batch(CYCLE_POOL, 3, 0, 16, platform)
-        oracle = _assert_matches_oracle(sets, len(workload), platform)
+        oracle = _assert_matches_oracle(
+            *_demand_batch(CYCLE_POOL, 3, 0, 16, platform), platform)
         _assert_cycle_and_cap(oracle, _MAX_ITER)
 
     @pytest.mark.parametrize("max_iter", [200, _MAX_ITER])
@@ -145,16 +156,16 @@ class TestKernel:
         platform = PLATFORMS["orange_pi_5"]
         oracle = []
         for names in PLAN_MIXES:
-            workload, sets = _rollout_batch(names, 0, 8, platform)
-            oracle += _assert_matches_oracle(sets, len(workload), platform,
-                                             max_iter=max_iter)
+            oracle += _assert_matches_oracle(
+                *_rollout_batch(names, 0, 8, platform), platform,
+                max_iter=max_iter)
         _assert_cycle_and_cap(oracle, max_iter)
 
     def test_empty_elements_mixed_in(self):
         platform = PLATFORMS["orange_pi_5"]
-        workload, sets = _demand_batch(SMALL_POOL, 2, 1, 2, platform)
-        got = solve_steady_state_batch([[], sets[0], [], sets[1]],
-                                       len(workload), platform)
+        workload, _, sets = _demand_batch(SMALL_POOL, 2, 1, 2, platform)
+        got = solve_demand_sets([[], sets[0], [], sets[1]], len(workload),
+                                platform)
         for sol in (got[0], got[2]):
             assert sol.converged and sol.iterations == 0
             np.testing.assert_array_equal(sol.rates,
@@ -165,14 +176,16 @@ class TestKernel:
 
     def test_all_empty_and_zero_batches(self):
         platform = PLATFORMS["orange_pi_5"]
-        assert solve_steady_state_batch([], 2, platform) == []
-        batch = solve_steady_state_batch([[], []], 2, platform)
+        workload = [get_model(n) for n in SMALL_POOL[:2]]
+        assert solve_steady_state_batch(workload, [], platform) == []
+        assert solve_demand_sets([], 2, platform) == []
+        batch = solve_demand_sets([[], []], 2, platform)
         assert len(batch) == 2 and all(s.converged for s in batch)
 
     @pytest.mark.parametrize("seconds", [0.0, -1e-3])
     def test_nonpositive_demand_rejected(self, seconds):
         platform = PLATFORMS["orange_pi_5"]
-        _, sets = _demand_batch(SMALL_POOL, 2, 2, 1, platform)
+        _, _, sets = _demand_batch(SMALL_POOL, 2, 2, 1, platform)
         first = sets[0][0]
         bad = [first.__class__(stage=first.stage,
                                seconds_per_inference=seconds,
@@ -180,7 +193,7 @@ class TestKernel:
         with pytest.raises(ValueError, match="must be positive"):
             solve_steady_state(bad, 2, platform)
         with pytest.raises(ValueError, match="must be positive"):
-            solve_steady_state_batch([sets[0], bad], 2, platform)
+            solve_demand_sets([sets[0], bad], 2, platform)
 
     @pytest.mark.parametrize("component, dnn", [(-1, 0), (0, -1), (0, 2)])
     def test_out_of_range_indices_rejected(self, component, dnn):
@@ -188,12 +201,12 @@ class TestKernel:
         bounds checks, so bad indices must stop in Python (an index past
         the end already fails numpy's context count)."""
         platform = PLATFORMS["orange_pi_5"]
-        _, sets = _demand_batch(SMALL_POOL, 2, 2, 1, platform)
+        _, _, sets = _demand_batch(SMALL_POOL, 2, 2, 1, platform)
         first = sets[0][0]
         stage = first.stage._replace(component=component, dnn_index=dnn)
         bad = [dataclasses.replace(first, stage=stage), *sets[0][1:]]
         with pytest.raises((ValueError, IndexError), match="out of"):
-            solve_steady_state_batch([sets[0], bad], 2, platform)
+            solve_demand_sets([sets[0], bad], 2, platform)
 
     def test_simulate_batch_matches_simulate(self):
         platform = PLATFORMS["orange_pi_5"]

@@ -167,11 +167,12 @@ class TestGitSha:
 
     def test_cold_plan_benches_guarded(self):
         """The cold-plan rows (a whole oracle plan, a rollout, stage-demand
-        assembly and long limit-cycle solves) are guarded hot paths."""
+        assembly, stage packing and long limit-cycle solves) are guarded
+        hot paths."""
         rb = _load_record_bench()
         rows = ("test_bench_rankmap_plan_oracle", "test_bench_mcts_rollout",
                 "test_bench_stage_demands[cold]",
-                "test_bench_stage_demands[warm]",
+                "test_bench_stage_demands[warm]", "test_bench_stage_pack",
                 "test_bench_simulator_limit_cycle")
         previous = {name: row(1e-3) for name in rows}
         for name in rows:

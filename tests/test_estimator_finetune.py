@@ -204,16 +204,7 @@ class TestRefreshArtifact:
         the lineage names the bytes the child was trained from even when
         the parent path is rewritten during the fine-tune."""
         before = artifact_hash(base_artifact)
-        reads = []
-        real_open = io.open
-
-        def counting_open(file, mode="r", *args, **kwargs):
-            if str(file) == str(base_artifact) and "r" in mode:
-                reads.append(mode)
-            return real_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(io, "open", counting_open)
-        monkeypatch.setattr(builtins, "open", counting_open)
+        reads = _count_reads(monkeypatch, base_artifact)
         finetune_module = importlib.import_module("repro.estimator.finetune")
         real_finetune = finetune_module.finetune
 
@@ -320,7 +311,68 @@ class TestFinetuneCLI:
         assert not out.exists()
 
 
+class _Observed:
+    """A sweep result whose telemetry holds one alexnet segment."""
+
+    telemetry = TelemetrySnapshot(
+        where="test", max_spans=64, counters=(), gauges=(), histograms=(),
+        spans=(), span_stats=(),
+        segments=(SegmentUsage(("alexnet",),
+                               ((0,) * get_model("alexnet").num_blocks,),
+                               (1.0,), 5.0),))
+
+
+def _count_reads(monkeypatch, path):
+    """Record the mode of every read-mode open of ``path``."""
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return reads
+
+
 class TestContextRefresh:
+    def test_refresh_reads_the_parent_once(self, base_artifact, tmp_path,
+                                           monkeypatch):
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path / "ctx")
+        parent = ctx._artifact_file()
+        parent.parent.mkdir()
+        parent.write_bytes(base_artifact.read_bytes())
+        reads = _count_reads(monkeypatch, parent)
+        out = tmp_path / "refined.pkl"
+        report = ctx.refresh_estimator([_Observed()], out, FAST_FT)
+        assert reads == ["rb"]
+        assert report.rows == 1
+        lineage = load_estimator_artifact(out, orange_pi_5()).lineage
+        assert lineage.parent_hash == artifact_hash(parent)
+
+    def test_refresh_retrains_an_invalid_parent(self, base_artifact,
+                                                tmp_path, monkeypatch):
+        """A corrupt parent file is retrained and saved before the
+        refresh, which then records the new file's bytes."""
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext(preset="tiny", results_dir=tmp_path / "ctx")
+        parent = ctx._artifact_file()
+        parent.parent.mkdir()
+        parent.write_bytes(b"corrupt")
+        trained = load_estimator_artifact(base_artifact, orange_pi_5())
+        monkeypatch.setattr(ExperimentContext, "_train_artifacts",
+                            lambda self: trained)
+        out = tmp_path / "refined.pkl"
+        ctx.refresh_estimator([_Observed()], out, FAST_FT)
+        load_estimator_artifact(parent, orange_pi_5())
+        lineage = load_estimator_artifact(out, orange_pi_5()).lineage
+        assert lineage.parent_hash == artifact_hash(parent)
+
     def test_refresh_estimator_requires_telemetry(self, tmp_path):
         from repro.experiments import ExperimentContext
 

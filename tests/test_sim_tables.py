@@ -1,19 +1,18 @@
-"""Per-platform solver tables and the kernel's raw-pointer buffers."""
+"""Per-platform solver tables and the C library's raw-pointer buffers."""
 
 import numpy as np
 import pytest
 
 from repro.hw import jetson_class, orange_pi_5
 from repro.mapping import gpu_only_mapping, uniform_block_mapping
+from repro.hw.latency import block_latencies
 from repro.sim import (
     EvaluationCache,
     PlatformTables,
     _cext,
-    compute_stage_demands,
     simulate_batch,
     solve_steady_state_batch,
 )
-from repro.sim import tables as tables_module
 from repro.zoo import get_model
 
 PLATFORM = orange_pi_5()
@@ -30,9 +29,9 @@ def _bad_buffers(kind):
     def empty_buffers(n_batch, n_stages, num_dnns, num_comp):
         ints, reals, out = real(n_batch, n_stages, num_dnns, num_comp)
         if kind == "float32":
-            reals = reals.astype(np.float32)
+            reals = np.zeros(reals.size, dtype=np.float32)
         elif kind == "int32":
-            ints = ints.astype(np.int32)
+            ints = np.zeros(ints.size, dtype=np.int32)
         elif kind == "strided":
             out = np.empty(2 * out.size)[::2]
         elif kind == "short":
@@ -46,17 +45,52 @@ def _bad_buffers(kind):
 
 @needs_compiler
 class TestKernelBuffers:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("pack_stages_c", "solve_packed_c"):
+            monkeypatch.setattr(_cext, name,
+                                lambda *args, name=name: calls.append(name))
+        return calls
+
     @pytest.mark.parametrize("kind",
                              ["float32", "int32", "strided", "short", "long"])
-    def test_bad_buffer_raises_before_the_kernel(self, monkeypatch, kind):
-        demands = compute_stage_demands(
-            WORKLOAD, gpu_only_mapping(WORKLOAD), PLATFORM)
-        calls = []
+    def test_bad_buffer_raises_before_the_kernel(self, monkeypatch, calls,
+                                                 kind):
         monkeypatch.setattr(_cext, "empty_buffers", _bad_buffers(kind))
-        monkeypatch.setattr(_cext, "solve_packed_c",
-                            lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="solver buffer"):
-            solve_steady_state_batch([demands], len(WORKLOAD), PLATFORM)
+            solve_steady_state_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)],
+                                     PLATFORM)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["arena_float32", "arena_short",
+                                      "row_negative", "consts_short",
+                                      "consts_strided"])
+    def test_bad_pack_input_raises_before_the_packer(self, monkeypatch,
+                                                     calls, kind):
+        real = PlatformTables.model_tables
+
+        def model_tables(self, workload):
+            rows, arena = real(self, workload)
+            if kind == "arena_float32":
+                arena = arena.astype(np.float32)
+            elif kind == "arena_short":
+                arena = arena[:-1]
+            elif kind == "row_negative":
+                rows[-1] = (rows[-1][0], -1)
+            elif kind == "consts_short":
+                self._constants[len(workload)] = self.packer_constants(
+                    len(workload) - 1)
+            elif kind == "consts_strided":
+                consts = self.packer_constants(len(workload))
+                self._constants[len(workload)] = np.repeat(consts, 2)[::2]
+            return rows, arena
+
+        monkeypatch.setattr(PlatformTables, "model_tables", model_tables)
+        # The last model's table ends the arena, so a short arena cuts it.
+        with pytest.raises(ValueError, match="solver buffer|non-negative"):
+            solve_steady_state_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)],
+                                     PLATFORM)
         assert calls == []
 
     def test_good_buffers_pass(self):
@@ -86,7 +120,7 @@ class TestPlatformTables:
         mappings = [uniform_block_mapping(WORKLOAD, 3, rng)
                     for _ in range(4)]
         tables = PlatformTables(PLATFORM)
-        for _ in range(2):   # cold memo, then warm
+        for _ in range(2):   # cold model tables, then warm
             warm = simulate_batch(WORKLOAD, mappings, PLATFORM, tables)
             cold = simulate_batch(WORKLOAD, mappings, PLATFORM)
             for w, c in zip(warm, cold):
@@ -107,19 +141,34 @@ class TestPlatformTables:
                        PlatformTables(orange_pi_5()))
 
     def test_cache_owns_one_table_and_fills_its_memo(self):
+        """The memo is the per-model packer tables: one per model, built
+        on the first miss and reused for any workload holding it."""
         cache = EvaluationCache(PLATFORM)
         cache.simulate(WORKLOAD, [gpu_only_mapping(WORKLOAD)])
-        assert len(cache._tables.demands) == len(WORKLOAD)
-        assert cache._tables.platform is PLATFORM
+        tables = cache._tables
+        assert tables.platform is PLATFORM
+        _, arena = tables.model_tables(WORKLOAD)
+        cache.simulate(WORKLOAD[::-1], [gpu_only_mapping(WORKLOAD[::-1])])
+        assert tables.model_tables(WORKLOAD)[1] is arena
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(tables_module, "DEMAND_MEMO_MAX", 5)
+    def test_model_table_layout(self):
+        """Each row points at its model's latencies on every component,
+        handoff seconds and layer counts, all as float64."""
         tables = PlatformTables(PLATFORM)
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            mapping = uniform_block_mapping(WORKLOAD, 3, rng)
-            compute_stage_demands(WORKLOAD, mapping, PLATFORM, tables)
-            assert len(tables.demands) <= 5
+        rows, arena = tables.model_tables(WORKLOAD)
+        num_comp = PLATFORM.num_components
+        for model, (blocks, offset) in zip(WORKLOAD, rows):
+            assert blocks == model.num_blocks
+            table = arena[offset:offset + (num_comp + 2) * blocks]
+            table = table.reshape(num_comp + 2, blocks)
+            for c in range(num_comp):
+                assert table[c].tolist() == block_latencies(
+                    model, PLATFORM.component(c))
+            assert table[num_comp].tolist() == [
+                PLATFORM.link.transfer_time(b.input_bytes)
+                for b in model.blocks]
+            assert table[num_comp + 1].tolist() == [
+                len(b.layers) for b in model.blocks]
 
     def test_ideal_rates_are_fresh_arrays(self):
         tables = PlatformTables(PLATFORM)
@@ -128,6 +177,17 @@ class TestPlatformTables:
         np.testing.assert_array_equal(
             tables.ideal_rates(WORKLOAD),
             [PLATFORM.ideal_throughput(m) for m in WORKLOAD])
+
+    def test_packer_constants(self):
+        tables = PlatformTables(PLATFORM)
+        consts = tables.packer_constants(3)
+        num_comp = PLATFORM.num_components
+        np.testing.assert_array_equal(consts[:num_comp], tables.hol)
+        np.testing.assert_array_equal(consts[num_comp:2 * num_comp],
+                                      tables.kappa)
+        np.testing.assert_array_equal(consts[2 * num_comp:],
+                                      tables.gamma(3).ravel())
+        assert tables.packer_constants(3) is consts
 
     def test_gamma_matches_interference_factor(self):
         tables = PlatformTables(PLATFORM)
