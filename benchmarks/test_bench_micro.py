@@ -62,7 +62,7 @@ def mcts_rollouts():
 
 
 def test_bench_simulator_solve(benchmark, mappings):
-    simulate(WORKLOAD, mappings[0], PLATFORM)  # warm latency caches
+    simulate(WORKLOAD, mappings[0], PLATFORM)  # warm the platform's tables
     it = iter(range(10**9))
 
     def step():
@@ -78,7 +78,7 @@ def test_bench_simulator_solve_batch(benchmark, rollout_mappings, batch):
     The rows land in ``BENCH_history.jsonl`` and are guarded by
     ``record_bench.py``.
     """
-    # Warms the latency caches and pays the one-time kernel build.
+    # Warms the platform's tables and pays the one-time kernel build.
     simulate(WORKLOAD, rollout_mappings[0], PLATFORM)
     subset = rollout_mappings[:batch]
     result = benchmark(lambda: simulate_batch(WORKLOAD, subset, PLATFORM))
@@ -91,18 +91,24 @@ def test_bench_simulator_segment_solve(benchmark, tables):
     ``simulate_batch``.
 
     The kernel runs two iterations here, so the row times the Python
-    around it: validation, packing and the ctypes calls.  ``warm``
-    passes a :class:`PlatformTables` whose model tables are already
-    built, as every ``EvaluationCache`` miss after the first does;
-    ``cold`` builds a throwaway one per call, as ``simulate`` does.  The ``[1|4|16]`` rows
-    above time fragmented rollouts instead, which are kernel-bound.
-    Guarded by ``record_bench.py``.
+    around it: validation, packing and the ctypes calls.  Every call
+    reads the platform's one table set, :func:`tables_for`, whose model
+    tables are already built.  ``warm`` passes one platform object, as
+    an ``EvaluationCache`` does; ``cold`` builds a new, equal
+    ``orange_pi_5()`` per call, as a caller with no cache of its own
+    (a preset rebuilt per scenario) does, so the lookup hashes and
+    compares the platform by value.  The ``[1|4|16]`` rows above time
+    fragmented rollouts instead, which are kernel-bound.  Guarded by
+    ``record_bench.py``.
     """
     mapping = gpu_only_mapping(WORKLOAD)
-    shared = PlatformTables(PLATFORM) if tables == "warm" else None
-    simulate_batch(WORKLOAD, [mapping], PLATFORM, shared)
-    result = benchmark(
-        lambda: simulate_batch(WORKLOAD, [mapping], PLATFORM, shared))
+    simulate_batch(WORKLOAD, [mapping], PLATFORM)
+
+    def step():
+        platform = PLATFORM if tables == "warm" else orange_pi_5()
+        return simulate_batch(WORKLOAD, [mapping], platform)
+
+    result = benchmark(step)
     assert result[0].solution.iterations == 2
 
 
@@ -111,12 +117,10 @@ def test_bench_simulator_limit_cycle(benchmark, mcts_rollouts):
     the limit-cycle burn-in, to settle on the cycle average or stop at
     the iteration cap.  Every such iteration checks the cycle window, so
     this row times that check.  Guarded by ``record_bench.py``."""
-    tables = PlatformTables(PLATFORM)
-    first = simulate_batch(WORKLOAD, mcts_rollouts, PLATFORM, tables)
+    first = simulate_batch(WORKLOAD, mcts_rollouts, PLATFORM)
     long = [mapping for mapping, result in zip(mcts_rollouts, first)
             if result.solution.iterations >= _CYCLE_BURN_IN]
-    result = benchmark(lambda: simulate_batch(WORKLOAD, long, PLATFORM,
-                                              tables))
+    result = benchmark(lambda: simulate_batch(WORKLOAD, long, PLATFORM))
     iterations = [r.solution.iterations for r in result]
     assert min(iterations) >= _CYCLE_BURN_IN and _MAX_ITER in iterations
     assert any(r.solution.converged for r in result)
@@ -125,19 +129,19 @@ def test_bench_simulator_limit_cycle(benchmark, mcts_rollouts):
 @pytest.mark.parametrize("tables", ["cold", "warm"])
 def test_bench_stage_demands(benchmark, mcts_rollouts, tables):
     """Stage demands of 16 rollouts through ``compute_stage_demands``, the
-    scalar-oracle path's demand builder.  Demands are not memoised, so
-    the rows differ only in the block-cost lookups: ``cold`` starts each
-    pass on fresh :class:`PlatformTables`, which look every model's
-    block latencies up again; ``warm`` reuses tables that already hold
-    them.  Production solves pack in C instead
+    scalar-oracle path's demand builder.  Demands are not memoised; the
+    block costs they sum are, in the platform's :func:`tables_for` set,
+    which every row finds warm.  So the rows differ only in the lookup:
+    ``cold`` builds a new, equal ``orange_pi_5()`` per pass, which the
+    lookup hashes and compares by value, and ``warm`` keeps one platform
+    object.  Production solves pack in C instead
     (``test_bench_stage_pack``).  Guarded by ``record_bench.py``."""
-    shared = PlatformTables(PLATFORM)
     for mapping in mcts_rollouts:
-        compute_stage_demands(WORKLOAD, mapping, PLATFORM, shared)
+        compute_stage_demands(WORKLOAD, mapping, PLATFORM)
 
     def step():
-        used = shared if tables == "warm" else PlatformTables(PLATFORM)
-        return [compute_stage_demands(WORKLOAD, mapping, PLATFORM, used)
+        platform = PLATFORM if tables == "warm" else orange_pi_5()
+        return [compute_stage_demands(WORKLOAD, mapping, platform)
                 for mapping in mcts_rollouts]
 
     assert len(benchmark(step)) == len(mcts_rollouts)
@@ -148,15 +152,15 @@ def test_bench_stage_pack(benchmark, mcts_rollouts, monkeypatch):
     the kernel: validate and flatten the assignments, check the buffers,
     split and pack the stages in C and raise the weights in numpy.  The
     kernel call is stubbed out, so the row times packing alone (the
-    ``simulate_batch`` rows time both).  Guarded by ``record_bench.py``."""
+    ``simulate_batch`` rows time both).  The tables are private, warmed
+    by one solve.  Guarded by ``record_bench.py``."""
     tables = PlatformTables(PLATFORM)
-    solve_steady_state_batch(WORKLOAD, mcts_rollouts, PLATFORM,
-                             tables=tables)
+    solve_steady_state_batch(WORKLOAD, mcts_rollouts, tables)
     kernel_calls = []
     monkeypatch.setattr(_cext, "solve_packed_c",
                         lambda *args: kernel_calls.append(args[3]))
     result = benchmark(lambda: solve_steady_state_batch(
-        WORKLOAD, mcts_rollouts, PLATFORM, tables=tables))
+        WORKLOAD, mcts_rollouts, tables))
     assert len(result) == len(mcts_rollouts)
     assert kernel_calls and set(kernel_calls) == {len(mcts_rollouts)}
 
@@ -271,6 +275,10 @@ def test_bench_rankmap_plan_oracle(benchmark):
 
 
 def test_bench_block_latency_model(benchmark):
+    """The roofline latency model itself: Inception-v4's end-to-end GPU
+    latency, every layer computed afresh.  Production pays this once per
+    model and platform per process, when :func:`tables_for` first builds
+    the model's table.  Not guarded."""
     from repro.hw.latency import model_latency
 
     model = get_model("inception_v4")

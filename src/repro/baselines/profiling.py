@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hw.latency import block_latencies
 from ..hw.platform import Platform
+from ..sim.tables import tables_for
 from ..zoo.layers import BlockSpec, ModelSpec
 
 __all__ = ["block_features", "LinearLatencyModel"]
@@ -48,12 +48,12 @@ class LinearLatencyModel:
                 feats.append(block_features(block))
         x = np.stack(feats)
 
+        tables = tables_for(self.platform)
         self._coef = []
         for c in range(self.platform.num_components):
             targets = []
             for model in models:
-                targets.extend(block_latencies(model,
-                                               self.platform.component(c)))
+                targets.extend(tables.block_costs(model, c)[0])
             y = np.log1p(np.asarray(targets))
             if noise_rng is not None and noise_std > 0:
                 y = y + noise_rng.normal(0.0, noise_std, size=y.shape)

@@ -27,6 +27,7 @@ from ..search.reward import (
     thresholds_for,
 )
 from ..sim.dynamic import MappingDecision
+from ..sim.tables import tables_for
 from ..zoo.layers import ModelSpec
 from .predictor import MEASUREMENT_WINDOW_S, RatePredictor
 from .priorities import dynamic_priorities, normalize_priorities
@@ -163,8 +164,7 @@ class RankMap(Manager):
         # every DNN observably alive.
         from ..metrics.starvation import STARVATION_EPSILON
 
-        all_ideals = np.array([self.platform.ideal_throughput(m)
-                               for m in workload])
+        all_ideals = tables_for(self.platform).ideal_rates(workload)
         floor_min = (STARVATION_EPSILON * 1.2) * all_ideals
         attempts = 0
         while (stats.best_reward <= DISQUALIFIED
@@ -195,8 +195,7 @@ class RankMap(Manager):
         p = self._resolve_priorities(workload, priorities)
         reward_cfg = self.config.resolved_reward()
         thresholds = thresholds_for(workload, self.platform, reward_cfg, p)
-        ideals = (np.array([self.platform.ideal_throughput(m)
-                            for m in workload])
+        ideals = (tables_for(self.platform).ideal_rates(workload)
                   if reward_cfg.normalize_by_ideal else None)
         return CandidateObjective(p, thresholds, ideals, reward_cfg.kind)
 

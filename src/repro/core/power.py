@@ -8,10 +8,10 @@ in their MapFormer follow-up (reference [2] of the paper).
 Per-candidate power is estimated analytically: stage service demands come
 from the same layer-latency model every manager profiles with, utilisation
 per component is (predicted rate x interference-inflated demand) summed
-over resident stages — the exact busy computation
-:func:`repro.hw.energy.energy_report` measures with, so search-time watts
-and board-validated watts price contention identically — and the platform
-power model converts utilisations to watts.  Two objectives are offered:
+over resident stages — the solver's ``component_utilisation``, which
+:func:`repro.hw.energy.energy_report` prices, up to last-bit rounding —
+and the platform power model converts utilisations to watts.  Two
+objectives are offered:
 
 * ``"penalty"`` — ``reward - power_weight · watts``: a soft power cap
   whose weight dials the throughput/power trade-off.
@@ -68,10 +68,11 @@ class PowerAwareRankMap(RankMap):
                               rates: np.ndarray) -> np.ndarray:
         """Raw per-component utilisation at predicted rates, unclipped.
 
-        Delegates to the same interference-inflated busy computation
-        :func:`repro.hw.energy.energy_report` measures with, so the
-        search scores candidates against the power landscape board
-        validation will confirm.  Predicted rates are not
+        Computed by :func:`repro.hw.energy.inflated_component_utilisation`,
+        which at the solver's rates gives the solver's
+        ``component_utilisation`` (what :func:`~repro.hw.energy.energy_report`
+        and board validation price) up to last-bit rounding.  Predicted
+        rates are not
         feasibility-constrained, so values above 1.0 (oversubscription)
         are possible — ``estimated_watts`` clips them before pricing.
         """

@@ -49,6 +49,7 @@ class ComputeComponent:
     mem_bw_bytes_per_s: float
     elem_ops_per_s: float
     dispatch_overhead_s: float
+    # Out of the hash, not of ==: platforms hash by value for tables_for.
     type_efficiency: dict[int, float] = field(hash=False)
     macs_half: float = 1e6          # 50 %-utilisation kernel size
     channel_sat: int = 16           # channels needed to fill vector lanes
@@ -64,17 +65,6 @@ class ComputeComponent:
             raise ValueError(f"{self.name}: sharing_bias must be in [0, 1]")
 
     # ------------------------------------------------------------------
-    def cache_key(self) -> tuple:
-        """Value-based key for latency memoisation (dataclass holds a dict,
-        so instances themselves are unhashable)."""
-        return (
-            self.name, self.kind, self.peak_macs_per_s,
-            self.mem_bw_bytes_per_s, self.elem_ops_per_s,
-            self.dispatch_overhead_s, tuple(sorted(self.type_efficiency.items())),
-            self.macs_half, self.channel_sat, self.sharing_bias,
-            self.interference_alpha, self.interference_beta, self.hol_blocking,
-        )
-
     def efficiency_for(self, op_type: int) -> float:
         """Fraction of peak MAC throughput achieved by ``op_type``."""
         return self.type_efficiency.get(op_type, 0.5)

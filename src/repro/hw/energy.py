@@ -251,11 +251,12 @@ def inflated_component_utilisation(demands, rates: np.ndarray,
     """Raw per-component busy fraction at given per-DNN rates.
 
     Sums ``rate x interference-inflated service demand`` over the
-    resident stages of each component — the solver's
-    ``component_utilisation`` sum, which :func:`energy_report` prices at
-    the solver's rates and
-    :meth:`repro.core.power.PowerAwareRankMap.estimated_watts` at
-    predicted rates.  The result is *unclipped*: values above 1.0 mean
+    resident stages of each component: at the solver's rates, the
+    solver's ``component_utilisation`` that :func:`energy_report` prices,
+    up to rounding (``rate x seconds x inflation`` here, ``rate x
+    (seconds x inflation)`` there, so the last bit may differ).
+    :meth:`repro.core.power.PowerAwareRankMap.estimated_watts` prices it
+    at predicted rates.  The result is *unclipped*: values above 1.0 mean
     the rates oversubscribe the component.
     """
     inflation = interference_inflation(platform, demands)

@@ -9,6 +9,9 @@ For a layer ``l`` on component ``c``::
 Weights are streamed from DRAM every inference (model working sets exceed
 on-chip caches on the Orange Pi 5 class of device), so weight bytes count
 toward the memory roof.
+
+These functions only compute; production reads their results from
+:func:`repro.sim.tables.tables_for`, once per model and platform.
 """
 
 from __future__ import annotations
@@ -38,19 +41,9 @@ def block_latency(block: BlockSpec, comp: ComputeComponent) -> float:
     return sum(layer_latency(l, comp) for l in block.layers)
 
 
-# Block latencies are pure functions of (model, component parameters); the
-# solver re-evaluates them for every candidate mapping, so memoise them.
-_BLOCK_CACHE: dict[tuple, list[float]] = {}
-
-
 def block_latencies(model: ModelSpec, comp: ComputeComponent) -> list[float]:
-    """Per-block latencies of ``model`` on ``comp`` (memoised)."""
-    key = (model.name, comp.cache_key())
-    found = _BLOCK_CACHE.get(key)
-    if found is None:
-        found = [block_latency(b, comp) for b in model.blocks]
-        _BLOCK_CACHE[key] = found
-    return found
+    """Per-block latencies of ``model`` on ``comp``."""
+    return [block_latency(b, comp) for b in model.blocks]
 
 
 def model_latency(model: ModelSpec, comp: ComputeComponent) -> float:

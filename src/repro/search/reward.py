@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hw.platform import Platform
+from ..sim.tables import tables_for
 from ..zoo.layers import ModelSpec
 
 __all__ = ["RewardConfig", "DISQUALIFIED", "thresholds_for", "mapping_reward"]
@@ -80,7 +81,7 @@ def thresholds_for(workload: list[ModelSpec], platform: Platform,
             base = base * (1.0 + config.priority_gain * len(workload)
                            * np.asarray(priorities))
         return base
-    ideals = np.array([platform.ideal_throughput(m) for m in workload])
+    ideals = tables_for(platform).ideal_rates(workload)
     frac = np.full(len(workload), config.threshold)
     if config.kind == "floor" and priorities is not None:
         frac = frac + config.priority_gain * np.asarray(priorities)

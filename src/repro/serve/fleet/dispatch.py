@@ -50,6 +50,7 @@ from ...obs.registry import (
     SPAN_DISPATCH,
 )
 from ...sim.cache import EvaluationCache
+from ...sim.tables import tables_for
 from ...workloads.traces import SessionRequest
 from ...zoo.registry import get_model
 from ..loop import ServeConfig, serve_trace
@@ -186,15 +187,16 @@ class _NodeState:
 def node_speed(platform: Platform, pool: tuple[str, ...]) -> float:
     """Relative steady-state speed of a node: mean ideal throughput.
 
-    Averages :meth:`Platform.ideal_throughput` over the node's model pool
-    — the rate the board would sustain serving each pool model alone with
+    Averages :meth:`Platform.ideal_throughput` (from
+    :func:`~repro.sim.tables.tables_for`) over the node's model pool —
+    the rate the board would sustain serving each pool model alone with
     no contention.  Routing policies use it to weight free capacity, so
     only the *ratios* between nodes matter.
     """
     if not pool:
         raise ValueError("pool must not be empty")
-    return float(np.mean([platform.ideal_throughput(get_model(name))
-                          for name in pool]))
+    return float(np.mean(tables_for(platform).ideal_rates(
+        [get_model(name) for name in pool])))
 
 
 def _shift_forward(request: SessionRequest, now: float,

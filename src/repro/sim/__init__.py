@@ -21,7 +21,7 @@ from .dynamic import (
     run_dynamic_scenario,
 )
 from .engine import SimResult, simulate, simulate_batch
-from .tables import PlatformTables
+from .tables import PlatformTables, tables_for
 
 __all__ = [
     "ContentionSolution",
@@ -33,6 +33,7 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "PlatformTables",
+    "tables_for",
     "EvaluationCache",
     "platform_fingerprint",
     "restrict_mapping",

@@ -4,7 +4,7 @@ MCTS evaluates 160 iterations x 4 rollouts per plan and RankMap's
 threshold-relaxation loop re-searches the same space with lowered floors;
 both revisit mappings they have already solved.  The cache makes every
 re-visit free while :func:`repro.sim.engine.simulate_batch` keeps the
-misses cheap.
+misses cheap on the platform's :func:`repro.sim.tables.tables_for`.
 
 Cache-key canonicalization
 --------------------------
@@ -53,7 +53,6 @@ from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
 from .engine import SimResult, simulate_batch
-from .tables import PlatformTables
 
 __all__ = ["EvaluationCache", "platform_fingerprint"]
 
@@ -67,14 +66,20 @@ _CACHE_FORMAT_VERSION = 4
 def platform_fingerprint(platform: Platform) -> str:
     """Stable digest of every platform parameter that affects a solve.
 
-    Built from the value-based ``cache_key`` of each component plus the
-    link parameters, so two structurally identical platform objects (e.g.
+    Built from every field of each component, in declaration order and
+    with the ``type_efficiency`` dict as its sorted items, plus the link
+    parameters, so two structurally identical platform objects (e.g.
     rebuilt from the same preset in different processes) fingerprint equal
     while any parameter tweak produces a different digest.
     """
     parts = [platform.name]
-    for comp in platform.components:
-        parts.append(repr(comp.cache_key()))
+    for c in platform.components:
+        parts.append(repr((
+            c.name, c.kind, c.peak_macs_per_s, c.mem_bw_bytes_per_s,
+            c.elem_ops_per_s, c.dispatch_overhead_s,
+            tuple(sorted(c.type_efficiency.items())), c.macs_half,
+            c.channel_sat, c.sharing_bias, c.interference_alpha,
+            c.interference_beta, c.hol_blocking)))
     parts.append(repr((platform.link.bandwidth_bytes_per_s,
                        platform.link.latency_s)))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
@@ -82,8 +87,8 @@ def platform_fingerprint(platform: Platform) -> str:
 #: Default capacity: ~75 plans' worth of distinct 640-evaluation searches.
 #: An entry (its key and a SimResult of per-DNN arrays) holds about
 #: 1.5 KB (tracemalloc over RankMap_D plans of 3-5 DNN mixes), so the
-#: default bounds the entries to ~75 MB; the per-model packer tables
-#: beside them hold 16.5 KB for all 23 pool models on the Orange Pi 5.
+#: default bounds the entries to ~75 MB; the solver tables are the
+#: platform's one :func:`~repro.sim.tables.tables_for` set, not the cache's.
 #: Raise it explicitly for sweeps that can afford the memory.
 _DEFAULT_MAXSIZE = 50_000
 
@@ -125,8 +130,6 @@ class EvaluationCache:
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple, SimResult] = OrderedDict()
-        # What every miss on this platform shares: the solver tables.
-        self._tables = PlatformTables(platform)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -175,8 +178,7 @@ class EvaluationCache:
             miss_slots[k].append(i)
 
         if miss_mappings:
-            solved = simulate_batch(workload, miss_mappings, self.platform,
-                                    self._tables)
+            solved = simulate_batch(workload, miss_mappings, self.platform)
             for k, result in zip(miss_keys, solved):
                 self._insert(k, result)
                 for i in miss_slots[k]:

@@ -52,10 +52,11 @@ Two entry points compute the same fixed point:
 
 The batch path takes its per-platform constants (interference table, κ,
 head-of-line coefficients, in one vector per workload size) and
-per-model tables from a :class:`~repro.sim.tables.PlatformTables` built
-once per platform.  The
-entitlement weights ``demand ** κ`` stay a numpy ``**`` on both paths,
-which is why the library is two calls and not one: numpy's vectorised
+per-model tables from the :class:`~repro.sim.tables.PlatformTables` it
+is handed: the platform's one :func:`~repro.sim.tables.tables_for` set,
+or private tables in a test that wants its own.  The entitlement
+weights ``demand ** κ`` stay a numpy ``**`` on both paths, which is
+why the library is two calls and not one: numpy's vectorised
 power differs from libm's ``pow`` in the last bit on some inputs (about
 6% of them on an AVX-512 host), so moving it into C or Python floats
 would break bit identity.  Numpy's result for an element does not depend
@@ -279,16 +280,17 @@ def _pack_batch(workload: list[ModelSpec], mappings: list[Mapping],
 
 
 def solve_steady_state_batch(workload: list[ModelSpec],
-                             mappings: list[Mapping], platform: Platform,
+                             mappings: list[Mapping], tables: PlatformTables,
                              max_iter: int = _MAX_ITER,
-                             tables: PlatformTables | None = None,
                              ) -> list[ContentionSolution]:
-    """Solve B mappings of ``workload`` in one call to the C library.
+    """Solve B mappings of ``workload`` on ``tables.platform`` in one call
+    to the C library.
 
     Each element's result is bit for bit what :func:`solve_steady_state`
     returns on :func:`~repro.sim.demands.compute_stage_demands` of that
     mapping.  ``tables`` holds the platform's constants and the per-model
-    packer tables (a throwaway instance is built without it).
+    packer tables: :func:`~repro.sim.tables.tables_for` in production, a
+    private instance where a test wants its own.
 
     The call validates the mappings (``ValueError``, with
     :meth:`Mapping.validate_against`'s message, before any C code runs),
@@ -303,10 +305,8 @@ def solve_steady_state_batch(workload: list[ModelSpec],
     """
     if not mappings:
         return []
-    if tables is None:
-        tables = PlatformTables(platform)
     n_batch, num_dnns = len(mappings), len(workload)
-    num_comp = platform.num_components
+    num_comp = tables.platform.num_components
     rows, arena = tables.model_tables(workload)
     batch = _pack_batch(workload, mappings, rows, num_comp)
     consts = tables.packer_constants(num_dnns)

@@ -13,7 +13,9 @@ computes every demand with the same arithmetic in the same order, so the
 two agree bit for bit (``tests/property/test_stage_pack.py``).  The
 stage sum therefore runs left to right from ``0.0`` and adds the handoff
 afterwards; it is a plain loop because the builtin ``sum`` of floats
-uses compensated summation from Python 3.12.  Demands are not memoised.
+uses compensated summation from Python 3.12.  Demands are not memoised;
+the block latencies and layer counts they sum are, in the platform's
+one :func:`~repro.sim.tables.tables_for` set.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping, Stage
 from ..zoo.layers import ModelSpec
-from .tables import PlatformTables
+from .tables import PlatformTables, tables_for
 
 __all__ = ["StageDemand", "compute_stage_demands"]
 
@@ -61,17 +63,11 @@ def _stage_demand(model: ModelSpec, stage: Stage, tables: PlatformTables,
 
 
 def compute_stage_demands(workload: list[ModelSpec], mapping: Mapping,
-                          platform: Platform,
-                          tables: PlatformTables | None = None,
-                          ) -> list[StageDemand]:
-    """Demands for every stage of ``mapping`` over ``workload``.
-
-    Block costs are read from ``tables``, which must be built for
-    ``platform``; without it the call uses a throwaway instance.
-    """
+                          platform: Platform) -> list[StageDemand]:
+    """Demands for every stage of ``mapping`` over ``workload``, from the
+    block costs in ``platform``'s :func:`~repro.sim.tables.tables_for`."""
     mapping.validate_against(workload, platform.num_components)
-    if tables is None:
-        tables = PlatformTables(platform)
+    tables = tables_for(platform)
     demands: list[StageDemand] = []
     dnn_index = -1
     for stage in mapping.stages():

@@ -5,6 +5,8 @@ record inferences/s" (see DESIGN.md).  All managers, the estimator-training
 dataset and every experiment observe the platform exclusively through
 :func:`simulate` and :func:`simulate_batch`, and every solve they trigger
 takes one path: the C kernel when it loads, the scalar oracle otherwise.
+Either path reads the platform's one table set,
+:func:`repro.sim.tables.tables_for`, so no call builds tables of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .contention import (
     solve_steady_state_batch,
 )
 from .demands import compute_stage_demands
-from .tables import PlatformTables
+from .tables import tables_for
 
 __all__ = ["SimResult", "simulate", "simulate_batch"]
 
@@ -74,8 +76,7 @@ def _warn_scalar_fallback() -> None:
 
 
 def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
-                   platform: Platform,
-                   tables: PlatformTables | None = None) -> list[SimResult]:
+                   platform: Platform) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
     Packs and solves all fixed points in one call each to the C stage
@@ -86,30 +87,19 @@ def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
     :func:`~repro.sim.demands.compute_stage_demands` is solved by the
     scalar oracle :func:`repro.sim.contention.solve_steady_state` instead,
     after a :class:`RuntimeWarning` issued once per process; the results
-    are the same bits either way.
-
-    ``tables`` carries what every solve on ``platform`` shares (see
-    :mod:`repro.sim.tables`); an :class:`~repro.sim.cache.EvaluationCache`
-    passes its own.  Without it the call builds a throwaway one, so
-    results never depend on it.
+    are the same bits either way.  What every solve on ``platform``
+    shares comes from :func:`~repro.sim.tables.tables_for`.
     """
     if not mappings:
         return []
-    if tables is None:
-        tables = PlatformTables(platform)
-    elif tables.platform is not platform and tables.platform != platform:
-        raise ValueError(
-            f"tables were built for {tables.platform.name!r}, not for "
-            f"{platform.name!r}")
+    tables = tables_for(platform)
     if _cext.load_solver() is not None:
-        solutions = solve_steady_state_batch(workload, mappings, platform,
-                                             tables=tables)
+        solutions = solve_steady_state_batch(workload, mappings, tables)
     else:
         _warn_scalar_fallback()
         solutions = [
-            solve_steady_state(
-                compute_stage_demands(workload, m, platform, tables),
-                len(workload), platform)
+            solve_steady_state(compute_stage_demands(workload, m, platform),
+                               len(workload), platform)
             for m in mappings]
     ideal = tables.ideal_rates(workload)
     names = tuple(m.name for m in workload)

@@ -41,6 +41,7 @@ from repro.sim import (
     simulate_batch,
     solve_steady_state,
     solve_steady_state_batch,
+    tables_for,
 )
 from repro.sim.contention import _CYCLE_BURN_IN, _MAX_ITER
 from repro.zoo import get_model
@@ -113,8 +114,8 @@ def _assert_matches_oracle(workload, mappings, sets, platform,
     oracle = [solve_steady_state(d, num_dnns, platform, max_iter)
               for d in sets]
     for got in (solve_demand_sets(sets, num_dnns, platform, max_iter),
-                solve_steady_state_batch(workload, mappings, platform,
-                                         max_iter)):
+                solve_steady_state_batch(workload, mappings,
+                                         tables_for(platform), max_iter)):
         assert len(got) == len(sets)
         for want, sol in zip(oracle, got):
             _assert_bit_identical(want, sol)
@@ -177,7 +178,8 @@ class TestKernel:
     def test_all_empty_and_zero_batches(self):
         platform = PLATFORMS["orange_pi_5"]
         workload = [get_model(n) for n in SMALL_POOL[:2]]
-        assert solve_steady_state_batch(workload, [], platform) == []
+        assert solve_steady_state_batch(workload, [],
+                                        tables_for(platform)) == []
         assert solve_demand_sets([], 2, platform) == []
         batch = solve_demand_sets([[], []], 2, platform)
         assert len(batch) == 2 and all(s.converged for s in batch)

@@ -41,6 +41,7 @@ from repro.sim import (
     engine,
     simulate_batch,
     solve_steady_state_batch,
+    tables_for,
 )
 from repro.sim import tables as tables_module
 from repro.zoo import get_model
@@ -55,21 +56,21 @@ needs_compiler = pytest.mark.skipif(
     _cext._compiler() is None, reason="no C compiler on this host")
 
 
-def _c_packed(workload, mappings, platform, tables=None):
-    """The ``(ints, reals)`` the kernel receives from the C path, trimmed
-    to the batch's stage count; the kernel itself does not run."""
+def _c_packed(workload, mappings, tables):
+    """The ``(ints, reals)`` the kernel receives from the C path on
+    ``tables``, trimmed to the batch's stage count; the kernel itself
+    does not run."""
     seen = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(_cext, "solve_packed_c",
                             lambda ints, reals, *args: seen.append(
                                 (ints.copy(), reals.copy())))
-        solve_steady_state_batch(workload, mappings, platform,
-                                 tables=tables)
+        solve_steady_state_batch(workload, mappings, tables)
     (ints, reals), = seen
     n_batch = len(mappings)
     n = int(ints[n_batch])
-    n_ints, n_reals, _ = _cext.buffer_lengths(n_batch, n, len(workload),
-                                              platform.num_components)
+    n_ints, n_reals, _ = _cext.buffer_lengths(
+        n_batch, n, len(workload), tables.platform.num_components)
     return ints[:n_ints], reals[:n_reals]
 
 
@@ -80,9 +81,9 @@ def _oracle_packed(workload, mappings, platform):
     return ints, reals
 
 
-def _assert_same_bytes(workload, mappings, platform, tables=None):
-    got = _c_packed(workload, mappings, platform, tables)
-    want = _oracle_packed(workload, mappings, platform)
+def _assert_same_bytes(workload, mappings, tables):
+    got = _c_packed(workload, mappings, tables)
+    want = _oracle_packed(workload, mappings, tables.platform)
     for name, g, w in zip(("ints", "reals"), got, want):
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
@@ -115,7 +116,7 @@ class TestPacker:
             mappings = _mappings(workload, platform, rng, seed)
             picks = rng.integers(len(mappings), size=batch_size)
             _assert_same_bytes(workload, [mappings[i] for i in picks],
-                               platform, tables)
+                               tables)
 
     def test_same_model_at_two_positions(self):
         names = ("resnet12", "alexnet", "resnet12")
@@ -126,7 +127,7 @@ class TestPacker:
                 rng = np.random.default_rng(7)
                 _assert_same_bytes(workload,
                                    _mappings(workload, platform, rng, 7),
-                                   platform, tables)
+                                   tables)
 
     def test_stage_sum_runs_left_to_right(self, monkeypatch):
         """Latencies ``[1.0, 1e-16, 1e-16]`` sum to exactly ``1.0`` left to
@@ -139,10 +140,16 @@ class TestPacker:
                             lambda model, component: [1.0, 1e-16, 1e-16])
         platform = PLATFORMS[0]
         mapping = gpu_only_mapping([model])
-        [demand] = compute_stage_demands([model], mapping, platform)
+        try:
+            [demand] = compute_stage_demands([model], mapping, platform)
+        finally:
+            # The demands read the shared tables, which now hold the
+            # patched latencies.
+            tables_for.cache_clear()
         assert demand.seconds_per_inference == 1.0
-        _, reals = _c_packed([model], [mapping], platform)
-        gamma = PlatformTables(platform).gamma(1)[0, 1]
+        tables = PlatformTables(platform)
+        _, reals = _c_packed([model], [mapping], tables)
+        gamma = tables.gamma(1)[0, 1]
         assert reals[0] == 1.0 * gamma                       # inflated
         assert reals[1] == 1.0 / demand.num_kernels          # kernel time
 
@@ -192,7 +199,8 @@ class TestBadInput:
         platform = PLATFORMS[0]
         with pytest.raises(ValueError, match=message):
             solve_steady_state_batch(self.WORKLOAD,
-                                     [self._fits(), Mapping(bad)], platform)
+                                     [self._fits(), Mapping(bad)],
+                                     tables_for(platform))
         assert calls == []
 
     def test_negative_component_raises_before_any_c_call(self, calls):
@@ -202,7 +210,8 @@ class TestBadInput:
         bad = object.__new__(Mapping)
         object.__setattr__(bad, "assignments", (first, (-1,) + second[1:]))
         with pytest.raises(ValueError, match="out of range"):
-            solve_steady_state_batch(self.WORKLOAD, [bad], PLATFORMS[0])
+            solve_steady_state_batch(self.WORKLOAD, [bad],
+                                     tables_for(PLATFORMS[0]))
         assert calls == []
 
     @pytest.mark.parametrize("seconds", [0.0, -1e-3])
@@ -216,8 +225,7 @@ class TestBadInput:
         [(nb, offset), _], arena = tables.model_tables(self.WORKLOAD)
         arena[offset:offset + nb] = seconds    # every block on the GPU
         with pytest.raises(ValueError, match="must be positive"):
-            solve_steady_state_batch(self.WORKLOAD, [self._fits()], platform,
-                                     tables=tables)
+            solve_steady_state_batch(self.WORKLOAD, [self._fits()], tables)
         assert kernel_calls == []
 
 

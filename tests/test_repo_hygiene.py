@@ -246,3 +246,19 @@ def run(result, outcome):
     assert _file_uses(source, path) == {
         "helper", "baseline_result", "_cext", "fleet", "dispatch",
         "load_solver"}
+
+
+def test_platform_tables_are_built_only_by_tables_for():
+    """``src/`` reaches a platform's solver tables through
+    ``repro.sim.tables.tables_for``, their one builder: any other
+    ``PlatformTables(...)`` call would bring back a per-call throwaway
+    build of tables the process already holds."""
+    calls = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "PlatformTables":
+                    calls.append(str(path.relative_to(REPO_ROOT)))
+    assert calls == ["src/repro/sim/tables.py"], calls

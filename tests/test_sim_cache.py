@@ -229,6 +229,15 @@ class TestCachePersistence:
         assert platform_fingerprint(orange_pi_5()) \
             == platform_fingerprint(orange_pi_5())
 
+    def test_fingerprint_values_are_pinned(self):
+        """Cache files and estimator artifacts saved by earlier builds
+        carry these digests, so they must not move."""
+        from repro.hw import jetson_class
+        from repro.sim import platform_fingerprint
+
+        assert platform_fingerprint(orange_pi_5()) == "2f089cda4676eefa"
+        assert platform_fingerprint(jetson_class()) == "b05177e5f9639dca"
+
     def test_fingerprint_tracks_parameters(self):
         import dataclasses
 

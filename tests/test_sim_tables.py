@@ -12,6 +12,7 @@ from repro.sim import (
     _cext,
     simulate_batch,
     solve_steady_state_batch,
+    tables_for,
 )
 from repro.zoo import get_model
 
@@ -60,7 +61,7 @@ class TestKernelBuffers:
         monkeypatch.setattr(_cext, "empty_buffers", _bad_buffers(kind))
         with pytest.raises(ValueError, match="solver buffer"):
             solve_steady_state_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)],
-                                     PLATFORM)
+                                     tables_for(PLATFORM))
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["arena_float32", "arena_short",
@@ -88,9 +89,11 @@ class TestKernelBuffers:
 
         monkeypatch.setattr(PlatformTables, "model_tables", model_tables)
         # The last model's table ends the arena, so a short arena cuts it.
+        # Private tables: the spoiled constants must not reach the shared
+        # set every later solve on this platform reads.
         with pytest.raises(ValueError, match="solver buffer|non-negative"):
             solve_steady_state_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)],
-                                     PLATFORM)
+                                     PlatformTables(PLATFORM))
         assert calls == []
 
     def test_good_buffers_pass(self):
@@ -115,41 +118,53 @@ class TestKernelBuffers:
 
 
 class TestPlatformTables:
+    @needs_compiler
     def test_tables_do_not_change_results(self):
+        """Private tables, cold and then warm, solve to the bits of the
+        platform's shared set."""
         rng = np.random.default_rng(3)
         mappings = [uniform_block_mapping(WORKLOAD, 3, rng)
                     for _ in range(4)]
+        shared = simulate_batch(WORKLOAD, mappings, PLATFORM)
         tables = PlatformTables(PLATFORM)
         for _ in range(2):   # cold model tables, then warm
-            warm = simulate_batch(WORKLOAD, mappings, PLATFORM, tables)
-            cold = simulate_batch(WORKLOAD, mappings, PLATFORM)
-            for w, c in zip(warm, cold):
-                np.testing.assert_array_equal(w.rates, c.rates)
-                np.testing.assert_array_equal(w.ideal_rates, c.ideal_rates)
+            private = solve_steady_state_batch(WORKLOAD, mappings, tables)
+            for p, s in zip(private, shared):
+                np.testing.assert_array_equal(p.rates, s.rates)
                 np.testing.assert_array_equal(
-                    w.solution.component_utilisation,
-                    c.solution.component_utilisation)
-                assert w.solution.iterations == c.solution.iterations
+                    p.component_utilisation,
+                    s.solution.component_utilisation)
+                assert p.iterations == s.solution.iterations
+        np.testing.assert_array_equal(tables.ideal_rates(WORKLOAD),
+                                      shared[0].ideal_rates)
 
-    def test_tables_of_another_platform_rejected(self):
-        with pytest.raises(ValueError, match="tables were built for"):
-            simulate_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)], PLATFORM,
-                           PlatformTables(jetson_class()))
+    @needs_compiler
+    def test_one_table_set_per_platform_value(self):
+        """Equal platforms share one table set, another platform gets its
+        own, and cache misses and plain ``simulate_batch`` calls fill the
+        same model tables: each model's once."""
+        tables_for.cache_clear()
+        tables = tables_for(orange_pi_5())
+        assert tables_for(PLATFORM) is tables
+        other = tables_for(jetson_class())
+        assert other is not tables and other.platform == jetson_class()
 
-    def test_equal_platform_accepted(self):
-        simulate_batch(WORKLOAD, [gpu_only_mapping(WORKLOAD)], PLATFORM,
-                       PlatformTables(orange_pi_5()))
+        def arena_size():
+            return tables.model_tables([])[1].size
 
-    def test_cache_owns_one_table_and_fills_its_memo(self):
-        """The memo is the per-model packer tables: one per model, built
-        on the first miss and reused for any workload holding it."""
-        cache = EvaluationCache(PLATFORM)
-        cache.simulate(WORKLOAD, [gpu_only_mapping(WORKLOAD)])
-        tables = cache._tables
-        assert tables.platform is PLATFORM
-        _, arena = tables.model_tables(WORKLOAD)
-        cache.simulate(WORKLOAD[::-1], [gpu_only_mapping(WORKLOAD[::-1])])
-        assert tables.model_tables(WORKLOAD)[1] is arena
+        def size_of(workload):
+            return sum((PLATFORM.num_components + 2) * m.num_blocks
+                       for m in workload)
+
+        EvaluationCache(orange_pi_5()).simulate(
+            WORKLOAD, [gpu_only_mapping(WORKLOAD)])
+        assert arena_size() == size_of(WORKLOAD)
+        rows, _ = tables.model_tables(WORKLOAD)
+        more = WORKLOAD[::-1] + [get_model("mobilenet")]
+        simulate_batch(more, [gpu_only_mapping(more)], orange_pi_5())
+        assert arena_size() == size_of(more)
+        assert tables.model_tables(WORKLOAD)[0] == rows
+        assert other.model_tables([])[1].size == 0
 
     def test_model_table_layout(self):
         """Each row points at its model's latencies on every component,
